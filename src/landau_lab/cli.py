@@ -30,7 +30,7 @@ from .linear import fit_decay_rate, root_scan, scan_stability_margin, smallness_
 from .models import verify_analyticity, verify_decay
 from .norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
 from .echoes import run_echo_experiment
-from .sim import init_state, recurrence_time, run
+from .sim import PhaseSpaceField, Stepper, init_state, recurrence_time, run
 from .svgplot import Series, render_plot
 
 __all__ = ["main", "run_experiment"]
@@ -213,40 +213,43 @@ def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str],
     return meta, ["echoes.csv", "echo_timeline.svg"], EXIT_OK
 
 
+def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
+    """The gliding, spatial and analytic rows of ``norms.csv`` for one snapshot."""
+    t = state.time
+    tau = t if sec["tau_mode"] == "time" else sec["tau"]
+    p = {"1": 1, "2": 2, "inf": np.inf}[sec["p"]]
+    head = [f"{t:.17g}"]
+    params = [f"{sec['lam']:.17g}", f"{sec['mu']:.17g}", f"{sec['gamma']:.17g}"]
+    spec = GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=p,
+                           tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
+    g = gliding_norm(state, spec)
+    raw = state.rho_hat(sec["k_max"])
+    floor = 1e-13 * float(np.max(np.abs(raw)))
+    coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
+    s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
+    a = analytic_norm(state, AnalyticNormSpec(lam=max(sec["lam"], 1e-6), mu=max(sec["mu"], 1e-6), beta=0.1))
+    return [
+        head + ["gliding", *params, sec["p"], f"{tau:.17g}", f"{g.value:.17g}", f"{g.remainder:.17g}"],
+        head + ["spatial", *params, "", f"{tau:.17g}", f"{s:.17g}", "0"],
+        head + ["analytic", *params, "", f"{tau:.17g}", f"{a:.17g}", "0"],
+    ]
+
+
 def _experiment_norms(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], int]:
     profile, interaction = cfg.build_profile(), cfg.build_interaction()
     sec = cfg.values["norms"]
-    p = {"1": 1, "2": 2, "inf": np.inf}[sec["p"]]
     times = sorted(sec["times"])
     dt = cfg.get("time", "dt")
+    nx, nv, vmax = cfg.get("grid", "nx"), cfg.get("grid", "nv"), cfg.get("grid", "vmax")
+    for t in times:
+        if t < 0.0 or abs(round(t / dt) * dt - t) > 1e-9:
+            raise ConfigError(f"[norms] times entry {t:g} is not a nonnegative multiple of dt = {dt:g}")
+    # one trajectory; each snapshot is evaluated as it is reached, none is kept
+    start = init_state(profile, cfg.build_perturbation(), nx, nv, vmax)
+    snapshots = Stepper(nx, nv, vmax, dt, interaction).evolve(start.data, [int(round(t / dt)) for t in times])
     rows = []
-    for t in times:
-        if abs(round(t / dt) * dt - t) > 1e-9:
-            raise ConfigError(f"[norms] times entry {t:g} is not a multiple of dt = {dt:g}")
-    for t in times:
-        if t == 0.0:
-            state = init_state(profile, cfg.build_perturbation(),
-                               cfg.get("grid", "nx"), cfg.get("grid", "nv"), cfg.get("grid", "vmax"))
-        else:
-            state = run(profile, interaction, cfg.build_perturbation(),
-                        nx=cfg.get("grid", "nx"), nv=cfg.get("grid", "nv"), vmax=cfg.get("grid", "vmax"),
-                        dt=dt, t_end=t, observe_stride=int(round(t / dt)),
-                        k_obs=cfg.get("observables", "k_obs")).final_state
-        tau = t if sec["tau_mode"] == "time" else sec["tau"]
-        spec = GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=p,
-                               tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
-        g = gliding_norm(state, spec)
-        rows.append([f"{t:.17g}", "gliding", f"{sec['lam']:.17g}", f"{sec['mu']:.17g}",
-                     f"{sec['gamma']:.17g}", sec["p"], f"{tau:.17g}", f"{g.value:.17g}", f"{g.remainder:.17g}"])
-        raw = state.rho_hat(sec["k_max"])
-        floor = 1e-13 * float(np.max(np.abs(raw)))
-        coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
-        f = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
-        rows.append([f"{t:.17g}", "spatial", f"{sec['lam']:.17g}", f"{sec['mu']:.17g}",
-                     f"{sec['gamma']:.17g}", "", f"{tau:.17g}", f"{f:.17g}", "0"])
-        a = analytic_norm(state, AnalyticNormSpec(lam=max(sec["lam"], 1e-6), mu=max(sec["mu"], 1e-6), beta=0.1))
-        rows.append([f"{t:.17g}", "analytic", f"{sec['lam']:.17g}", f"{sec['mu']:.17g}",
-                     f"{sec['gamma']:.17g}", "", f"{tau:.17g}", f"{a:.17g}", "0"])
+    for t, (_, data, _) in zip(times, snapshots):
+        rows += _norm_rows(PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=data, time=t), sec)
     with open(out / "norms.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"])
@@ -278,11 +281,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         _write_meta(out, cfg, {"error": str(exc)}, _partial_artifacts(out), status="failed:numeric")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    try:
-        grid = cfg.values["grid"]
-        meta.setdefault("recurrence_time", f"{recurrence_time(grid['nv'], grid['vmax'], 1):.12g}")
-    except Exception:
-        pass
+    grid = cfg.values["grid"]
+    meta.setdefault("recurrence_time", f"{recurrence_time(grid['nv'], grid['vmax'], 1):.12g}")
     _write_meta(out, cfg, meta, artifacts, status="ok" if code == EXIT_OK else "certification_failed")
     return code
 

@@ -7,6 +7,13 @@ spectrum), half free transport.  There is no CFL constraint and no implicit
 filtering; mass and the grid l2 norm are conserved to roundoff, and the
 scheme is exactly reversible.
 
+One engine, `Stepper`, does all stepping.  It fuses the trailing
+half-transport of each step with the leading half of the next (Cheng &
+Knorr 1976), so a step costs one x-FFT pair and one v-FFT pair, and each
+observation one extra inverse x-FFT.  Observations branch off the carried
+x-spectrum without replacing it, so the trajectory does not depend on where
+they fall.
+
 The velocity domain [-vmax, vmax] is periodically continued for the
 transforms, gated by the requirement that the equilibrium tail at the cut
 is negligible.  Spectral velocity discreteness makes free phase mixing
@@ -17,8 +24,9 @@ should stay below 0.8 t_R and the log flags later samples.
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -35,6 +43,7 @@ __all__ = [
     "AsymptoticProfile",
     "init_state",
     "force_field",
+    "Stepper",
     "strang_step",
     "recurrence_time",
     "ftilde_sample",
@@ -198,48 +207,121 @@ def recurrence_time(nv: int, vmax: float, k: int) -> float:
 # stepping
 
 
-class _StepPlan:
-    """Per-run precomputed tables; arithmetic identical to a per-call setup."""
+def _force_multiplier(nx: int, interaction: Interaction) -> np.ndarray:
+    # F_hat(k) = -2 i pi k what(k) rho_hat(k); odd derivative zeroed at Nyquist
+    kx = np.arange(nx // 2 + 1)
+    fmul = -2j * np.pi * kx * interaction.what(kx)
+    fmul[-1] = 0.0
+    return fmul
 
-    def __init__(self, state: PhaseSpaceField, interaction: Interaction, dt: float):
-        self.nx, self.nv, self.dt = state.nx, state.nv, dt
-        self.dv = state.dv
-        v = state.v
-        kx = np.arange(state.nx // 2 + 1)
+
+def _force(rho: np.ndarray, force_mul: np.ndarray) -> np.ndarray:
+    nx = rho.shape[0]
+    rho_k = np.fft.rfft(rho) / nx
+    return np.fft.irfft(force_mul * rho_k * nx, n=nx)
+
+
+class Stepper:
+    """Strang stepping of size dt on one grid, with fused half-transports.
+
+    Between two stops the trailing half-transport of one step and the
+    leading half of the next act as one full transport, so a step costs one
+    x-FFT pair and one v-FFT pair; a stop adds one inverse x-FFT.  The state
+    carried from step to step is the x-spectrum after the last kick, and a
+    stop never replaces it, so the state at step n does not depend on which
+    other stops are requested.
+
+    The phase tables and scratch buffers belong to the stepper: it runs one
+    `evolve` at a time.
+    """
+
+    def __init__(self, nx: int, nv: int, vmax: float, dt: float, interaction: Interaction):
+        self.nx, self.nv, self.dt = nx, nv, dt
+        self.dv = 2.0 * vmax / nv
+        v = -vmax + np.arange(nv) * self.dv
+        kx = np.arange(nx // 2 + 1)
         self.transport_half = np.exp(-2j * np.pi * np.outer(kx, v) * (0.5 * dt))
-        self.eta = np.fft.rfftfreq(state.nv, d=state.dv)
-        # F_hat(k) = -2 i pi k what(k) rho_hat(k); odd derivative zeroed at Nyquist
-        fmul = -2j * np.pi * kx * interaction.what(kx)
-        fmul[-1] = 0.0
-        self.force_mul = fmul
+        self.transport_full = self.transport_half * self.transport_half
+        self.force_mul = _force_multiplier(nx, interaction)
+        # The kick multiplies the v-spectrum by exp(i a j) for eta index
+        # j = 0..nv/2 with a = -2 pi shift / (nv dv).  Writing j = m p + q,
+        # that is exp(i a m p) exp(i a q): cos/sin of two narrow tables and
+        # one complex product instead of cos/sin of the full table.
+        nh = nv // 2 + 1
+        m = 1 << ((nh - 1).bit_length() + 1) // 2
+        n_blocks = -(-nh // m)
+        a = -2.0 * np.pi / (nv * self.dv)
+        self._phase_factors = [
+            (freq, np.empty((nx, *freq.shape)), np.empty((nx, *freq.shape), dtype=complex))
+            for freq in (a * np.arange(m)[None, :], a * m * np.arange(n_blocks)[:, None])
+        ]
+        self._phase_blocks = np.empty((nx, n_blocks, m), dtype=complex)
+        self._phase = self._phase_blocks.reshape(nx, n_blocks * m)[:, :nh]
+        self._fk = np.empty((nx // 2 + 1, nv), dtype=complex)
+        self._obs_fk = np.empty_like(self._fk)
+        self._f = np.empty((nx, nv))
+        self._fv = np.empty((nx, nh), dtype=complex)
 
+    def _kick(self, impulse: np.ndarray | None) -> None:
+        f, fv = self._f, self._fv
+        shift = _force(f.sum(axis=1) * self.dv, self.force_mul) * self.dt
+        if impulse is not None:
+            shift = shift + impulse
+        np.fft.rfft(f, axis=1, out=fv)
+        for freq, arg, phase in self._phase_factors:
+            np.multiply.outer(shift, freq, out=arg)
+            np.cos(arg, out=phase.real)
+            np.sin(arg, out=phase.imag)
+        np.multiply(self._phase_factors[0][2], self._phase_factors[1][2], out=self._phase_blocks)
+        fv *= self._phase
+        np.fft.irfft(fv, n=self.nv, axis=1, out=f)
 
-def _force_from_density(rho: np.ndarray, plan: _StepPlan) -> np.ndarray:
-    rho_k = np.fft.rfft(rho) / plan.nx
-    return np.fft.irfft(plan.force_mul * rho_k * plan.nx, n=plan.nx)
+    def evolve(
+        self,
+        data: np.ndarray,
+        stops: Iterable[int],
+        impulses: dict[int, np.ndarray] | None = None,
+        t0: float = 0.0,
+    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+        """Step from ``data`` and yield ``(n, f, fk)`` at each step index n in ``stops``.
 
-
-def _step_arrays(data: np.ndarray, plan: _StepPlan, impulse: np.ndarray | None) -> np.ndarray:
-    fk = np.fft.rfft(data, axis=0)
-    fk *= plan.transport_half
-    data = np.fft.irfft(fk, n=plan.nx, axis=0)
-
-    shift = _force_from_density(data.sum(axis=1) * plan.dv, plan) * plan.dt
-    if impulse is not None:
-        shift = shift + impulse
-    fv = np.fft.rfft(data, axis=1)
-    fv *= np.exp(-2j * np.pi * np.outer(shift, plan.eta))
-    data = np.fft.irfft(fv, n=plan.nv, axis=1)
-
-    fk = np.fft.rfft(data, axis=0)
-    fk *= plan.transport_half
-    return np.fft.irfft(fk, n=plan.nx, axis=0)
+        ``stops`` must be ascending.  ``f`` is the state after n steps and
+        ``fk`` its unnormalized x-spectrum (``rfft`` along x); both are the
+        stepper's buffers, valid until the generator resumes.
+        ``impulses[n]`` adds a velocity shift (x grid) to the kick of step n.
+        """
+        impulses = impulses or {}
+        fk, obs_fk, f = self._fk, self._obs_fk, self._f
+        np.fft.rfft(data, axis=0, out=fk)
+        n = 0
+        for stop in stops:
+            if stop < n:
+                raise ValueError(f"stops must be ascending from 0, got {stop} after {n}")
+            while n < stop:
+                fk *= self.transport_half if n == 0 else self.transport_full
+                np.fft.irfft(fk, n=self.nx, axis=0, out=f)
+                self._kick(impulses.get(n))
+                np.fft.rfft(f, axis=0, out=fk)
+                n += 1
+            if n == 0:
+                np.copyto(f, data)
+                np.copyto(obs_fk, fk)
+            else:
+                np.multiply(fk, self.transport_half, out=obs_fk)
+                np.fft.irfft(obs_fk, n=self.nx, axis=0, out=f)
+            if not np.isfinite(f).all():
+                raise NumericError(f"non-finite values detected at t = {t0 + n * self.dt:g}")
+            yield n, f, obs_fk
 
 
 def force_field(state: PhaseSpaceField, interaction: Interaction) -> np.ndarray:
     """Self-consistent force F(x) = -(grad W * rho)(x); real with zero mean."""
-    plan = _StepPlan(state, interaction, dt=0.0)
-    return _force_from_density(state.density(), plan)
+    return _force(state.density(), _force_multiplier(state.nx, interaction))
+
+
+@functools.lru_cache(maxsize=8)
+def _cached_stepper(nx: int, nv: int, vmax: float, dt: float, interaction: Interaction) -> Stepper:
+    return Stepper(nx, nv, vmax, dt, interaction)
 
 
 def strang_step(
@@ -252,19 +334,28 @@ def strang_step(
 
     Negative dt steps backwards; a forward/backward pair returns the input
     to roundoff because each sub-flow is an exact spectral shift and the
-    kick leaves the density unchanged.
+    kick leaves the density unchanged.  The `Stepper` for each (grid, dt,
+    interaction) is cached and reused, so concurrent calls from several
+    threads must not share one.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
-    plan = _StepPlan(state, interaction, dt)
-    out = _step_arrays(state.data, plan, impulse)
-    if not np.isfinite(out).all():
-        raise NumericError(f"non-finite values after step at t = {state.time + dt:g}")
-    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, data=out, time=state.time + dt)
+    stepper = _cached_stepper(state.nx, state.nv, state.vmax, dt, interaction)
+    impulses = None if impulse is None else {0: impulse}
+    _, f, _ = next(stepper.evolve(state.data, (1,), impulses, t0=state.time))
+    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, data=f.copy(), time=state.time + dt)
 
 
 # ---------------------------------------------------------------------------
 # observables
+
+
+def _check_ftilde_range(nx: int, nv: int, vmax: float, ks: Sequence[int], etas: np.ndarray) -> None:
+    eta_nyq = nv / (4.0 * vmax)
+    if np.any(np.abs(etas) > eta_nyq):
+        raise ValueError(f"|eta| exceeds the resolvable range {eta_nyq:g}")
+    if any(abs(k) > nx // 2 for k in ks):
+        raise ValueError(f"|k| exceeds the grid's spatial Nyquist mode {nx // 2}")
 
 
 def ftilde_sample(state: PhaseSpaceField, k: int, eta_list: Sequence[float]) -> np.ndarray:
@@ -275,11 +366,7 @@ def ftilde_sample(state: PhaseSpaceField, k: int, eta_list: Sequence[float]) -> 
     nv / (4 vmax).
     """
     eta = np.asarray(eta_list, dtype=float)
-    eta_nyq = state.nv / (4.0 * state.vmax)
-    if np.any(np.abs(eta) > eta_nyq):
-        raise ValueError(f"|eta| exceeds the resolvable range {eta_nyq:g}")
-    if abs(k) > state.nx // 2:
-        raise ValueError(f"|k| exceeds the grid's spatial Nyquist mode {state.nx // 2}")
+    _check_ftilde_range(state.nx, state.nv, state.vmax, [k], eta)
     row = np.fft.rfft(state.data, axis=0)[abs(k)] / state.nx
     if k < 0:
         row = np.conj(row)
@@ -321,7 +408,6 @@ class ObservableLog:
     v: np.ndarray
     recurrence: dict[int, float]
     post_recurrence: np.ndarray
-    extra: dict[str, np.ndarray] = field(default_factory=dict)
     meta: dict = field(default_factory=dict)
     final_state: PhaseSpaceField | None = None
 
@@ -379,14 +465,12 @@ def run(
     observe_stride: int = 1,
     k_obs: int = 4,
     ftilde_points: Sequence[tuple[int, float]] = (),
-    extra_samplers: dict[str, Callable[[PhaseSpaceField], float]] | None = None,
     tail_tol: float = 1e-13,
 ) -> ObservableLog:
     """Run the nonlinear simulation and collect the observable log.
 
     Kick events in the perturbation spec are applied impulsively during the
-    step containing their (grid-aligned) time.  ``extra_samplers`` are
-    called on field snapshots at every observation and logged by name.
+    step containing their (grid-aligned) time.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -397,9 +481,12 @@ def run(
         raise ValueError(f"observe_stride = {observe_stride} must divide n_steps = {n_steps}")
     if k_obs > nx // 2:
         raise ValueError(f"k_obs = {k_obs} beyond the spatial Nyquist mode {nx // 2}")
+    ft_points = tuple((int(k), float(eta)) for k, eta in ftilde_points)
+    ft_etas = np.array([eta for _, eta in ft_points])
+    _check_ftilde_range(nx, nv, vmax, [k for k, _ in ft_points], ft_etas)
 
     state = init_state(profile, perturbation, nx, nv, vmax, tail_tol=tail_tol)
-    plan = _StepPlan(state, interaction, dt)
+    stepper = Stepper(nx, nv, vmax, dt, interaction)
     x = state.x
     v = state.v
     impulses: dict[int, np.ndarray] = {}
@@ -418,11 +505,8 @@ def run(
     l2 = np.empty(n_obs)
     gradv = np.empty(n_obs)
     rho_modes = np.empty((n_obs, k_obs + 1), dtype=complex)
-    ft_points = tuple((int(k), float(eta)) for k, eta in ftilde_points)
     ftv = np.empty((n_obs, len(ft_points)), dtype=complex)
     marginals = np.empty((n_obs, nv))
-    extra_samplers = extra_samplers or {}
-    extra = {name: np.empty(n_obs) for name in extra_samplers}
 
     what_tab = np.asarray(interaction.what(np.arange(nx // 2 + 1)), dtype=float)
     spec_weight = np.full(nx // 2 + 1, 2.0)
@@ -433,42 +517,37 @@ def run(
     v_weight[0] = 1.0
     if nv % 2 == 0:
         v_weight[-1] = 1.0
-    deriv = 2.0 * np.pi * plan.eta
+    deriv = 2.0 * np.pi * np.fft.rfftfreq(nv, d=state.dv)
     if nv % 2 == 0:
-        deriv = deriv.copy()
         deriv[-1] = 0.0
+    gradv_weight = np.sqrt(v_weight) * deriv
+    gv = np.empty((nx, nv // 2 + 1), dtype=complex)
     half_v2 = 0.5 * v**2
+    dv = state.dv
+    ft_phases = np.exp(-2j * np.pi * np.outer(ft_etas, v))
 
-    def observe(i: int, st: PhaseSpaceField) -> None:
-        times[i] = st.time
-        f = st.data
-        rho = f.sum(axis=1) * st.dv
+    def observe(i: int, t: float, f: np.ndarray, fk: np.ndarray) -> None:
+        times[i] = t
+        rho = f.sum(axis=1) * dv
         rho_k_full = np.fft.rfft(rho) / nx
         mass[i] = rho.mean()
-        ekin[i] = float((f * half_v2[None, :]).sum()) * st.dv / nx
+        np.mean(f, axis=0, out=marginals[i])
+        ekin[i] = float(marginals[i] @ half_v2) * dv
         epot[i] = 0.5 * float(np.sum(spec_weight * what_tab * np.abs(rho_k_full) ** 2))
-        l2[i] = np.sqrt(float((f**2).sum()) * st.dv / nx)
-        gv = np.fft.rfft(f, axis=1)
-        gradv[i] = np.sqrt(float(np.sum(v_weight[None, :] * np.abs(deriv[None, :] * gv) ** 2)) * st.dv / (nx * nv**2))
+        l2[i] = np.sqrt(float(np.vdot(f, f)) * dv / nx)
+        np.fft.rfft(f, axis=1, out=gv)
+        np.multiply(gv, gradv_weight, out=gv)
+        gradv[i] = np.sqrt(np.vdot(gv, gv).real * dv / (nx * nv**2))
         rho_modes[i] = rho_k_full[: k_obs + 1]
-        marginals[i] = f.mean(axis=0)
-        for j, (k, eta) in enumerate(ft_points):
-            ftv[i, j] = ftilde_sample(st, k, [eta])[0]
-        for name, fn in extra_samplers.items():
-            extra[name][i] = fn(st)
+        for j, (k, _) in enumerate(ft_points):
+            row = fk[abs(k)] / nx
+            ftv[i, j] = ft_phases[j] @ (np.conj(row) if k < 0 else row) * dv
 
-    observe(0, state)
-    data = state.data
-    for step in range(n_steps):
-        data = _step_arrays(data, plan, impulses.get(step))
-        if (step + 1) % observe_stride == 0:
-            t_now = (step + 1) * dt
-            if not np.isfinite(data).all():
-                raise NumericError(f"non-finite values detected at t = {t_now:g}")
-            snap = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=data, time=t_now)
-            observe((step + 1) // observe_stride, snap)
+    stops = range(0, n_steps + 1, observe_stride)
+    for i, (n, f, fk) in enumerate(stepper.evolve(state.data, stops, impulses)):
+        observe(i, n * dt, f, fk)
 
-    final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=data.copy(), time=n_steps * dt)
+    final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=f.copy(), time=n_steps * dt)
     t_r = {k: recurrence_time(nv, vmax, k) for k in range(1, max(k_obs, 1) + 1)}
     meta = {
         "nx": nx, "nv": nv, "vmax": vmax, "dt": dt, "t_end": n_steps * dt,
@@ -482,7 +561,7 @@ def run(
         k_obs=k_obs, rho_modes=rho_modes, ftilde_points=ft_points, ftilde=ftv,
         marginals=marginals, v=v, recurrence=t_r,
         post_recurrence=times > 0.8 * t_r[1],
-        extra=extra, meta=meta, final_state=final,
+        meta=meta, final_state=final,
     )
 
 

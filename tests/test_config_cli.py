@@ -1,13 +1,19 @@
 """Config parsing, validation, round-trips, and the experiment runner."""
 
+import csv
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from landau_lab.cli import main, run_experiment
+import landau_lab
+from landau_lab.cli import _norm_rows, main, run_experiment
 from landau_lab.config import load_config, loads_config
 from landau_lab.errors import ConfigError
+from landau_lab.sim import init_state, strang_step
 
 MINIMAL = """\
 [experiment]
@@ -243,3 +249,118 @@ def test_sweep_range_syntax_and_key_resolution(tmp_path):
     assert main(["sweep", str(path), "--param", "grid.nv=512..513", "--jobs", "1"]) == 2  # 513 not a power of two
     assert main(["sweep", str(path), "--param", "nosuchkey=1,2", "--jobs", "1"]) == 2
     assert main(["sweep", str(path), "--param", "name=a,b", "--jobs", "1"]) == 2  # ambiguous (experiment/profile)
+
+
+# ---------------------------------------------------------------------------
+# success paths of the phase-space experiments, run as separate processes
+
+SMALL_GRID = """\
+[interaction]
+kind = coulomb
+strength = {strength}
+
+[grid]
+nx = 16
+nv = 256
+
+[output]
+dir = out
+"""
+
+NONLINEAR_SMALL = """\
+[experiment]
+name = nonlinear_damping
+
+[time]
+dt = 0.03125
+t_end = 4
+observe_stride = 2
+
+[perturbation]
+modes = 1:2e-3
+
+[observables]
+k_obs = 2
+ftilde = 1:0.0
+
+[linear]
+fit_t_min = 0.5
+fit_t_max = 3
+""" + SMALL_GRID.format(strength=157.91367041742973)
+
+ECHO_SMALL = """\
+[experiment]
+name = echo
+
+[time]
+dt = 0.03125
+observe_stride = 2
+
+[echo]
+tau_kick = 2
+""" + SMALL_GRID.format(strength=1.0)
+
+NORMS_SMALL = """\
+[experiment]
+name = norms
+
+[time]
+dt = 0.0625
+
+[perturbation]
+modes = 1:2e-3
+
+[norms]
+lam = 0.2
+n_max = 12
+k_max = 2
+times = 2,0,0.5,1
+""" + SMALL_GRID.format(strength=157.91367041742973)
+
+
+def _run_cli_process(config: Path, root: Path) -> dict[str, bytes]:
+    """`landau-lab run` in a fresh interpreter; returns the output files by name."""
+    src = str(Path(landau_lab.__file__).resolve().parents[1])
+    env = dict(os.environ, LANDAU_LAB_OUTPUT_ROOT=str(root),
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "landau_lab.cli", "run", str(config)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return {p.name: p.read_bytes() for p in sorted((root / "out").iterdir())}
+
+
+@pytest.mark.parametrize("text, artifacts", [
+    (NONLINEAR_SMALL, "decay.svg,ftilde.csv,gradient_growth.svg,modes.csv,observables.csv"),
+    (ECHO_SMALL, "echo_timeline.svg,echoes.csv"),
+    (NORMS_SMALL, "norms.csv"),
+], ids=["nonlinear_damping", "echo", "norms"])
+def test_phase_space_experiment_succeeds_and_is_byte_identical_across_processes(tmp_path, text, artifacts):
+    config = write_cfg(tmp_path, text)
+    first = _run_cli_process(config, tmp_path / "a")
+    second = _run_cli_process(config, tmp_path / "b")
+    meta = first["run.meta"].decode()
+    assert "status = ok" in meta
+    assert f"artifacts = {artifacts}\n" in meta
+    assert sorted(first) == sorted(artifacts.split(",") + ["run.meta"])
+    assert first == second
+
+
+def test_norms_rows_match_per_snapshot_strang_steps(tmp_path):
+    cfg = loads_config(NORMS_SMALL.replace("dir = out", f"dir = {tmp_path / 'norms'}"))
+    assert run_experiment(cfg) == 0
+    with open(tmp_path / "norms" / "norms.csv", newline="") as fh:
+        got = list(csv.reader(fh))[1:]
+    sec, dt = cfg.values["norms"], cfg.get("time", "dt")
+    cur = init_state(cfg.build_profile(), cfg.build_perturbation(),
+                     cfg.get("grid", "nx"), cfg.get("grid", "nv"), cfg.get("grid", "vmax"))
+    expected = []
+    for t in sorted(sec["times"]):
+        while cur.time < t - 1e-12:
+            cur = strang_step(cur, cfg.build_interaction(), dt)
+        expected += _norm_rows(cur, sec)
+    assert len(got) == len(expected) == 12
+    for row, ref in zip(got, expected):
+        assert row[:7] == ref[:7]
+        value, remainder = float(ref[7]), float(ref[8])
+        assert float(row[7]) == pytest.approx(value, rel=1e-12)
+        assert abs(float(row[8]) - remainder) <= 1e-12 * abs(value)

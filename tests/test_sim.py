@@ -1,5 +1,7 @@
 """Split-step simulator: exactness, conservation, convergence, observables."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from landau_lab.errors import NumericError
 from landau_lab.models import builtin_interaction, maxwellian, zero_interaction
 from landau_lab.sim import (
     KickEvent,
+    Stepper,
     PerturbationMode,
     PerturbationSpec,
     asymptotic_profile,
@@ -17,6 +20,7 @@ from landau_lab.sim import (
     run,
     strang_step,
 )
+from landau_lab.sim import _cached_stepper
 
 MAX = maxwellian()
 STRONG = builtin_interaction("coulomb", 16.0 * np.pi**2)
@@ -157,6 +161,59 @@ def test_dt_halving_reduces_terminal_error():
     assert 3.5 <= e1 / e2 <= 4.5
 
 
+def test_run_matches_strang_step_loop_with_kick():
+    # the fused engine behind run() against plain full Strang steps
+    dt = 1 / 32
+    pert = PerturbationSpec(modes=SINGLE.modes, kicks=(KickEvent(time=0.5, mode=2, amplitude=1e-3, phase=0.3),))
+    log = run(MAX, STRONG, pert, nx=32, nv=256, vmax=8.0, dt=dt, t_end=1.0, observe_stride=4, k_obs=2)
+    cur = small_state(pert)
+    wave = 1e-3 * np.cos(2 * np.pi * 2 * cur.x + 0.3)
+    for n in range(32):
+        cur = strang_step(cur, STRONG, dt, impulse=wave if n == 16 else None)
+    assert log.final_state.time == pytest.approx(cur.time)
+    assert np.max(np.abs(log.final_state.data - cur.data)) <= 1e-12 * np.max(np.abs(cur.data))
+
+
+def test_final_state_does_not_depend_on_observe_stride():
+    kw = dict(nx=32, nv=256, vmax=8.0, dt=1 / 32, t_end=1.0, k_obs=1)
+    every = run(MAX, STRONG, SINGLE, observe_stride=1, **kw)
+    last = run(MAX, STRONG, SINGLE, observe_stride=32, **kw)
+    assert np.array_equal(every.final_state.data, last.final_state.data)
+    assert np.array_equal(every.marginals[::32], last.marginals)
+
+
+def test_evolve_yields_each_stop_and_keeps_the_trajectory():
+    st = small_state()
+    stepper = Stepper(st.nx, st.nv, st.vmax, 1 / 32, STRONG)
+    seen = [(n, f.copy()) for n, f, _ in stepper.evolve(st.data, [0, 3, 3, 8])]
+    assert [n for n, _ in seen] == [0, 3, 3, 8]
+    np.testing.assert_array_equal(seen[0][1], st.data)
+    np.testing.assert_array_equal(seen[1][1], seen[2][1])
+    _, alone, _ = next(stepper.evolve(st.data, [8]))
+    np.testing.assert_array_equal(alone, seen[3][1])
+    with pytest.raises(ValueError, match="ascending"):
+        list(stepper.evolve(st.data, [2, 1]))
+
+
+def test_strang_step_reuses_cached_steppers():
+    st = small_state()
+    interaction = builtin_interaction("coulomb", 16.0 * np.pi**2)  # fresh cache keys
+    before = _cached_stepper.cache_info()
+    cur = st
+    for dt in (1 / 64, -1 / 64):
+        for _ in range(10):
+            cur = strang_step(cur, interaction, dt)
+    after = _cached_stepper.cache_info()
+    assert after.misses - before.misses == 2
+    assert after.hits - before.hits == 18
+    assert np.max(np.abs(cur.data - st.data)) <= 1e-12 * st.data.max()
+    # a returned state does not share the cached stepper's buffers
+    one = strang_step(st, interaction, 1 / 64)
+    kept = one.data.copy()
+    strang_step(one, interaction, 1 / 64)
+    np.testing.assert_array_equal(one.data, kept)
+
+
 # ---------------------------------------------------------------------------
 # run-level conservation and observables
 
@@ -220,6 +277,16 @@ def test_ftilde_range_validation(damped_log):
         ftilde_sample(st, 1, [st.nv / (4 * st.vmax) + 1.0])
     with pytest.raises(ValueError):
         ftilde_sample(st, st.nx, [0.0])
+
+
+def test_run_rejects_out_of_range_ftilde_points():
+    st = small_state()
+    kw = dict(nx=32, nv=256, vmax=8.0, dt=1 / 32, t_end=1.0, observe_stride=4)
+    for k, eta in ((1, st.nv / (4 * st.vmax) + 1.0), (st.nx, 0.0)):
+        with pytest.raises(ValueError) as sample_error:
+            ftilde_sample(st, k, [eta])
+        with pytest.raises(ValueError, match=re.escape(str(sample_error.value))):
+            run(MAX, STRONG, SINGLE, ftilde_points=((k, eta),), **kw)
 
 
 def test_recurrence_time_scalings():
