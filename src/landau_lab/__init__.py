@@ -1,6 +1,6 @@
 """Desk-scale laboratory for Landau damping in the Vlasov--Poisson equation.
 
-Subpackages:
+Modules:
 
 * ``models``  -- equilibrium profiles, interaction potentials, hypothesis checks
 * ``linear``  -- memory kernel, Volterra mode equation, stability scans, rates

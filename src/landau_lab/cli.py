@@ -14,7 +14,6 @@ error, 3 numeric failure, 4 certification fail.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import os
 import sys
@@ -26,7 +25,8 @@ import numpy as np
 from . import __version__
 from .config import _SCHEMA, ExperimentConfig, load_config
 from .errors import ConfigError, LandauLabError
-from .linear import fit_decay_rate, root_scan, scan_stability_margin, smallness_criterion, monotone_criterion, solve_volterra
+from .linear import (fit_decay_rate, monotone_criterion, root_scan, scan_stability_margin, smallness_criterion,
+                     solve_volterra, write_csv, write_modes_csv)
 from .models import verify_analyticity, verify_decay
 from .norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
 from .echoes import run_echo_experiment
@@ -91,7 +91,7 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
     meta: dict = {}
     artifacts: list[str] = []
     all_series: list[Series] = []
-    rows: list[list[str]] = []
+    rows: list[tuple] = []
     for k in cfg.get("linear", "k_list"):
         hist = solve_volterra(profile, interaction, lambda t, k=k: 0.5 * amp * profile.ft(k * t), k, t_end, dt)
         fit = fit_decay_rate(hist, window)
@@ -101,12 +101,8 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
         meta[f"rate_predicted_k{k}"] = f"{scan.rate:.12g}"
         meta[f"lambda_star_k{k}"] = f"{scan.lambda_star:.12g}"
         all_series.extend(_decay_series(hist, fit))
-        for t, v in zip(hist.times, hist.values):
-            rows.append([f"{t:.17g}", str(k), f"{v.real:.17g}", f"{v.imag:.17g}", f"{abs(v):.17g}"])
-    with open(out / "modes.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "k", "re", "im", "abs"])
-        w.writerows(rows)
+        rows += [(t, k, v) for t, v in zip(hist.times, hist.values)]
+    write_modes_csv(out / "modes.csv", rows)
     artifacts.append("modes.csv")
     (out / "decay.svg").write_text(render_plot(
         all_series, title="mode decay and fitted rates", xlabel="t", ylabel="|rho|", logy=True))
@@ -117,8 +113,7 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
 def _experiment_nonlinear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], int]:
     profile, interaction = cfg.build_profile(), cfg.build_interaction()
     log = run(
-        profile, interaction, cfg.build_perturbation(),
-        nx=cfg.get("grid", "nx"), nv=cfg.get("grid", "nv"), vmax=cfg.get("grid", "vmax"),
+        profile, interaction, cfg.build_perturbation(), **cfg.values["grid"],
         dt=cfg.get("time", "dt"), t_end=cfg.get("time", "t_end"),
         observe_stride=cfg.get("time", "observe_stride"),
         k_obs=cfg.get("observables", "k_obs"), ftilde_points=cfg.get("observables", "ftilde"),
@@ -187,14 +182,12 @@ def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str],
         k_initial=cfg.get("echo", "k_initial"), kick_mode=cfg.get("echo", "kick_mode"),
         tau_kick=cfg.get("echo", "tau_kick"),
         amp_initial=cfg.get("echo", "amp_initial"), amp_kick=cfg.get("echo", "amp_kick"),
-        nx=cfg.get("grid", "nx"), nv=cfg.get("grid", "nv"), vmax=cfg.get("grid", "vmax"),
+        **cfg.values["grid"],
         dt=cfg.get("time", "dt"), observe_stride=cfg.get("time", "observe_stride"),
         floor=cfg.get("echo", "floor"), min_separation=cfg.get("echo", "min_separation"),
     )
-    with open(out / "echoes.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "ell", "tau_kick", "t_predicted", "t_detected", "amplitude", "rel_error"])
-        w.writerows(rep.to_csv_rows())
+    write_csv(out / "echoes.csv", ["k", "ell", "tau_kick", "t_predicted", "t_detected", "amplitude", "rel_error"],
+              rep.to_csv_rows())
     hist = rep.log.mode_history(abs(rep.k_response))
     vlines = [(p.t_echo, "predicted") for p in rep.predictions]
     vlines += [(p.time, "detected") for p in rep.peaks]
@@ -239,21 +232,17 @@ def _experiment_norms(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str]
     profile, interaction = cfg.build_profile(), cfg.build_interaction()
     sec = cfg.values["norms"]
     times = sorted(sec["times"])
-    dt = cfg.get("time", "dt")
-    nx, nv, vmax = cfg.get("grid", "nx"), cfg.get("grid", "nv"), cfg.get("grid", "vmax")
+    dt, grid = cfg.get("time", "dt"), cfg.values["grid"]
     for t in times:
         if t < 0.0 or abs(round(t / dt) * dt - t) > 1e-9:
             raise ConfigError(f"[norms] times entry {t:g} is not a nonnegative multiple of dt = {dt:g}")
     # one trajectory; each snapshot is evaluated as it is reached, none is kept
-    start = init_state(profile, cfg.build_perturbation(), nx, nv, vmax)
-    snapshots = Stepper(nx, nv, vmax, dt, interaction).evolve(start.data, [int(round(t / dt)) for t in times])
+    start = init_state(profile, cfg.build_perturbation(), **grid)
+    snapshots = Stepper(**grid, dt=dt, interaction=interaction).evolve(start.data, [int(round(t / dt)) for t in times])
     rows = []
     for t, (_, data, _) in zip(times, snapshots):
-        rows += _norm_rows(PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=data, time=t), sec)
-    with open(out / "norms.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"])
-        w.writerows(rows)
+        rows += _norm_rows(PhaseSpaceField(**grid, data=data, time=t), sec)
+    write_csv(out / "norms.csv", ["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"], rows)
     return {}, ["norms.csv"], EXIT_OK
 
 
@@ -294,7 +283,10 @@ def _parse_param(spec: str) -> tuple[str, list[str]]:
     key = key.strip()
     if ".." in raw:
         lo, hi = raw.split("..", 1)
-        values = [str(v) for v in range(int(lo), int(hi) + 1)]
+        try:
+            values = [str(v) for v in range(int(lo), int(hi) + 1)]
+        except ValueError:
+            raise ConfigError(f"--param {key}: range {raw!r} needs integer bounds lo..hi") from None
     else:
         values = [v.strip() for v in raw.split(",") if v.strip()]
     if not values:

@@ -13,7 +13,7 @@ unchanged.  Structured values use compact item syntax:
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
 from pathlib import Path
 
 from .errors import ConfigError
@@ -39,7 +39,6 @@ def _nonnegative(x):
 _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
     "experiment": {
         "name": ("str", _REQUIRED, None),
-        "seed": ("int", 0, _nonnegative),
     },
     "profile": {
         "name": ("str", "maxwellian", None),
@@ -115,9 +114,7 @@ def _parse_scalar(section: str, key: str, raw: str, kind: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "float?":
+        if kind in ("float", "float?"):
             return float(raw)
         if kind == "str":
             return raw.strip()
@@ -230,7 +227,7 @@ class ExperimentConfig:
         profile = builtin_profile(sec["name"], sec["params"])
         overrides = {k: sec[k] for k in ("lam", "c0") if sec[k] is not None}
         if overrides:
-            profile = _with_constants(profile, **overrides)
+            profile = dataclass_replace(profile, **overrides)
         return profile
 
     def build_interaction(self) -> Interaction:
@@ -244,13 +241,13 @@ class ExperimentConfig:
         return PerturbationSpec(modes=sec["modes"], kicks=sec["kicks"])
 
 
-def _with_constants(profile: VelocityProfile, **kwargs) -> VelocityProfile:
-    from dataclasses import replace
-
-    return replace(profile, **kwargs)
-
-
 def _validate(cfg: ExperimentConfig) -> None:
+    """Range checks of every key, then the cross-key rules; loading and `replace` share it."""
+    for section, keys in _SCHEMA.items():
+        for key, (_, _, validator) in keys.items():
+            value = cfg.values[section][key]
+            if value is not None and validator is not None and not validator(value):
+                raise ConfigError(f"value out of range for [{section}] {key}: {value!r}")
     name = cfg.values["experiment"]["name"]
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
@@ -287,16 +284,13 @@ def loads_config(text: str, source: str = "<memory>") -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {source}")
     for section, keys in _SCHEMA.items():
         values[section] = {}
-        for key, (kind, default, validator) in keys.items():
+        for key, (kind, default, _) in keys.items():
             if parser.has_option(section, key):
                 value = _parse_scalar(section, key, parser.get(section, key), kind)
             elif default is _REQUIRED:
                 raise ConfigError(f"missing required key [{section}] {key} in {source}")
             else:
                 value = default
-            if value is not None and validator is not None and kind in ("int", "float", "float?"):
-                if not validator(value):
-                    raise ConfigError(f"value out of range for [{section}] {key}: {value!r}")
             values[section][key] = value
 
     cfg = ExperimentConfig(values=values, source=source)

@@ -11,14 +11,13 @@ concentrates on that resonance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .errors import NumericError
 from .linear import ModeHistory
 from .models import Interaction, VelocityProfile
-from .sim import KickEvent, ObservableLog, PerturbationMode, PerturbationSpec, run
+from .sim import KickEvent, ObservableLog, PerturbationMode, PerturbationSpec, recurrence_time, run
 
 __all__ = [
     "EchoPrediction",
@@ -159,14 +158,13 @@ def run_echo_experiment(
     dt: float = 1.0 / 32,
     t_end: float | None = None,
     observe_stride: int = 2,
-    response_modes: Sequence[int] | None = None,
     floor: float = 1e-8,
     min_separation: float = 1.0,
 ) -> EchoReport:
     """Two-pulse echo run: initial mode ``k_initial``, impulsive kick at ``tau_kick``.
 
-    The quadratic coupling mixes modes additively, so the response defaults
-    to k = k_initial + kick_mode (the conjugate mirror |k| is observed; the
+    The quadratic coupling mixes modes additively, so the response is
+    k = k_initial + kick_mode (the conjugate mirror |k| is observed; the
     real field makes them equal in modulus).  Detection looks for post-kick
     local maxima of |rho_hat(t, k)| above ``floor`` and pairs them with the
     timing law applied to the initial mode as source.
@@ -178,7 +176,7 @@ def run_echo_experiment(
     if t_end is None:
         block = observe_stride * dt  # keep the step count divisible by the stride
         t_end = np.ceil((prediction.t_echo + 2.0) / block) * block
-    horizon = nv / (2.0 * vmax)  # recurrence of the |k| = 1 content
+    horizon = recurrence_time(nv, vmax, 1)  # recurrence of the |k| = 1 content
     if prediction.t_echo > 0.8 * horizon:
         raise NumericError(
             f"predicted echo at t = {prediction.t_echo:g} beyond 0.8 t_R = {0.8 * horizon:g}; enlarge nv"
@@ -187,36 +185,29 @@ def run_echo_experiment(
         modes=(PerturbationMode(k=k_initial, amplitude=amp_initial),),
         kicks=(KickEvent(time=tau_kick, mode=kick_mode, amplitude=amp_kick),) if amp_kick != 0.0 else (),
     )
-    modes = tuple(response_modes) if response_modes is not None else (abs(k_resp),)
-    k_obs = max(max(modes), abs(k_initial), abs(kick_mode))
+    k_obs = max(abs(k_resp), abs(k_initial), abs(kick_mode))
     log = run(
         profile, interaction, pert,
         nx=nx, nv=nv, vmax=vmax, dt=dt, t_end=float(t_end),
         observe_stride=observe_stride, k_obs=k_obs,
     )
     guard = 4 * observe_stride * dt  # skip the kick's own transient
-    predictions = [prediction]
-    peaks: list[Peak] = []
-    for m in modes:
-        h = log.mode_history(m)
-        post = h.times > tau_kick + guard
-        sub = ModeHistory(k=m, times=h.times[post], values=h.values[post])
-        peaks.extend(detect_peaks(sub, floor=floor, min_separation=min_separation))
-    peaks.sort(key=lambda p: p.time)
-    matches: list[tuple[EchoPrediction, Peak | None, float]] = []
-    for pred in predictions:
-        if peaks:
-            best = min(peaks, key=lambda p: abs(p.time - pred.t_echo))
-            matches.append((pred, best, abs(best.time - pred.t_echo) / pred.t_echo))
-        else:
-            matches.append((pred, None, float("nan")))
+    h = log.mode_history(abs(k_resp))
+    post = h.times > tau_kick + guard
+    peaks = detect_peaks(ModeHistory(k=abs(k_resp), times=h.times[post], values=h.values[post]),
+                         floor=floor, min_separation=min_separation)
+    if peaks:
+        best = min(peaks, key=lambda p: abs(p.time - prediction.t_echo))
+        matches = [(prediction, best, abs(best.time - prediction.t_echo) / prediction.t_echo)]
+    else:
+        matches = [(prediction, None, float("nan"))]
     return EchoReport(
         k_initial=k_initial,
         kick_mode=kick_mode,
         k_response=k_resp,
         tau_kick=tau_kick,
         floor=floor,
-        predictions=predictions,
+        predictions=[prediction],
         peaks=peaks,
         matches=matches,
         log=log,

@@ -16,7 +16,9 @@ stays away from 1.  Two strip objects are kept deliberately distinct:
   resolvent root that sets the actual decay rate.
 
 Conflating the two changes results for profiles whose transform is not
-real and nonnegative.
+real and nonnegative.  Every Laplace-side integral, and the small-gain
+integral of `smallness_criterion`, runs on the nodes of one builder,
+`_gl_panels`: composite 20-node Gauss-Legendre on equal panels.
 """
 
 from __future__ import annotations
@@ -32,10 +34,7 @@ from .models import Interaction, VelocityProfile
 
 __all__ = [
     "ModeHistory",
-    "QuadSpec",
-    "StripGridSpec",
     "StabilityReport",
-    "RootScanSpec",
     "RootScanResult",
     "DecayFit",
     "memory_kernel",
@@ -50,6 +49,20 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+
+
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Write one header row and the given rows; every CSV artifact goes through here."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
+
+
+def write_modes_csv(path, rows) -> None:
+    """Write complex mode samples ``(t, k, z)`` as the ``t,k,re,im,abs`` table."""
+    write_csv(path, ["t", "k", "re", "im", "abs"],
+              ([f"{t:.17g}", k, f"{z.real:.17g}", f"{z.imag:.17g}", f"{abs(z):.17g}"] for t, k, z in rows))
 
 
 @dataclass
@@ -75,11 +88,7 @@ class ModeHistory:
         return float(self.times[1] - self.times[0])
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "k", "re", "im", "abs"])
-            for t, v in zip(self.times, self.values):
-                w.writerow([f"{t:.17g}", self.k, f"{v.real:.17g}", f"{v.imag:.17g}", f"{abs(v):.17g}"])
+        write_modes_csv(path, ((t, self.k, v) for t, v in zip(self.times, self.values)))
 
     @classmethod
     def from_csv(cls, path) -> "ModeHistory":
@@ -109,35 +118,26 @@ def memory_kernel(profile: VelocityProfile, interaction: Interaction, k: int, t)
     return -4.0 * np.pi**2 * w * profile.ft(k * t) * k**2 * t
 
 
-@dataclass(frozen=True)
-class QuadSpec:
-    """Gauss-Legendre composite quadrature controls for Laplace-side integrals.
-
-    ``decades`` sets the truncation point: the integrand envelope at t_max is
-    exp(-decades) below its scale, which keeps the relative truncation error
-    of the transform under ~1e-10 for the profiles used here.
-    """
-
-    nodes: int = 20
-    decades: float = 50.0
-    t_max: float | None = None
+# 20-node Gauss-Legendre rule on [-1, 1], used panel by panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+# the integrand envelope at the horizon is exp(-50) below its scale, which
+# keeps the relative truncation error of the transform under ~1e-10 for the
+# profiles used here
+_DECADES = 50.0
 
 
-_GL_CACHE: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+def _gl_panels(t_max: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 20-node rule on n_panels equal panels of [0, t_max]."""
+    edges = np.linspace(0.0, t_max, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
 
 
-def _gl_rule(n: int):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
-
-
-def _horizon(profile: VelocityProfile, k: int, re_max: float, quad: QuadSpec) -> float:
+def _horizon(profile: VelocityProfile, k: int, re_max: float) -> float:
     """Integration horizon under the exponential weight exp(2 pi |k| re t)."""
-    if quad.t_max is not None:
-        return quad.t_max
     ak = abs(k)
-    d = quad.decades + max(0.0, np.log(profile.c0))
+    d = _DECADES + max(0.0, np.log(profile.c0))
     if profile.components is not None:
         # Gaussian-mixture envelope wins regardless of re_max
         theta_min = min(th for _, _, th in profile.components)
@@ -152,36 +152,32 @@ def _horizon(profile: VelocityProfile, k: int, re_max: float, quad: QuadSpec) ->
     return max(1.0, d / (TWO_PI * ak * (profile.lam - re_max)))
 
 
-def _laplace_nodes(profile, k, zetas, quad: QuadSpec):
-    """Composite GL nodes resolving both the kernel scale and the oscillation."""
+def _laplace_nodes(profile, interaction, k, zetas, *, modulus: bool):
+    """Composite GL nodes t resolving both the kernel scale and the oscillation,
+    and the weighted kernel base wt * K0(t, k) on them.
+
+    With ``modulus=True`` the kernel's ft factor is replaced by its modulus.
+    """
     re_max = float(np.max(zetas.real))
     im_max = float(np.max(np.abs(zetas.imag)))
-    t_max = _horizon(profile, k, re_max, quad)
+    t_max = _horizon(profile, k, re_max)
     # ~2 panels per oscillation wavelength keeps 20-node GL at machine accuracy
     h = min(0.5 / abs(k), 1.0, 4.0 / (TWO_PI * abs(k) * (im_max + 1e-12)))
-    n_panels = max(4, int(np.ceil(t_max / h)))
-    x, w = _gl_rule(quad.nodes)
-    edges = np.linspace(0.0, t_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    t = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wt = (half[:, None] * w[None, :]).ravel()
-    return t, wt
+    t, wt = _gl_panels(t_max, max(4, int(np.ceil(t_max / h))))
+    ftv = profile.ft(k * t)
+    if modulus:
+        ftv = np.abs(ftv)
+    return t, wt * (-4.0 * np.pi**2) * float(interaction.what(np.array(k))) * ftv * k**2 * t
 
 
-def _kernel_transform(profile, interaction, k, zetas, *, modulus: bool, quad: QuadSpec | None = None):
+def _kernel_transform(profile, interaction, k, zetas, *, modulus: bool):
     """int_0^inf exp(2 pi |k| zeta t) K0(t, k) dt for an array of zeta.
 
     With ``modulus=True`` the kernel's ft factor is replaced by its modulus.
     Returns an array of the same shape as ``zetas``.
     """
-    quad = quad or QuadSpec()
     zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    t, wt = _laplace_nodes(profile, k, zetas, quad)
-    ftv = profile.ft(k * t)
-    if modulus:
-        ftv = np.abs(ftv)
-    base = wt * (-4.0 * np.pi**2) * float(interaction.what(np.array(k))) * ftv * k**2 * t
+    t, base = _laplace_nodes(profile, interaction, k, zetas, modulus=modulus)
     expo = TWO_PI * abs(k) * np.multiply.outer(zetas, t)
     if np.max(expo.real) > 600.0:
         raise NumericError("Laplace exponent overflow; shrink the strip or t_max")
@@ -193,8 +189,6 @@ def stability_functional(
     interaction: Interaction,
     k: int,
     xi: complex,
-    t_max: float | None = None,
-    quad: QuadSpec | None = None,
 ) -> complex:
     """Strip functional -4 pi^2 what(k) int_0^inf e^{2 pi |k| conj(xi) t} |ft(kt)| k^2 t dt.
 
@@ -207,30 +201,20 @@ def stability_functional(
     xi = complex(xi)
     if xi.real >= profile.lam:
         raise DivergenceError(f"Re(xi) = {xi.real:g} >= analyticity width {profile.lam:g}")
-    if quad is None:
-        quad = QuadSpec(t_max=t_max)
-    elif t_max is not None:
-        quad = QuadSpec(nodes=quad.nodes, decades=quad.decades, t_max=t_max)
-    return complex(_kernel_transform(profile, interaction, k, np.conj(xi), modulus=True, quad=quad)[0])
+    return complex(_kernel_transform(profile, interaction, k, np.conj(xi), modulus=True)[0])
 
 
 # ---------------------------------------------------------------------------
 # strip margin scan
 
-
-@dataclass(frozen=True)
-class StripGridSpec:
-    """Sampling of the stability strip: Re in [0, strip), Im in [0, im_max].
-
-    The scan only covers Im >= 0 because the functional of a real profile
-    satisfies L(conj xi) = conj L(xi).  The Im window is finite; the report
-    checks the functional's size on the window edge and flags the grid as
-    too coarse instead of silently passing.
-    """
-
-    re_points: int = 8
-    im_max: float = 6.0
-    im_points: int = 161
+# Sampling of the stability strip: Re in [0, strip), Im in [0, im_max].  Only
+# Im >= 0 is scanned because the functional of a real profile satisfies
+# L(conj xi) = conj L(xi).  The Im window is finite; the report checks the
+# functional's size on the window edge and flags the grid as too coarse
+# instead of silently passing.
+_STRIP_RE_POINTS = 8
+_STRIP_IM_MAX = 6.0
+_STRIP_IM_POINTS = 161
 
 
 @dataclass(frozen=True)
@@ -274,8 +258,6 @@ def scan_stability_margin(
     lambda_strip: float,
     kappa: float,
     k_max: int = 4,
-    grid: StripGridSpec | None = None,
-    quad: QuadSpec | None = None,
 ) -> StabilityReport:
     """Sample min over modes and over the strip of |L(k, xi) - 1|.
 
@@ -287,16 +269,15 @@ def scan_stability_margin(
         raise ValueError(f"lambda_strip must lie in (0, {profile.lam:g}), got {lambda_strip:g}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    grid = grid or StripGridSpec()
-    res = np.linspace(0.0, lambda_strip, grid.re_points, endpoint=False)
-    ims = np.linspace(0.0, grid.im_max, grid.im_points)
+    res = np.linspace(0.0, lambda_strip, _STRIP_RE_POINTS, endpoint=False)
+    ims = np.linspace(0.0, _STRIP_IM_MAX, _STRIP_IM_POINTS)
     zetas = (res[:, None] + 1j * ims[None, :]).ravel()
 
     kappa_est = np.inf
     worst_k, worst_xi = 1, 0j
     edge_max = 0.0
     for k in range(1, k_max + 1):
-        vals = _kernel_transform(profile, interaction, k, zetas, modulus=True, quad=quad)
+        vals = _kernel_transform(profile, interaction, k, zetas, modulus=True)
         vals = vals.reshape(len(res), len(ims))
         gaps = np.abs(vals - 1.0)
         i = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
@@ -318,9 +299,9 @@ def scan_stability_margin(
         lambda_strip=float(lambda_strip),
         kappa_requested=float(kappa),
         k_max=k_max,
-        re_points=grid.re_points,
-        im_max=grid.im_max,
-        im_points=grid.im_points,
+        re_points=_STRIP_RE_POINTS,
+        im_max=_STRIP_IM_MAX,
+        im_points=_STRIP_IM_POINTS,
         worst_k=worst_k,
         worst_xi=worst_xi,
         tail_bound=float(tail_bound),
@@ -356,14 +337,8 @@ def monotone_criterion(
 def smallness_criterion(profile: VelocityProfile, interaction: Interaction, k_max: int = 64) -> float:
     """Left side of the small-gain condition
     4 pi^2 (max_k |what(k)|) (sup_dir int_0^inf |ft(r dir)| r dr); stable when < 1."""
-    quad = QuadSpec()
-    t_max = _horizon(profile, 1, 0.0, quad)
-    x, w = _gl_rule(quad.nodes)
-    n_panels = max(8, int(np.ceil(t_max / 0.25)))
-    edges = np.linspace(0.0, t_max, n_panels + 1)
-    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
-    r = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    wr = (half[:, None] * w[None, :]).ravel()
+    t_max = _horizon(profile, 1, 0.0)
+    r, wr = _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
     integral = max(float(np.sum(wr * np.abs(profile.ft(sgn * r)) * r)) for sgn in (1.0, -1.0))
     w_max = float(np.max(np.abs(interaction.what(np.arange(1, k_max + 1)))))
     return 4.0 * np.pi**2 * w_max * integral
@@ -461,21 +436,15 @@ def fit_decay_rate(history: ModeHistory, window: tuple[float, float], floor: flo
 # resolvent-root scan
 
 
-@dataclass(frozen=True)
-class RootScanSpec:
-    """Strip scan controls for the true transform of K0.
-
-    ``gap`` is the documented minimum distance from 1 below which a width is
-    considered collapsed; ``refine_trigger`` is the looser threshold at which
-    a complex Newton refinement is attempted from the best grid point.
-    """
-
-    width_max: float | None = None
-    n_widths: int = 25
-    im_max: float = 6.0
-    im_points: int = 241
-    gap: float = 0.05
-    refine_trigger: float = 0.5
+# Strip scan of the true transform of K0: _ROOT_GAP is the minimum distance
+# from 1 below which a width counts as collapsed; _ROOT_REFINE_TRIGGER is the
+# looser threshold at which a complex Newton refinement starts from the best
+# grid point.
+_ROOT_N_WIDTHS = 25
+_ROOT_IM_MAX = 6.0
+_ROOT_IM_POINTS = 241
+_ROOT_GAP = 0.05
+_ROOT_REFINE_TRIGGER = 0.5
 
 
 @dataclass(frozen=True)
@@ -497,12 +466,11 @@ class RootScanResult:
     gaps: np.ndarray = field(repr=False)
 
 
-def _root_newton(profile, interaction, k, seed: complex, quad: QuadSpec) -> complex:
+def _root_newton(profile, interaction, k, seed: complex) -> complex:
     """Newton iteration for J(zeta) = 1, with J'(zeta) = 2 pi |k| * moment-1 integral."""
     zeta = complex(seed)
     for _ in range(60):
-        t, wt = _laplace_nodes(profile, k, np.array([zeta]), quad)
-        base = wt * (-4.0 * np.pi**2) * float(interaction.what(np.array(k))) * profile.ft(k * t) * k**2 * t
+        t, base = _laplace_nodes(profile, interaction, k, np.array([zeta]), modulus=False)
         ex = np.exp(TWO_PI * abs(k) * zeta * t)
         j = complex(np.sum(ex * base))
         jp = complex(np.sum(ex * base * TWO_PI * abs(k) * t))
@@ -519,33 +487,27 @@ def root_scan(
     profile: VelocityProfile,
     interaction: Interaction,
     k: int,
-    scan: RootScanSpec | None = None,
-    quad: QuadSpec | None = None,
 ) -> RootScanResult:
     """Scan strip widths for the first collapse of |J - 1|, J the transform of K0.
 
     Widths are sampled up to the profile's analyticity width; if the gap
-    never falls below ``scan.gap`` the cap itself is returned (the mode decay
+    never falls below the collapse gap 0.05 the cap itself is returned (the mode decay
     is then limited only by the source).  A collapse bracketed by the grid is
     refined to the actual resolvent root; a root at nonpositive width means
     there is no decay gap at all and `StabilityGapError` is raised.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
-    scan = scan or RootScanSpec()
-    quad = quad or QuadSpec()
-    width_cap = scan.width_max if scan.width_max is not None else (
-        profile.lam if profile.components is not None else 0.98 * profile.lam
-    )
+    width_cap = profile.lam if profile.components is not None else 0.98 * profile.lam
     if width_cap <= 0:
         raise ValueError("width cap must be positive")
-    widths = np.linspace(0.0, width_cap, scan.n_widths)
-    ims = np.linspace(0.0, scan.im_max, scan.im_points)
+    widths = np.linspace(0.0, width_cap, _ROOT_N_WIDTHS)
+    ims = np.linspace(0.0, _ROOT_IM_MAX, _ROOT_IM_POINTS)
 
     gaps = np.empty(len(widths))
     best = (np.inf, 0j)
     for i, w in enumerate(widths):
-        vals = _kernel_transform(profile, interaction, k, w + 1j * ims, modulus=False, quad=quad)
+        vals = _kernel_transform(profile, interaction, k, w + 1j * ims, modulus=False)
         g = np.abs(vals - 1.0)
         j = int(np.argmin(g))
         gaps[i] = g[j]
@@ -554,16 +516,16 @@ def root_scan(
 
     root = None
     lambda_star = float(width_cap)
-    if best[0] < scan.refine_trigger:
-        root = _root_newton(profile, interaction, k, best[1], quad)
+    if best[0] < _ROOT_REFINE_TRIGGER:
+        root = _root_newton(profile, interaction, k, best[1])
         if root.real <= 1e-12:
             raise StabilityGapError(
                 f"transform of K0 reaches 1 at Re zeta = {root.real:.3g} <= 0: no decay gap (k={k})"
             )
         lambda_star = float(min(root.real, width_cap))
-    elif np.any(gaps < scan.gap):
+    elif np.any(gaps < _ROOT_GAP):
         # grid says collapsed but refinement never triggered; be conservative
-        lambda_star = float(widths[int(np.argmax(gaps < scan.gap))])
+        lambda_star = float(widths[int(np.argmax(gaps < _ROOT_GAP))])
     return RootScanResult(
         k=k,
         lambda_star=lambda_star,

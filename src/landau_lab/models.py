@@ -55,7 +55,6 @@ class VelocityProfile:
     ft: Callable[[np.ndarray], np.ndarray]
     lam: float
     c0: float
-    has_closed_form_ft: bool = True
     dpdf: Callable[[np.ndarray], np.ndarray] | None = None
     components: Components | None = None
 
@@ -144,7 +143,6 @@ def _mixture_profile(name: str, components: Components, lam: float | None, c0: f
         ft=_mixture_ft(components),
         lam=float(lam),
         c0=float(c0),
-        has_closed_form_ft=True,
         dpdf=_mixture_dpdf(components),
         components=components,
     )

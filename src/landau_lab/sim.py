@@ -23,16 +23,15 @@ should stay below 0.8 t_R and the log flags later samples.
 
 from __future__ import annotations
 
-import csv
 import functools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import NumericError
 from .models import Interaction, VelocityProfile
-from .linear import ModeHistory
+from .linear import ModeHistory, write_csv, write_modes_csv
 
 __all__ = [
     "PhaseSpaceField",
@@ -149,6 +148,10 @@ class PerturbationSpec:
     kicks: tuple[KickEvent, ...] = ()
 
 
+# largest equilibrium value allowed at the velocity cut +-vmax
+_TAIL_TOL = 1e-13
+
+
 def _require_power_of_two(n: int, name: str) -> None:
     if n < 2 or (n & (n - 1)) != 0:
         raise ValueError(f"{name} must be a power of two, got {n}")
@@ -160,11 +163,10 @@ def init_state(
     nx: int,
     nv: int,
     vmax: float,
-    tail_tol: float = 1e-13,
 ) -> PhaseSpaceField:
     """Build f_i = f0(v) (1 + sum_k amp cos(2 pi k x + phase)) plus additive shapes.
 
-    Fails when the equilibrium tail at +-vmax exceeds ``tail_tol`` (the
+    Fails when the equilibrium tail at +-vmax reaches 1e-13 (the
     periodic velocity continuation would wrap non-negligible mass) or when
     the perturbed distribution goes negative.
     """
@@ -173,9 +175,9 @@ def init_state(
     if vmax <= 0:
         raise ValueError("vmax must be positive")
     tail = float(max(profile.pdf(np.array(vmax)), profile.pdf(np.array(-vmax))))
-    if tail >= tail_tol:
+    if tail >= _TAIL_TOL:
         raise ValueError(
-            f"velocity cutoff too small: f0(+-{vmax:g}) = {tail:.3e} >= tail_tol = {tail_tol:.1e}"
+            f"velocity cutoff too small: f0(+-{vmax:g}) = {tail:.3e} >= {_TAIL_TOL:.1e}"
         )
     x = np.arange(nx) / nx
     v = -vmax + np.arange(nv) * (2.0 * vmax / nv)
@@ -408,7 +410,6 @@ class ObservableLog:
     v: np.ndarray
     recurrence: dict[int, float]
     post_recurrence: np.ndarray
-    meta: dict = field(default_factory=dict)
     final_state: PhaseSpaceField | None = None
 
     def mode_history(self, k: int) -> ModeHistory:
@@ -426,30 +427,18 @@ class ObservableLog:
         return 2.0 * np.abs(self.rho_modes[:, 1:]) @ k**r
 
     def write_observables_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "mass", "ekin", "epot", "l2", "gradv_l2"])
-            for i, t in enumerate(self.times):
-                w.writerow([f"{t:.17g}", f"{self.mass[i]:.17g}", f"{self.ekin[i]:.17g}",
-                            f"{self.epot[i]:.17g}", f"{self.l2[i]:.17g}", f"{self.gradv_l2[i]:.17g}"])
+        columns = (self.times, self.mass, self.ekin, self.epot, self.l2, self.gradv_l2)
+        write_csv(path, ["t", "mass", "ekin", "epot", "l2", "gradv_l2"],
+                  ([f"{x:.17g}" for x in row] for row in zip(*columns)))
 
     def write_modes_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "k", "re", "im", "abs"])
-            for i, t in enumerate(self.times):
-                for k in range(self.k_obs + 1):
-                    z = self.rho_modes[i, k]
-                    w.writerow([f"{t:.17g}", k, f"{z.real:.17g}", f"{z.imag:.17g}", f"{abs(z):.17g}"])
+        write_modes_csv(path, ((t, k, self.rho_modes[i, k])
+                               for i, t in enumerate(self.times) for k in range(self.k_obs + 1)))
 
     def write_ftilde_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["t", "k", "eta", "re", "im"])
-            for i, t in enumerate(self.times):
-                for j, (k, eta) in enumerate(self.ftilde_points):
-                    z = self.ftilde[i, j]
-                    w.writerow([f"{t:.17g}", k, f"{eta:.17g}", f"{z.real:.17g}", f"{z.imag:.17g}"])
+        write_csv(path, ["t", "k", "eta", "re", "im"], (
+            [f"{t:.17g}", k, f"{eta:.17g}", f"{z.real:.17g}", f"{z.imag:.17g}"]
+            for i, t in enumerate(self.times) for (k, eta), z in zip(self.ftilde_points, self.ftilde[i])))
 
 
 def run(
@@ -465,7 +454,6 @@ def run(
     observe_stride: int = 1,
     k_obs: int = 4,
     ftilde_points: Sequence[tuple[int, float]] = (),
-    tail_tol: float = 1e-13,
 ) -> ObservableLog:
     """Run the nonlinear simulation and collect the observable log.
 
@@ -485,7 +473,7 @@ def run(
     ft_etas = np.array([eta for _, eta in ft_points])
     _check_ftilde_range(nx, nv, vmax, [k for k, _ in ft_points], ft_etas)
 
-    state = init_state(profile, perturbation, nx, nv, vmax, tail_tol=tail_tol)
+    state = init_state(profile, perturbation, nx, nv, vmax)
     stepper = Stepper(nx, nv, vmax, dt, interaction)
     x = state.x
     v = state.v
@@ -549,19 +537,12 @@ def run(
 
     final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=f.copy(), time=n_steps * dt)
     t_r = {k: recurrence_time(nv, vmax, k) for k in range(1, max(k_obs, 1) + 1)}
-    meta = {
-        "nx": nx, "nv": nv, "vmax": vmax, "dt": dt, "t_end": n_steps * dt,
-        "observe_stride": observe_stride, "k_obs": k_obs,
-        "recurrence_time": t_r[1],
-        "profile": profile.name, "interaction": interaction.kind,
-        "n_kicks": len(perturbation.kicks),
-    }
     return ObservableLog(
         times=times, mass=mass, ekin=ekin, epot=epot, l2=l2, gradv_l2=gradv,
         k_obs=k_obs, rho_modes=rho_modes, ftilde_points=ft_points, ftilde=ftv,
         marginals=marginals, v=v, recurrence=t_r,
         post_recurrence=times > 0.8 * t_r[1],
-        meta=meta, final_state=final,
+        final_state=final,
     )
 
 

@@ -122,6 +122,10 @@ def test_replace_revalidates():
         cfg.replace("grid", "nv", "-8")
     with pytest.raises(ConfigError):
         cfg.replace("grid", "typo", "1")
+    # the per-key ranges apply to replaced values as they do to loaded ones
+    for section, key, raw in (("certify", "kappa", "-1"), ("time", "dt", "-0.5"), ("grid", "nx", "0")):
+        with pytest.raises(ConfigError, match=rf"out of range for \[{section}\] {key}"):
+            cfg.replace(section, key, raw)
 
 
 def test_missing_file_is_config_error(tmp_path):
@@ -172,13 +176,16 @@ def test_missing_config_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
-def test_bad_key_exits_2(tmp_path):
+def test_bad_key_exits_2(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL + "\n[time]\ndtt = 1\n")
     assert main(["run", str(path)]) == 2
+    # [experiment] seed was removed: nothing in the package is random
+    path = write_cfg(tmp_path, MINIMAL + "seed = 1\n")
+    assert main(["run", str(path)]) == 2
+    assert "unknown key 'seed'" in capsys.readouterr().err
 
 
-def test_certify_pass_and_fail(tmp_path):
-    ok_cfg = """\
+CERTIFY_COULOMB = """\
 [experiment]
 name = certify
 
@@ -193,13 +200,16 @@ kappa = 0.5
 [output]
 dir = {out}
 """
+
+
+def test_certify_pass_and_fail(tmp_path):
     out = tmp_path / "ok"
-    assert main(["certify", str(write_cfg(tmp_path, ok_cfg.format(out=out)))]) == 0
+    assert main(["certify", str(write_cfg(tmp_path, CERTIFY_COULOMB.format(out=out)))]) == 0
     report = (out / "stability_report.txt").read_text()
     assert "certified = true" in report
     assert "smallness_criterion" in report
 
-    fail_cfg = ok_cfg.replace("kind = coulomb", "kind = newton").replace("strength = 1.0", "strength = 40.0")
+    fail_cfg = CERTIFY_COULOMB.replace("kind = coulomb", "kind = newton").replace("strength = 1.0", "strength = 40.0")
     out2 = tmp_path / "fail"
     assert main(["certify", str(write_cfg(tmp_path, fail_cfg.format(out=out2)))]) == 4
     assert "certified = false" in (out2 / "stability_report.txt").read_text()
@@ -243,12 +253,17 @@ def test_sweep_fans_out(tmp_path):
     assert (out / "strength=200" / "modes.csv").exists()
 
 
-def test_sweep_range_syntax_and_key_resolution(tmp_path):
+def test_sweep_range_syntax_and_key_resolution(tmp_path, capsys):
     out = tmp_path / "sweep2"
     path = write_cfg(tmp_path, LINEAR_FAST.format(out=out))
     assert main(["sweep", str(path), "--param", "grid.nv=512..513", "--jobs", "1"]) == 2  # 513 not a power of two
     assert main(["sweep", str(path), "--param", "nosuchkey=1,2", "--jobs", "1"]) == 2
     assert main(["sweep", str(path), "--param", "name=a,b", "--jobs", "1"]) == 2  # ambiguous (experiment/profile)
+    assert main(["sweep", str(path), "--param", "kappa=-1,0.2", "--jobs", "1"]) == 2  # kappa must be positive
+    capsys.readouterr()
+    assert main(["sweep", str(path), "--param", "kappa=0.1..0.5", "--jobs", "1"]) == 2  # a range needs integer bounds
+    err = capsys.readouterr().err
+    assert "kappa" in err and "0.1..0.5" in err
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +348,9 @@ def _run_cli_process(config: Path, root: Path) -> dict[str, bytes]:
     (NONLINEAR_SMALL, "decay.svg,ftilde.csv,gradient_growth.svg,modes.csv,observables.csv"),
     (ECHO_SMALL, "echo_timeline.svg,echoes.csv"),
     (NORMS_SMALL, "norms.csv"),
-], ids=["nonlinear_damping", "echo", "norms"])
+    (LINEAR_FAST.format(out="out"), "decay.svg,modes.csv"),
+    (CERTIFY_COULOMB.format(out="out"), "stability_report.txt"),
+], ids=["nonlinear_damping", "echo", "norms", "linear_damping", "certify"])
 def test_phase_space_experiment_succeeds_and_is_byte_identical_across_processes(tmp_path, text, artifacts):
     config = write_cfg(tmp_path, text)
     first = _run_cli_process(config, tmp_path / "a")
