@@ -78,12 +78,13 @@ class NormValue:
     remainder: float
 
 
-def _lp_norm(values: np.ndarray, dv: float, p) -> float:
+def _lp_norms(values: np.ndarray, dv: float, p) -> np.ndarray:
+    """Lp norm on the v grid of each row of ``values``."""
     if p == 1:
-        return float(np.sum(np.abs(values)) * dv)
+        return np.sum(np.abs(values), axis=-1) * dv
     if p == 2:
-        return float(np.sqrt(np.sum(np.abs(values) ** 2) * dv))
-    return float(np.max(np.abs(values)))
+        return np.sqrt(np.sum(np.abs(values) ** 2, axis=-1) * dv)
+    return np.max(np.abs(values), axis=-1)
 
 
 def _tail_estimate(terms: np.ndarray) -> float:
@@ -108,9 +109,16 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     the field's largest spectral amplitude are zeroed first: repeated
     derivatives amplify the roundoff floor by (2 pi lam eta_max)^n / n!,
     and for fields with analytic velocity profiles the true tail sits far
-    below any such floor.  Raises `DivergenceError` when the n-terms grow
-    (lam beyond the field's analyticity width) and `ValueError` when the
-    n_max-th derivative of a populated mode is not resolved by the grid.
+    below any such floor.
+
+    Each populated mode k builds its derivative ladder, spectrum * mult^n
+    for n = 0 .. n_max, by repeated multiplication in one buffer reused
+    across modes, and takes one inverse transform of the whole ladder; the
+    Lp norms of its rows are the mode's n-terms.
+
+    Raises `DivergenceError` when the n-terms grow (lam beyond the field's
+    analyticity width) and `ValueError` when the n_max-th derivative of a
+    populated mode is not resolved by the grid.
     """
     if spec.k_max > field.nx // 2:
         raise ValueError(f"k_max = {spec.k_max} beyond the spatial Nyquist mode {field.nx // 2}")
@@ -121,7 +129,14 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     spectra = np.fft.fft(rows[: spec.k_max + 1], axis=1)
     clip = spec.spectral_floor * float(np.max(np.abs(spectra))) if spectra.size else 0.0
     spectra = np.where(np.abs(spectra) < clip, 0.0, spectra)
+    if spec.lam > 0:
+        log_fact = np.cumsum(np.log(np.arange(1, spec.n_max + 1)))
+        coef = np.exp(np.arange(spec.n_max + 1) * np.log(spec.lam) - np.r_[0.0, log_fact])
+    else:
+        coef = np.zeros(spec.n_max + 1)
+        coef[0] = 1.0
     terms = np.zeros(spec.n_max + 1)
+    ladder = np.empty((spec.n_max + 1, field.nv), dtype=complex)
     for k in range(-spec.k_max, spec.k_max + 1):
         spectrum = spectra[abs(k)]
         if k < 0:
@@ -131,25 +146,17 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
             continue
         mult = 2j * np.pi * (eta + spec.tau * k)
         weight_k = np.exp(2.0 * np.pi * spec.mu * abs(k)) * (1.0 + abs(k)) ** spec.gamma
-        cur = spectrum.astype(complex)
-        log_fact = 0.0
-        for n in range(spec.n_max + 1):
-            if n > 0:
-                cur = cur * mult
-                log_fact += np.log(n)
-            if n == spec.n_max:
-                peak = float(np.max(np.abs(cur)))
-                if peak > 0 and float(np.max(np.abs(cur[edge]))) > 1e-8 * peak:
-                    raise ValueError(
-                        f"derivative order n_max = {spec.n_max} not resolved in v for mode k = {k}; "
-                        "refine nv or lower n_max"
-                    )
-            vals = np.fft.ifft(cur)
-            if spec.lam > 0:
-                coef = np.exp(n * np.log(spec.lam) - log_fact)
-            else:
-                coef = 1.0 if n == 0 else 0.0
-            terms[n] += weight_k * coef * _lp_norm(vals, dv, spec.p)
+        ladder[0] = spectrum
+        for n in range(1, spec.n_max + 1):
+            np.multiply(ladder[n - 1], mult, out=ladder[n])
+        top = ladder[-1]
+        peak = float(np.max(np.abs(top)))
+        if peak > 0 and float(np.max(np.abs(top[edge]))) > 1e-8 * peak:
+            raise ValueError(
+                f"derivative order n_max = {spec.n_max} not resolved in v for mode k = {k}; "
+                "refine nv or lower n_max"
+            )
+        terms += weight_k * coef * _lp_norms(np.fft.ifft(ladder, axis=1), dv, spec.p)
 
     if spec.n_max >= 4:
         tail3 = terms[-3:]

@@ -13,6 +13,8 @@ from landau_lab.norms import (
     AnalyticNormSpec,
     CoincidenceResult,
     GlidingNormSpec,
+    NormValue,
+    _tail_estimate,
     analytic_norm,
     coincidence_check,
     gliding_norm,
@@ -48,6 +50,58 @@ def hermite_term_oracle(v: np.ndarray, dv: float, lam: float, n_max: int, p: flo
         else:
             total += w * np.max(np.abs(dn))
     return total
+
+
+def per_term_gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
+    """The gliding norm as one inverse transform and one Lp reduction per (k, n).
+
+    Same arithmetic as `gliding_norm`, term by term: the reference for its
+    batched ladder, which must agree bit for bit.
+    """
+    dv = field.dv
+    rows = np.fft.rfft(field.data, axis=0) / field.nx
+    eta = np.fft.fftfreq(field.nv, d=dv)
+    spectra = np.fft.fft(rows[: spec.k_max + 1], axis=1)
+    clip = spec.spectral_floor * float(np.max(np.abs(spectra)))
+    spectra = np.where(np.abs(spectra) < clip, 0.0, spectra)
+    terms = np.zeros(spec.n_max + 1)
+    for k in range(-spec.k_max, spec.k_max + 1):
+        spectrum = spectra[abs(k)]
+        if k < 0:
+            spectrum = np.conj(spectrum[np.r_[0, len(spectrum) - 1:0:-1]])
+        if not np.any(spectrum):
+            continue
+        mult = 2j * np.pi * (eta + spec.tau * k)
+        weight_k = np.exp(2.0 * np.pi * spec.mu * abs(k)) * (1.0 + abs(k)) ** spec.gamma
+        cur = spectrum.astype(complex)
+        log_fact = 0.0
+        for n in range(spec.n_max + 1):
+            if n > 0:
+                cur = cur * mult
+                log_fact += np.log(n)
+            vals = np.fft.ifft(cur)
+            if spec.lam > 0:
+                coef = np.exp(n * np.log(spec.lam) - log_fact)
+            else:
+                coef = 1.0 if n == 0 else 0.0
+            if spec.p == 1:
+                lp = float(np.sum(np.abs(vals)) * dv)
+            elif spec.p == 2:
+                lp = float(np.sqrt(np.sum(np.abs(vals) ** 2) * dv))
+            else:
+                lp = float(np.max(np.abs(vals)))
+            terms[n] += weight_k * coef * lp
+    return NormValue(value=float(np.sum(terms)), remainder=_tail_estimate(terms))
+
+
+def two_mode_transported_state(t=2.5, nv=512):
+    """Modes 1 and 2 with nonzero phases, freely transported to time t."""
+    pert = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=0.3, phase=0.7),
+                                   PerturbationMode(k=2, amplitude=0.1, phase=1.3)))
+    cur = init_state(MAX, pert, nx=32, nv=nv, vmax=8.0)
+    while cur.time < t - 1e-12:
+        cur = strang_step(cur, zero_interaction(), 1 / 16)
+    return cur
 
 
 def equilibrium_state(nx=32, nv=512):
@@ -162,8 +216,44 @@ def test_gliding_norm_unresolved_derivative_flagged():
     cur = init_state(MAX, pert, nx=32, nv=128, vmax=8.0)
     for _ in range(int(3.6 * 20)):
         cur = strang_step(cur, zero_interaction(), 1 / 20)
-    with pytest.raises(ValueError, match="not resolved"):
+    # the check runs on each mode before its transform, modes in order -k_max .. k_max
+    with pytest.raises(ValueError, match="not resolved in v for mode k = -1"):
         gliding_norm(cur, GlidingNormSpec(lam=0.2, mu=0.0, p=1, tau=3.6, n_max=8, k_max=1))
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+@pytest.mark.parametrize("tau", [0.0, 2.5])
+@pytest.mark.parametrize("n_max", [0, 24])
+def test_gliding_norm_bit_identical_to_per_term_loop(p, tau, n_max):
+    # k_max = 4 lies above the populated modes 1 and 2, so zero spectra are skipped
+    cur = two_mode_transported_state()
+    spec = GlidingNormSpec(lam=0.3, mu=0.1, gamma=0.5, p=p, tau=tau, n_max=n_max, k_max=4)
+    got, ref = gliding_norm(cur, spec), per_term_gliding_norm(cur, spec)
+    assert got.value == ref.value
+    assert got.remainder == ref.remainder
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+def test_gliding_norm_lam_zero_is_finite_and_silent(p):
+    # lam = 0 keeps only n = 0: the weighted Lp sizes of the mode profiles
+    cur = two_mode_transported_state()
+    spec = GlidingNormSpec(lam=0.0, mu=0.1, gamma=0.5, p=p, tau=2.5, k_max=4)
+    with np.errstate(all="raise"):
+        got = gliding_norm(cur, spec)
+    rows = np.fft.rfft(cur.data, axis=0) / cur.nx
+    expected = 0.0
+    for k in range(-spec.k_max, spec.k_max + 1):
+        row = rows[abs(k)]
+        if p == 1:
+            size = np.sum(np.abs(row)) * cur.dv
+        elif p == 2:
+            size = np.sqrt(np.sum(np.abs(row) ** 2) * cur.dv)
+        else:
+            size = np.max(np.abs(row))
+        expected += np.exp(2 * np.pi * spec.mu * abs(k)) * (1.0 + abs(k)) ** spec.gamma * size
+    assert np.isfinite(got.value)
+    assert got.value == pytest.approx(expected, rel=1e-12)
+    assert got.remainder == 0.0
 
 
 # ---------------------------------------------------------------------------
