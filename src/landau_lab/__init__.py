@@ -6,7 +6,7 @@ Modules:
 * ``linear``  -- memory kernel, Volterra mode equation, stability scans, rates
 * ``sim``     -- nonlinear 1D1V split-step spectral simulator and observables
 * ``norms``   -- gliding hybrid analytic norms and spatial mode norms
-* ``echoes``  -- plasma-echo kernel, timing predictions, two-pulse experiments
+* ``echoes``  -- plasma-echo timing predictions, two-pulse experiments
 * ``cli``     -- batch experiment runner (``landau-lab run/certify/sweep``)
 """
 
@@ -24,7 +24,6 @@ from .models import (
     builtin_interaction,
     builtin_profile,
     bump_on_tail,
-    marginal,
     maxwellian,
     verify_analyticity,
     verify_decay,

@@ -125,14 +125,13 @@ def _experiment_nonlinear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[
         log.write_ftilde_csv(out / "ftilde.csv")
         artifacts.append("ftilde.csv")
     hist = log.mode_history(1)
-    window = _fit_window(cfg)
-    fit = None
-    try:
-        fit = fit_decay_rate(hist, window)
-    except LandauLabError:
-        pass
     meta = {"recurrence_time": f"{log.recurrence[1]:.12g}"}
-    if fit is not None:
+    try:
+        fit = fit_decay_rate(hist, _fit_window(cfg))
+    except LandauLabError as exc:
+        fit = None
+        meta["rate_fit_k1_error"] = str(exc)
+    else:
         meta["rate_fit_k1"] = f"{fit.rate:.12g}"
         meta["rate_fit_r2_k1"] = f"{fit.quality:.12g}"
     (out / "decay.svg").write_text(render_plot(
@@ -189,21 +188,30 @@ def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str],
     write_csv(out / "echoes.csv", ["k", "ell", "tau_kick", "t_predicted", "t_detected", "amplitude", "rel_error"],
               rep.to_csv_rows())
     hist = rep.log.mode_history(abs(rep.k_response))
-    vlines = [(p.t_echo, "predicted") for p in rep.predictions]
-    vlines += [(p.time, "detected") for p in rep.peaks]
+    vlines = [(rep.prediction.t_echo, "predicted")] + [(p.time, "detected") for p in rep.peaks]
     (out / "echo_timeline.svg").write_text(render_plot(
         [Series(label=f"|rho| k={abs(rep.k_response)}", x=hist.times, y=np.abs(hist.values))],
         title="echo timeline", xlabel="t", ylabel="|rho|", logy=True, vlines=vlines))
-    detected = [p for _, p, _ in rep.matches if p is not None]
     meta = {
-        "echo_predicted_t": f"{rep.predictions[0].t_echo:.12g}",
-        "echo_detected": str(bool(detected)).lower(),
+        "echo_predicted_t": f"{rep.prediction.t_echo:.12g}",
+        "echo_detected": str(rep.match is not None).lower(),
         "recurrence_time": f"{rep.log.recurrence[1]:.12g}",
     }
-    if detected:
-        meta["echo_detected_t"] = f"{detected[0].time:.12g}"
-        meta["echo_rel_error"] = f"{rep.matches[0][2]:.12g}"
+    if rep.match is not None:
+        meta["echo_detected_t"] = f"{rep.match.time:.12g}"
+        meta["echo_rel_error"] = f"{rep.rel_error:.12g}"
     return meta, ["echoes.csv", "echo_timeline.svg"], EXIT_OK
+
+
+# FFT-roundoff floor of the density coefficients, relative to the largest:
+# the spatial weight exp(2 pi (lam tau + mu) |k|) would grow noise into a tail
+_SPATIAL_COEFF_FLOOR = 1e-13
+# analytic_norm needs lam, mu > 0 but [norms] mu may be 0; this floor moves
+# its weight by 2 pi 1e-6 |eta| (2e-4 at the Nyquist eta of nv 1024, vmax 8)
+_ANALYTIC_INDEX_FLOOR = 1e-6
+# velocity weight exp(2 pi beta |v|) of the integral term (no [norms] key):
+# inside the 700 exponent budget for any vmax up to 1,000
+_ANALYTIC_BETA = 0.1
 
 
 def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
@@ -217,10 +225,11 @@ def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
                            tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
     g = gliding_norm(state, spec)
     raw = state.rho_hat(sec["k_max"])
-    floor = 1e-13 * float(np.max(np.abs(raw)))
+    floor = _SPATIAL_COEFF_FLOOR * float(np.max(np.abs(raw)))
     coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
     s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
-    a = analytic_norm(state, AnalyticNormSpec(lam=max(sec["lam"], 1e-6), mu=max(sec["mu"], 1e-6), beta=0.1))
+    a = analytic_norm(state, AnalyticNormSpec(lam=max(sec["lam"], _ANALYTIC_INDEX_FLOOR),
+                                              mu=max(sec["mu"], _ANALYTIC_INDEX_FLOOR), beta=_ANALYTIC_BETA))
     return [
         head + ["gliding", *params, sec["p"], f"{tau:.17g}", f"{g.value:.17g}", f"{g.remainder:.17g}"],
         head + ["spatial", *params, "", f"{tau:.17g}", f"{s:.17g}", "0"],

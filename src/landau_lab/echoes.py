@@ -1,11 +1,10 @@
-"""Plasma echoes: response-kernel diagnostics, timing law, two-pulse runs.
+"""Plasma echoes: timing law, peak detection, two-pulse runs.
 
 A perturbation at spatial mode ell launched at t = 0 phase-mixes away; an
 impulsive kick at mode (k - ell) at time tau revives a macroscopic response
 at mode k at the predictable later time t = tau (k - ell) / k, when the
 gliding velocity-frequency content of the stored perturbation re-crosses
-zero.  The response kernel below quantifies how sharply the coupling
-concentrates on that resonance.
+zero.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ __all__ = [
     "EchoPrediction",
     "Peak",
     "EchoReport",
-    "echo_kernel",
     "predict_echo_time",
     "detect_peaks",
     "run_echo_experiment",
@@ -32,11 +30,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EchoPrediction:
-    """Predicted echo: response mode k, source mode ell, kick time, echo time."""
+    """Predicted echo: response mode k, source mode ell, echo time."""
 
     k: int
     ell: int
-    tau_source: float
     t_echo: float
 
 
@@ -55,34 +52,7 @@ def predict_echo_time(k: int, ell: int, tau_source: float) -> EchoPrediction:
     ratio = (k - ell) / k
     if ratio <= 1.0:
         raise ValueError(f"echo would not land after the kick: (k - ell)/k = {ratio:g} <= 1")
-    return EchoPrediction(k=k, ell=ell, tau_source=float(tau_source), t_echo=float(tau_source) * ratio)
-
-
-def echo_kernel(t, tau, k: int, ell: int, lam_bar: float, lam: float, mu_bar: float, mu: float, gamma: float = 0.0):
-    """Response-kernel shape (1+tau) e^{-2 pi (lam_bar-lam) |k(t-tau)+ell tau|} e^{-2 pi (mu_bar-mu) |ell|} / (1+|k-ell|^gamma).
-
-    The leading regularity-ratio factor is treated as an external constant
-    set to 1: the kernel is used as a shape and timing diagnostic, not as an
-    a-priori bound.  Peaks in tau at the resonance tau = k t / (k - ell) and
-    falls off at rate 2 pi (lam_bar - lam) |k - ell| around it.
-    """
-    if not (lam_bar > lam >= 0.0):
-        raise ValueError("need lam_bar > lam >= 0")
-    if not (mu_bar > mu >= 0.0):
-        raise ValueError("need mu_bar > mu >= 0")
-    if k == 0 or ell == 0:
-        raise ValueError("modes k and ell must be nonzero")
-    t = np.asarray(t, dtype=float)
-    tau = np.asarray(tau, dtype=float)
-    if np.any(tau < 0) or np.any(tau > t):
-        raise ValueError("kernel is defined for 0 <= tau <= t")
-    phase = np.abs(k * (t - tau) + ell * tau)
-    return (
-        (1.0 + tau)
-        * np.exp(-2.0 * np.pi * (lam_bar - lam) * phase)
-        * np.exp(-2.0 * np.pi * (mu_bar - mu) * abs(ell))
-        / (1.0 + abs(k - ell) ** gamma)
-    )
+    return EchoPrediction(k=k, ell=ell, t_echo=float(tau_source) * ratio)
 
 
 @dataclass(frozen=True)
@@ -118,29 +88,26 @@ def detect_peaks(history: ModeHistory, floor: float, min_separation: float) -> l
 
 @dataclass
 class EchoReport:
-    """Detected post-kick peaks of the response mode, paired with predictions."""
+    """Post-kick peaks of the response mode; ``match`` is the one nearest the
+    prediction (None if no peak cleared the floor), ``rel_error`` its relative
+    timing error |t_detected - t_echo| / t_echo (nan without a match)."""
 
-    k_initial: int
-    kick_mode: int
     k_response: int
     tau_kick: float
-    floor: float
-    predictions: list[EchoPrediction]
+    prediction: EchoPrediction
     peaks: list[Peak]
-    matches: list[tuple[EchoPrediction, Peak | None, float]]
+    match: Peak | None
+    rel_error: float
     log: ObservableLog = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
     def to_csv_rows(self) -> list[list]:
-        rows = []
-        for pred, peak, rel in self.matches:
-            rows.append([
-                pred.k, pred.ell, f"{self.tau_kick:.17g}", f"{pred.t_echo:.17g}",
-                "" if peak is None else f"{peak.time:.17g}",
-                "" if peak is None else f"{peak.amplitude:.17g}",
-                "" if peak is None else f"{rel:.17g}",
-            ])
-        return rows
+        pred, peak = self.prediction, self.match
+        return [[
+            pred.k, pred.ell, f"{self.tau_kick:.17g}", f"{pred.t_echo:.17g}",
+            "" if peak is None else f"{peak.time:.17g}",
+            "" if peak is None else f"{peak.amplitude:.17g}",
+            "" if peak is None else f"{self.rel_error:.17g}",
+        ]]
 
 
 def run_echo_experiment(
@@ -196,25 +163,13 @@ def run_echo_experiment(
     post = h.times > tau_kick + guard
     peaks = detect_peaks(ModeHistory(k=abs(k_resp), times=h.times[post], values=h.values[post]),
                          floor=floor, min_separation=min_separation)
-    if peaks:
-        best = min(peaks, key=lambda p: abs(p.time - prediction.t_echo))
-        matches = [(prediction, best, abs(best.time - prediction.t_echo) / prediction.t_echo)]
-    else:
-        matches = [(prediction, None, float("nan"))]
+    match = min(peaks, key=lambda p: abs(p.time - prediction.t_echo)) if peaks else None
     return EchoReport(
-        k_initial=k_initial,
-        kick_mode=kick_mode,
         k_response=k_resp,
         tau_kick=tau_kick,
-        floor=floor,
-        predictions=[prediction],
+        prediction=prediction,
         peaks=peaks,
-        matches=matches,
+        match=match,
+        rel_error=float("nan") if match is None else abs(match.time - prediction.t_echo) / prediction.t_echo,
         log=log,
-        meta={
-            "convention": "response mode = k_initial + kick_mode; timing law uses the initial mode as source; negative response modes observed through their conjugate mirror",
-            "amp_initial": amp_initial,
-            "amp_kick": amp_kick,
-            "t_end": float(t_end),
-        },
     )

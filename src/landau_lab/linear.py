@@ -24,7 +24,7 @@ integral of `smallness_criterion`, runs on the nodes of one builder,
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -86,21 +86,6 @@ class ModeHistory:
     @property
     def dt(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def to_csv(self, path) -> None:
-        write_modes_csv(path, ((t, self.k, v) for t, v in zip(self.times, self.values)))
-
-    @classmethod
-    def from_csv(cls, path) -> "ModeHistory":
-        times, values, ks = [], [], set()
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                times.append(float(row["t"]))
-                values.append(float(row["re"]) + 1j * float(row["im"]))
-                ks.add(int(row["k"]))
-        if len(ks) != 1:
-            raise ValueError(f"expected a single mode per file, found k = {sorted(ks)}")
-        return cls(k=ks.pop(), times=np.array(times), values=np.array(values))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +377,6 @@ class DecayFit:
     rate: float
     quality: float
     intercept: float
-    n_points: int
     used_maxima: bool
 
 
@@ -428,8 +412,7 @@ def fit_decay_rate(history: ModeHistory, window: tuple[float, float], floor: flo
     resid = y_pts - (slope * t_pts + intercept)
     ss_tot = float(np.sum((y_pts - y_pts.mean()) ** 2))
     quality = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(rate=float(-slope), quality=quality, intercept=float(intercept),
-                    n_points=int(np.count_nonzero(pick)), used_maxima=used_maxima)
+    return DecayFit(rate=float(-slope), quality=quality, intercept=float(intercept), used_maxima=used_maxima)
 
 
 # ---------------------------------------------------------------------------
@@ -462,8 +445,6 @@ class RootScanResult:
     lambda_star: float
     rate: float
     root: complex | None
-    widths: np.ndarray = field(repr=False)
-    gaps: np.ndarray = field(repr=False)
 
 
 def _root_newton(profile, interaction, k, seed: complex) -> complex:
@@ -531,8 +512,6 @@ def root_scan(
         lambda_star=lambda_star,
         rate=TWO_PI * abs(k) * lambda_star,
         root=root,
-        widths=widths,
-        gaps=gaps,
     )
 
 

@@ -6,12 +6,13 @@ Conventions used throughout the package:
 * spatial Fourier coefficients on the unit torus, W represented by
   what(k) for integer k, with what(0) := 0 (the mean mode exerts no force).
 
-Built-in profiles are finite Gaussian mixtures, so their transforms,
-derivatives and directional marginals are available in closed form.
+Built-in profiles are finite Gaussian mixtures, so their transforms and
+derivatives are available in closed form.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -28,7 +29,6 @@ __all__ = [
     "builtin_profile",
     "builtin_interaction",
     "zero_interaction",
-    "marginal",
     "verify_analyticity",
     "verify_decay",
 ]
@@ -46,8 +46,8 @@ class VelocityProfile:
     stored analyticity width and constant: |ft(eta)| * exp(2*pi*lam*|eta|)
     is expected to stay below ``c0`` (re-checked by `verify_analyticity`).
     ``components`` carries the Gaussian-mixture representation when the
-    profile has one; closed-form machinery (derivative series, marginals)
-    is only available in that case.
+    profile has one; the closed-form derivative series is only available in
+    that case.
     """
 
     name: str
@@ -213,13 +213,6 @@ def builtin_profile(name: str, params: Sequence[float] = ()) -> VelocityProfile:
     return family(*[float(p) for p in params])
 
 
-def marginal(profile: VelocityProfile, direction: float, z) -> np.ndarray:
-    """Marginal of the profile along a unit direction; in 1d it is f0(z * direction)."""
-    if abs(abs(direction) - 1.0) > 1e-12:
-        raise ValueError(f"direction must be a unit vector, got {direction}")
-    return profile.pdf(np.asarray(z, dtype=float) * direction)
-
-
 # ---------------------------------------------------------------------------
 # Interactions
 
@@ -286,14 +279,9 @@ class AnalyticityReport:
     series_remainder: float | None = None
 
 
-_HERMITE_L1_CACHE: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache
 def _hermite_l1_norms(n_max: int) -> np.ndarray:
     """m_n = E|He_n(Z)| for standard normal Z, n = 0..n_max (dense trapezoid)."""
-    cached = _HERMITE_L1_CACHE.get(n_max)
-    if cached is not None:
-        return cached
     from numpy.polynomial import hermite_e
 
     v = np.linspace(-14.0, 14.0, 28001)
@@ -303,7 +291,6 @@ def _hermite_l1_norms(n_max: int) -> np.ndarray:
         coef = np.zeros(n + 1)
         coef[n] = 1.0
         out[n] = np.trapezoid(np.abs(hermite_e.hermeval(v, coef)) * weight, v)
-    _HERMITE_L1_CACHE[n_max] = out
     return out
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "spatial_norm",
     "analytic_norm",
     "coincidence_check",
-    "time_shifted_tau",
 ]
 
 
@@ -271,12 +270,3 @@ def coincidence_check(coeffs: Mapping[int, complex], spec: GlidingNormSpec) -> C
     denom = max(abs(z), abs(f), 1e-300)
     return CoincidenceResult(z=float(z), f=float(f), rel_diff=float(abs(z - f) / denom))
 
-
-def time_shifted_tau(tau: float, t: float, shift_budget: float) -> float:
-    """Optional time-shifted gliding index tau - b t / (1 + b) with b = B / (1 + t).
-
-    ``shift_budget`` is the constant B; no particular value is singled out
-    by the diagnostics, the helper only exposes the reparametrization.
-    """
-    b = shift_budget / (1.0 + t)
-    return tau - b * t / (1.0 + b)

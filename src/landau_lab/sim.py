@@ -24,7 +24,7 @@ should stay below 0.8 t_R and the log flags later samples.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "ObservableLog",
     "AsymptoticProfile",
     "init_state",
-    "force_field",
     "Stepper",
     "strang_step",
     "recurrence_time",
@@ -80,10 +79,6 @@ class PhaseSpaceField:
         return -self.vmax + np.arange(self.nv) * self.dv
 
     @property
-    def dx(self) -> float:
-        return 1.0 / self.nx
-
-    @property
     def dv(self) -> float:
         return 2.0 * self.vmax / self.nv
 
@@ -100,9 +95,6 @@ class PhaseSpaceField:
         if k_max > self.nx // 2:
             raise ValueError(f"k_max {k_max} beyond the grid's Nyquist mode {self.nx // 2}")
         return np.fft.rfft(self.density())[: k_max + 1] / self.nx
-
-    def copy(self) -> "PhaseSpaceField":
-        return replace(self, data=self.data.copy())
 
 
 @dataclass(frozen=True)
@@ -316,11 +308,6 @@ class Stepper:
             yield n, f, obs_fk
 
 
-def force_field(state: PhaseSpaceField, interaction: Interaction) -> np.ndarray:
-    """Self-consistent force F(x) = -(grad W * rho)(x); real with zero mean."""
-    return _force(state.density(), _force_multiplier(state.nx, interaction))
-
-
 @functools.lru_cache(maxsize=8)
 def _cached_stepper(nx: int, nv: int, vmax: float, dt: float, interaction: Interaction) -> Stepper:
     return Stepper(nx, nv, vmax, dt, interaction)
@@ -420,11 +407,6 @@ class ObservableLog:
         if k < 0:
             vals = np.conj(vals)
         return ModeHistory(k=k, times=self.times.copy(), values=vals.copy())
-
-    def cr_envelope(self, r: int) -> np.ndarray:
-        """Smoothness surrogate 2 sum_{k>=1} k^r |rho_hat(t, k)| per sample."""
-        k = np.arange(1, self.k_obs + 1, dtype=float)
-        return 2.0 * np.abs(self.rho_modes[:, 1:]) @ k**r
 
     def write_observables_csv(self, path) -> None:
         columns = (self.times, self.mass, self.ekin, self.epot, self.l2, self.gradv_l2)

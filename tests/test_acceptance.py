@@ -127,9 +127,9 @@ def test_gate6_echo_timing(echo_sweep, echo_control):
     ok = True
     details = []
     for tau, rep in sorted(echo_sweep.items()):
-        pred, peak, rel = rep.matches[0]
-        ok &= peak is not None and rel <= 0.02
-        details.append(f"tau={tau:g}: predicted {pred.t_echo:g}, detected {peak.time:.3f} ({rel:.2%})")
+        ok &= rep.match is not None and rep.rel_error <= 0.02
+        details.append(f"tau={tau:g}: predicted {rep.prediction.t_echo:g}, "
+                       f"detected {rep.match.time:.3f} ({rep.rel_error:.2%})")
     ok &= len(echo_control.peaks) == 0
     details.append(f"zero-amplitude control peaks: {len(echo_control.peaks)}")
     report("echo timing", ok, "; ".join(details) + " (tol 2%)")

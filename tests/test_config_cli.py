@@ -362,6 +362,15 @@ def test_phase_space_experiment_succeeds_and_is_byte_identical_across_processes(
     assert first == second
 
 
+def test_failed_rate_fit_is_reported_in_meta(tmp_path):
+    # a 0.1-wide window holds two samples at observe stride 1/16: too few to fit
+    text = NONLINEAR_SMALL.replace("t_end = 4", "t_end = 2").replace("fit_t_max = 3", "fit_t_max = 0.6")
+    meta = _run_cli_process(write_cfg(tmp_path, text), tmp_path / "a")["run.meta"].decode()
+    assert "status = ok" in meta
+    assert "rate_fit_k1_error = fewer than 3 usable envelope points in window\n" in meta
+    assert "rate_fit_k1 =" not in meta and "rate_fit_r2_k1" not in meta
+
+
 def test_norms_rows_match_per_snapshot_strang_steps(tmp_path):
     cfg = loads_config(NORMS_SMALL.replace("dir = out", f"dir = {tmp_path / 'norms'}"))
     assert run_experiment(cfg) == 0

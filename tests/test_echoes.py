@@ -1,71 +1,10 @@
-"""Echo kernel shape, timing law, peak detection, two-pulse behavior."""
+"""Echo timing law, peak detection, two-pulse behavior."""
 
 import numpy as np
 import pytest
 
-from landau_lab.echoes import Peak, detect_peaks, echo_kernel, predict_echo_time
+from landau_lab.echoes import detect_peaks, predict_echo_time
 from landau_lab.linear import ModeHistory
-
-KERNEL_IDX = dict(lam_bar=0.6, lam=0.4, mu_bar=0.3, mu=0.1)
-
-
-# ---------------------------------------------------------------------------
-# kernel
-
-
-def test_kernel_resonance_value():
-    k, ell, t = 2, -1, 6.0
-    tau = k * t / (k - ell)
-    val = echo_kernel(t, tau, k, ell, gamma=1.0, **KERNEL_IDX)
-    expected = (1 + tau) * np.exp(-2 * np.pi * 0.2 * abs(ell)) / (1 + abs(k - ell))
-    assert val == pytest.approx(expected, rel=1e-12)
-
-
-def test_kernel_decay_rate_around_resonance():
-    k, ell, t = 1, -1, 8.0
-    tau_star = k * t / (k - ell)
-    eps = 0.01
-    for sgn in (+1, -1):
-        v0 = echo_kernel(t, tau_star + sgn * eps, k, ell, **KERNEL_IDX)
-        v1 = echo_kernel(t, tau_star + sgn * 2 * eps, k, ell, **KERNEL_IDX)
-        rate = abs(np.log(v1 / v0)) / eps
-        # (1+tau) prefactor shifts the log-slope by O(1/tau); exponent dominates
-        assert rate == pytest.approx(2 * np.pi * (0.6 - 0.4) * abs(k - ell), rel=0.15)
-
-
-@pytest.mark.parametrize(
-    "k,ell,t",
-    [(1, -1, 10.0), (2, -1, 9.0), (1, -2, 12.0), (3, -2, 7.0), (2, -3, 11.0),
-     (-1, 1, 10.0), (-2, 1, 9.0), (4, -1, 6.0), (1, -3, 8.0), (5, -2, 4.0)],
-)
-def test_kernel_maximizer_is_the_resonance(k, ell, t):
-    tau = np.linspace(0.0, t, 20001)
-    vals = echo_kernel(t, tau, k, ell, **KERNEL_IDX)
-    tau_star = k * t / (k - ell)
-    if 0 <= tau_star <= t:
-        assert tau[np.argmax(vals)] == pytest.approx(tau_star, abs=2 * t / 20000)
-
-
-def test_kernel_integral_grows_linearly():
-    # int_0^t max_ell K dtau = O(t): the resonances pile up with (1 + tau) weights
-    ells = [ell for ell in range(-6, 7) if ell != 0]
-    vals = []
-    for t in (10.0, 20.0, 40.0):
-        tau = np.linspace(0.0, t, 4001)
-        kmax = np.max([echo_kernel(t, tau, 1, ell, **KERNEL_IDX) for ell in ells], axis=0)
-        vals.append(np.trapezoid(kmax, tau))
-    assert 1.5 <= vals[1] / vals[0] <= 2.5
-    assert 1.5 <= vals[2] / vals[1] <= 2.5
-
-
-def test_kernel_validates_indices():
-    with pytest.raises(ValueError):
-        echo_kernel(5.0, 1.0, 1, -1, lam_bar=0.3, lam=0.4, mu_bar=0.3, mu=0.1)
-    with pytest.raises(ValueError):
-        echo_kernel(5.0, 6.0, 1, -1, **KERNEL_IDX)
-    with pytest.raises(ValueError):
-        echo_kernel(5.0, 1.0, 0, -1, **KERNEL_IDX)
-
 
 # ---------------------------------------------------------------------------
 # timing law
@@ -124,7 +63,7 @@ def test_detect_peaks_separation_keeps_dominant():
 
 
 def test_echo_times_scale_linearly_with_kick_time(echo_sweep):
-    detected = {tau: rep.matches[0][1].time for tau, rep in echo_sweep.items()}
+    detected = {tau: rep.match.time for tau, rep in echo_sweep.items()}
     slope34 = detected[4.0] / detected[3.0]
     slope45 = detected[5.0] / detected[4.0]
     assert slope34 == pytest.approx(4.0 / 3.0, rel=0.02)
@@ -133,8 +72,8 @@ def test_echo_times_scale_linearly_with_kick_time(echo_sweep):
 
 def test_echo_amplitude_grows_with_kick_time(echo_sweep):
     # later kicks act on a longer-filamented store, whose larger velocity
-    # frequency boosts the coupling: the response kernel's (1 + tau) weight
-    amps = [echo_sweep[tau].matches[0][1].amplitude for tau in (3.0, 4.0, 5.0)]
+    # frequency boosts the coupling in proportion to tau
+    amps = [echo_sweep[tau].match.amplitude for tau in (3.0, 4.0, 5.0)]
     assert amps[0] < amps[1] < amps[2]
     for tau, amp in zip((3.0, 4.0, 5.0), amps):
         assert amp == pytest.approx(np.pi * tau * 1e-3 * 0.5e-3, rel=0.15)
@@ -143,6 +82,16 @@ def test_echo_amplitude_grows_with_kick_time(echo_sweep):
 def test_echo_report_metadata(echo_sweep):
     rep = echo_sweep[4.0]
     assert rep.k_response == -1
-    assert "convention" in rep.meta
+    assert (rep.prediction.k, rep.prediction.ell) == (-1, 1)
+    assert rep.match in rep.peaks
+    assert rep.rel_error == abs(rep.match.time - rep.prediction.t_echo) / rep.prediction.t_echo
     rows = rep.to_csv_rows()
     assert len(rows) == 1 and rows[0][0] == -1 and rows[0][1] == 1
+    assert rows[0][4:] == [f"{rep.match.time:.17g}", f"{rep.match.amplitude:.17g}", f"{rep.rel_error:.17g}"]
+
+
+def test_echo_report_without_match(echo_control):
+    assert echo_control.peaks == [] and echo_control.match is None
+    assert np.isnan(echo_control.rel_error)
+    rows = echo_control.to_csv_rows()
+    assert len(rows) == 1 and rows[0][4:] == ["", "", ""]

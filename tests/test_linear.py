@@ -219,19 +219,11 @@ def test_volterra_is_linear_in_the_source(a, b):
     np.testing.assert_allclose(h12.values, a * h1.values + b * h2.values, rtol=1e-12, atol=1e-13)
 
 
-def test_mode_history_validation_and_csv_roundtrip(tmp_path):
+def test_mode_history_validation():
     with pytest.raises(ValueError, match="uniform"):
         ModeHistory(k=1, times=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
     with pytest.raises(ValueError, match="equal length"):
         ModeHistory(k=1, times=np.array([0.0, 0.1]), values=np.zeros(3))
-    h = ModeHistory(k=2, times=np.arange(5) * 0.25, values=np.exp(1j * np.arange(5)))
-    path = tmp_path / "mode.csv"
-    h.to_csv(path)
-    assert path.read_text().splitlines()[0] == "t,k,re,im,abs"
-    back = ModeHistory.from_csv(path)
-    assert back.k == 2
-    np.testing.assert_allclose(back.times, h.times, rtol=0, atol=0)
-    np.testing.assert_allclose(back.values, h.values, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ from landau_lab.models import (
     builtin_interaction,
     builtin_profile,
     bump_on_tail,
-    marginal,
     maxwellian,
     verify_analyticity,
     verify_decay,
@@ -78,33 +77,6 @@ def test_builtin_profile_dispatch():
         builtin_profile("maxwellian", [-1.0])
     with pytest.raises(ValueError, match="weight"):
         bump_on_tail(weight=1.5)
-
-
-# ---------------------------------------------------------------------------
-# marginals
-
-
-def test_marginal_maxwellian_center():
-    assert marginal(maxwellian(), 1.0, 0.0) == pytest.approx(0.3989422804014327, rel=1e-12)
-
-
-def test_marginal_even_profile_is_even():
-    p = maxwellian()
-    z = np.linspace(0, 5, 40)
-    np.testing.assert_array_equal(marginal(p, 1.0, z), marginal(p, 1.0, -z))
-    np.testing.assert_array_equal(marginal(p, 1.0, z), marginal(p, -1.0, z))
-
-
-def test_marginal_bump_exceeds_maxwellian_at_drift():
-    b = bump_on_tail(weight=0.1, drift=3.0)
-    m = maxwellian()
-    # direct-evaluation oracle: the bump adds mass at its drift velocity
-    assert marginal(b, 1.0, 3.0) > marginal(m, 1.0, 3.0)
-
-
-def test_marginal_requires_unit_direction():
-    with pytest.raises(ValueError, match="unit"):
-        marginal(maxwellian(), 0.5, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ from landau_lab.norms import (
     coincidence_check,
     gliding_norm,
     spatial_norm,
-    time_shifted_tau,
 )
 from landau_lab.sim import PerturbationMode, PerturbationSpec, PhaseSpaceField, init_state, strang_step
 
@@ -344,8 +343,3 @@ def test_coincidence_tau_zero_reduces_to_spatial():
     assert res.f == pytest.approx(spatial_norm(coeffs, weight=0.11, gamma=1.5), rel=1e-14)
     assert res.rel_diff <= 1e-14
 
-
-def test_time_shifted_tau_limits():
-    assert time_shifted_tau(2.0, 0.0, 1.0) == 2.0  # b t = 0 at t = 0
-    assert time_shifted_tau(2.0, 5.0, 0.0) == 2.0  # zero budget, no shift
-    assert time_shifted_tau(2.0, 5.0, 1.0) < 2.0
