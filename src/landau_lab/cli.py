@@ -105,7 +105,7 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
     write_modes_csv(out / "modes.csv", rows)
     artifacts.append("modes.csv")
     (out / "decay.svg").write_text(render_plot(
-        all_series, title="mode decay and fitted rates", xlabel="t", ylabel="|rho|", logy=True))
+        all_series, title="mode decay and fitted rates", xlabel="t", ylabel="|rho|"))
     artifacts.append("decay.svg")
     return meta, artifacts, EXIT_OK
 
@@ -135,10 +135,10 @@ def _experiment_nonlinear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[
         meta["rate_fit_k1"] = f"{fit.rate:.12g}"
         meta["rate_fit_r2_k1"] = f"{fit.quality:.12g}"
     (out / "decay.svg").write_text(render_plot(
-        _decay_series(hist, fit), title="density mode decay", xlabel="t", ylabel="|rho|", logy=True))
+        _decay_series(hist, fit), title="density mode decay", xlabel="t", ylabel="|rho|"))
     (out / "gradient_growth.svg").write_text(render_plot(
         [Series(label="|grad_v f|_L2", x=log.times, y=log.gradv_l2)],
-        title="velocity-gradient growth (filamentation)", xlabel="t", ylabel="L2 norm", logy=True))
+        title="velocity-gradient growth (filamentation)", xlabel="t", ylabel="L2 norm"))
     artifacts += ["decay.svg", "gradient_growth.svg"]
     return meta, artifacts, EXIT_OK
 
@@ -162,7 +162,7 @@ def _experiment_certify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[st
         f"interaction = {interaction.kind}",
         f"analyticity_passed = {str(analyticity.passed).lower()}",
         f"analyticity_worst_ratio = {analyticity.worst_ratio:.12g}",
-        f"analyticity_series_ratio = {'' if analyticity.series_ratio is None else format(analyticity.series_ratio, '.12g')}",
+        f"analyticity_series_ratio = {analyticity.series_ratio:.12g}",
         f"decay_passed = {str(decay.passed).lower()}",
         f"decay_worst_k = {decay.worst_k}",
         f"monotone_criterion = {str(mono).lower()}",
@@ -191,7 +191,7 @@ def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str],
     vlines = [(rep.prediction.t_echo, "predicted")] + [(p.time, "detected") for p in rep.peaks]
     (out / "echo_timeline.svg").write_text(render_plot(
         [Series(label=f"|rho| k={abs(rep.k_response)}", x=hist.times, y=np.abs(hist.values))],
-        title="echo timeline", xlabel="t", ylabel="|rho|", logy=True, vlines=vlines))
+        title="echo timeline", xlabel="t", ylabel="|rho|", vlines=vlines))
     meta = {
         "echo_predicted_t": f"{rep.prediction.t_echo:.12g}",
         "echo_detected": str(rep.match is not None).lower(),

@@ -35,7 +35,8 @@ def _nonnegative(x):
     return x >= 0
 
 
-# section -> key -> (type tag, default, validator or None)
+# section -> key -> (type tag, default, validator or None); a None default
+# marks an optional key that stays unset unless the file gives it
 _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
     "experiment": {
         "name": ("str", _REQUIRED, None),
@@ -43,13 +44,13 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
     "profile": {
         "name": ("str", "maxwellian", None),
         "params": ("floats", (), None),
-        "lam": ("float?", None, _positive),
-        "c0": ("float?", None, _positive),
+        "lam": ("float", None, _positive),
+        "c0": ("float", None, _positive),
     },
     "interaction": {
         "kind": ("str", "coulomb", None),
         "strength": ("float", 1.0, _positive),
-        "screening": ("float?", None, _positive),
+        "screening": ("float", None, _positive),
     },
     "grid": {
         "nx": ("int", 64, _positive),
@@ -75,8 +76,8 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
     "linear": {
         "k_list": ("ints", (1,), None),
         "amplitude": ("float", 1e-3, _positive),
-        "fit_t_min": ("float?", None, _nonnegative),
-        "fit_t_max": ("float?", None, _positive),
+        "fit_t_min": ("float", None, _nonnegative),
+        "fit_t_max": ("float", None, _positive),
     },
     "certify": {
         "lambda_strip": ("float", 0.5, _positive),
@@ -114,7 +115,7 @@ def _parse_scalar(section: str, key: str, raw: str, kind: str):
     try:
         if kind == "int":
             return int(raw)
-        if kind in ("float", "float?"):
+        if kind == "float":
             return float(raw)
         if kind == "str":
             return raw.strip()
@@ -157,7 +158,7 @@ def _parse_scalar(section: str, key: str, raw: str, kind: str):
 
 
 def _format_value(value, kind: str) -> str:
-    if kind in ("float", "float?"):
+    if kind == "float":
         return _FLOAT_KEYS_FMT.format(value)
     if kind in ("int", "str"):
         return str(value)

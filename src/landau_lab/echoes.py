@@ -123,7 +123,6 @@ def run_echo_experiment(
     nv: int = 1024,
     vmax: float = 8.0,
     dt: float = 1.0 / 32,
-    t_end: float | None = None,
     observe_stride: int = 2,
     floor: float = 1e-8,
     min_separation: float = 1.0,
@@ -132,17 +131,17 @@ def run_echo_experiment(
 
     The quadratic coupling mixes modes additively, so the response is
     k = k_initial + kick_mode (the conjugate mirror |k| is observed; the
-    real field makes them equal in modulus).  Detection looks for post-kick
-    local maxima of |rho_hat(t, k)| above ``floor`` and pairs them with the
-    timing law applied to the initial mode as source.
+    real field makes them equal in modulus).  The run ends at the predicted
+    echo time plus 2, rounded up to whole observation strides.  Detection
+    looks for post-kick local maxima of |rho_hat(t, k)| above ``floor`` and
+    pairs them with the timing law applied to the initial mode as source.
     """
     k_resp = k_initial + kick_mode
     if k_resp == 0:
         raise ValueError("k_initial + kick_mode must be nonzero to observe an echo")
     prediction = predict_echo_time(k_resp, k_initial, tau_kick)
-    if t_end is None:
-        block = observe_stride * dt  # keep the step count divisible by the stride
-        t_end = np.ceil((prediction.t_echo + 2.0) / block) * block
+    block = observe_stride * dt  # keep the step count divisible by the stride
+    t_end = np.ceil((prediction.t_echo + 2.0) / block) * block
     horizon = recurrence_time(nv, vmax, 1)  # recurrence of the |k| = 1 content
     if prediction.t_echo > 0.8 * horizon:
         raise NumericError(

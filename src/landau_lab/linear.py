@@ -123,18 +123,11 @@ def _horizon(profile: VelocityProfile, k: int, re_max: float) -> float:
     """Integration horizon under the exponential weight exp(2 pi |k| re t)."""
     ak = abs(k)
     d = _DECADES + max(0.0, np.log(profile.c0))
-    if profile.components is not None:
-        # Gaussian-mixture envelope wins regardless of re_max
-        theta_min = min(th for _, _, th in profile.components)
-        a = 2.0 * np.pi**2 * theta_min * ak**2
-        b = TWO_PI * ak * max(re_max, 0.0)
-        t_gauss = (b + np.sqrt(b * b + 4.0 * a * d)) / (2.0 * a)
-        return max(1.0, t_gauss)
-    if re_max >= profile.lam:
-        raise DivergenceError(
-            f"Re(xi) = {re_max:g} >= analyticity width {profile.lam:g}: integral diverges"
-        )
-    return max(1.0, d / (TWO_PI * ak * (profile.lam - re_max)))
+    # the narrowest mixture component's Gaussian envelope wins for every re_max
+    theta_min = min(th for _, _, th in profile.components)
+    a = 2.0 * np.pi**2 * theta_min * ak**2
+    b = TWO_PI * ak * max(re_max, 0.0)
+    return max(1.0, (b + np.sqrt(b * b + 4.0 * a * d)) / (2.0 * a))
 
 
 def _laplace_nodes(profile, interaction, k, zetas, *, modulus: bool):
@@ -295,37 +288,33 @@ def scan_stability_margin(
     )
 
 
-def monotone_criterion(
-    profile: VelocityProfile,
-    interaction: Interaction,
-    z_max: float = 8.0,
-    n_samples: int = 1601,
-    k_max: int = 8,
-) -> bool:
+# what(k) >= 0 is checked on 1 <= k <= 8 (each built-in interaction has one
+# sign for all k != 0), z f0'(z) <= 0 on [-8, 8] (the default velocity box)
+_MONOTONE_K_MAX, _MONOTONE_Z_MAX, _MONOTONE_SAMPLES = 8, 8.0, 1601
+# every built-in |what(k)| is largest at k = 1, inside 1 <= k <= 64
+_SMALLNESS_K_MAX = 64
+
+
+def monotone_criterion(profile: VelocityProfile, interaction: Interaction) -> bool:
     """Sufficient stability condition: what(k) >= 0 and z * phi'(z) <= 0.
 
     phi is the profile's marginal along the mode direction; in 1d checking
     z * pdf'(z) <= 0 on a symmetric z range covers both directions.
     """
-    k = np.arange(1, k_max + 1)
+    k = np.arange(1, _MONOTONE_K_MAX + 1)
     if np.any(np.asarray(interaction.what(k)) < 0):
         return False
-    z = np.linspace(-z_max, z_max, n_samples)
-    if profile.dpdf is not None:
-        dp = profile.dpdf(z)
-    else:
-        h = 1e-5
-        dp = (profile.pdf(z + h) - profile.pdf(z - h)) / (2 * h)
-    return bool(np.all(z * dp <= 1e-14))
+    z = np.linspace(-_MONOTONE_Z_MAX, _MONOTONE_Z_MAX, _MONOTONE_SAMPLES)
+    return bool(np.all(z * profile.dpdf(z) <= 1e-14))
 
 
-def smallness_criterion(profile: VelocityProfile, interaction: Interaction, k_max: int = 64) -> float:
+def smallness_criterion(profile: VelocityProfile, interaction: Interaction) -> float:
     """Left side of the small-gain condition
     4 pi^2 (max_k |what(k)|) (sup_dir int_0^inf |ft(r dir)| r dr); stable when < 1."""
     t_max = _horizon(profile, 1, 0.0)
     r, wr = _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
     integral = max(float(np.sum(wr * np.abs(profile.ft(sgn * r)) * r)) for sgn in (1.0, -1.0))
-    w_max = float(np.max(np.abs(interaction.what(np.arange(1, k_max + 1)))))
+    w_max = float(np.max(np.abs(interaction.what(np.arange(1, _SMALLNESS_K_MAX + 1)))))
     return 4.0 * np.pi**2 * w_max * integral
 
 
@@ -377,32 +366,32 @@ class DecayFit:
     rate: float
     quality: float
     intercept: float
-    used_maxima: bool
 
 
-def fit_decay_rate(history: ModeHistory, window: tuple[float, float], floor: float | None = None) -> DecayFit:
+# below this fraction of the peak, |rho| samples are roundoff, not decay
+_FIT_FLOOR = 1e-13
+
+
+def fit_decay_rate(history: ModeHistory, window: tuple[float, float]) -> DecayFit:
     """Fit the decay rate of log|rho| over envelope maxima inside the window.
 
     Envelope points are strict local maxima of |rho|; when the signal is
     monotone (fewer than 3 maxima) every above-floor sample is used instead.
-    ``floor`` defaults to 1e-13 times the peak amplitude; below-floor samples
-    are excluded.  Raises when fewer than 3 usable points remain.
+    Samples below 1e-13 times the peak amplitude are excluded.  Raises when
+    fewer than 3 usable points remain.
     """
     t_a, t_b = window
     if not (history.times[0] <= t_a < t_b <= history.times[-1] + 1e-12):
         raise ValueError(f"window {window} not inside history [{history.times[0]:g}, {history.times[-1]:g}]")
     amp = np.abs(history.values)
-    if floor is None:
-        floor = 1e-13 * float(np.max(amp))
+    floor = _FIT_FLOOR * float(np.max(amp))
     inside = (history.times >= t_a) & (history.times <= t_b)
 
     interior = np.zeros_like(inside)
     interior[1:-1] = inside[1:-1] & (amp[1:-1] > amp[:-2]) & (amp[1:-1] > amp[2:])
     pick = interior & (amp > floor)
-    used_maxima = True
     if int(np.count_nonzero(pick)) < 3:
         pick = inside & (amp > floor)
-        used_maxima = False
     if int(np.count_nonzero(pick)) < 3:
         raise NumericError("fewer than 3 usable envelope points in window")
 
@@ -412,7 +401,7 @@ def fit_decay_rate(history: ModeHistory, window: tuple[float, float], floor: flo
     resid = y_pts - (slope * t_pts + intercept)
     ss_tot = float(np.sum((y_pts - y_pts.mean()) ** 2))
     quality = 1.0 if ss_tot == 0.0 else 1.0 - float(np.sum(resid**2)) / ss_tot
-    return DecayFit(rate=float(-slope), quality=quality, intercept=float(intercept), used_maxima=used_maxima)
+    return DecayFit(rate=float(-slope), quality=quality, intercept=float(intercept))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +468,7 @@ def root_scan(
     """
     if k == 0:
         raise ValueError("k must be nonzero")
-    width_cap = profile.lam if profile.components is not None else 0.98 * profile.lam
+    width_cap = profile.lam
     if width_cap <= 0:
         raise ValueError("width cap must be positive")
     widths = np.linspace(0.0, width_cap, _ROOT_N_WIDTHS)

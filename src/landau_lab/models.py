@@ -6,13 +6,14 @@ Conventions used throughout the package:
 * spatial Fourier coefficients on the unit torus, W represented by
   what(k) for integer k, with what(0) := 0 (the mean mode exerts no force).
 
-Built-in profiles are finite Gaussian mixtures, so their transforms and
+Every profile is a finite Gaussian mixture, so its transform and
 derivatives are available in closed form.
 """
 
 from __future__ import annotations
 
 import functools
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -41,13 +42,12 @@ Components = tuple[tuple[float, float, float], ...]
 class VelocityProfile:
     """Homogeneous equilibrium in velocity, with its analyticity constants.
 
-    ``pdf`` evaluates f0(v) (density per unit velocity, total mass 1),
-    ``ft`` its velocity Fourier transform.  ``lam`` and ``c0`` are the
-    stored analyticity width and constant: |ft(eta)| * exp(2*pi*lam*|eta|)
-    is expected to stay below ``c0`` (re-checked by `verify_analyticity`).
-    ``components`` carries the Gaussian-mixture representation when the
-    profile has one; the closed-form derivative series is only available in
-    that case.
+    Every profile is a finite Gaussian mixture: ``components`` holds its
+    (weight, mean, variance) triples, and ``pdf`` (f0(v), total mass 1),
+    ``dpdf`` (f0'(v)) and ``ft`` (the velocity Fourier transform) are their
+    closed forms.  ``lam`` and ``c0`` are the stored analyticity width and
+    constant: |ft(eta)| * exp(2*pi*lam*|eta|) is expected to stay below
+    ``c0`` (re-checked by `verify_analyticity`).
     """
 
     name: str
@@ -55,8 +55,8 @@ class VelocityProfile:
     ft: Callable[[np.ndarray], np.ndarray]
     lam: float
     c0: float
-    dpdf: Callable[[np.ndarray], np.ndarray] | None = None
-    components: Components | None = None
+    dpdf: Callable[[np.ndarray], np.ndarray]
+    components: Components
 
     def __post_init__(self):
         if self.lam < 0:
@@ -125,34 +125,31 @@ def _mixture_dpdf(components: Components):
     return dpdf
 
 
-def _mixture_profile(name: str, components: Components, lam: float | None, c0: float | None) -> VelocityProfile:
+def _mixture_profile(name: str, components: Components) -> VelocityProfile:
     weights = [w for w, _, _ in components]
     if abs(sum(weights) - 1.0) > 1e-12:
         raise ValueError(f"mixture weights must sum to 1, got {sum(weights)}")
     theta_min = min(theta for _, _, theta in components)
-    # Default width: the narrowest component's thermal scale.  With
+    # Width: the narrowest component's thermal scale.  With
     # lam = sqrt(theta_min) the sup bound evaluates to exp(1/2) per component
-    # and the derivative series to about 3.5, so c0 = 4 covers both.
-    if lam is None:
-        lam = float(np.sqrt(theta_min))
-    if c0 is None:
-        c0 = 4.0
+    # and the derivative series to about 3.5, so c0 = 4 covers both.  The
+    # [profile] lam and c0 keys override them (`dataclasses.replace`).
     return VelocityProfile(
         name=name,
         pdf=_mixture_pdf(components),
         ft=_mixture_ft(components),
-        lam=float(lam),
-        c0=float(c0),
+        lam=float(np.sqrt(theta_min)),
+        c0=4.0,
         dpdf=_mixture_dpdf(components),
         components=components,
     )
 
 
-def maxwellian(theta: float = 1.0, lam: float | None = None, c0: float | None = None) -> VelocityProfile:
+def maxwellian(theta: float = 1.0) -> VelocityProfile:
     """Centered Maxwellian with temperature theta: ft(eta) = exp(-2 pi^2 theta eta^2)."""
     if theta <= 0:
         raise ValueError(f"temperature must be positive, got {theta}")
-    return _mixture_profile(f"maxwellian(theta={theta:g})", ((1.0, 0.0, float(theta)),), lam, c0)
+    return _mixture_profile(f"maxwellian(theta={theta:g})", ((1.0, 0.0, float(theta)),))
 
 
 def bi_maxwellian(
@@ -160,8 +157,6 @@ def bi_maxwellian(
     theta1: float = 1.0,
     theta2: float | None = None,
     weight: float = 0.5,
-    lam: float | None = None,
-    c0: float | None = None,
 ) -> VelocityProfile:
     """Two counter-drifting Maxwellians at +-drift with weights (weight, 1-weight)."""
     if theta2 is None:
@@ -171,7 +166,7 @@ def bi_maxwellian(
     if not 0.0 <= weight <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {weight}")
     comps = ((float(weight), -float(drift), float(theta1)), (1.0 - float(weight), float(drift), float(theta2)))
-    return _mixture_profile(f"bi_maxwellian(drift={drift:g})", comps, lam, c0)
+    return _mixture_profile(f"bi_maxwellian(drift={drift:g})", comps)
 
 
 def bump_on_tail(
@@ -179,8 +174,6 @@ def bump_on_tail(
     drift: float = 3.0,
     theta_bump: float = 0.25,
     theta: float = 1.0,
-    lam: float | None = None,
-    c0: float | None = None,
 ) -> VelocityProfile:
     """Maxwellian bulk plus a drifting bump of relative mass ``weight``.
 
@@ -194,7 +187,7 @@ def bump_on_tail(
         comps: Components = ((1.0, 0.0, float(theta)),)
     else:
         comps = ((1.0 - float(weight), 0.0, float(theta)), (float(weight), float(drift), float(theta_bump)))
-    return _mixture_profile(f"bump_on_tail(weight={weight:g},drift={drift:g})", comps, lam, c0)
+    return _mixture_profile(f"bump_on_tail(weight={weight:g},drift={drift:g})", comps)
 
 
 _PROFILE_FAMILIES = {
@@ -210,6 +203,10 @@ def builtin_profile(name: str, params: Sequence[float] = ()) -> VelocityProfile:
         family = _PROFILE_FAMILIES[name]
     except KeyError:
         raise ValueError(f"unknown profile family {name!r}; known: {sorted(_PROFILE_FAMILIES)}") from None
+    names = list(inspect.signature(family).parameters)
+    if len(params) > len(names):
+        raise ValueError(f"profile family {name!r} takes at most {len(names)} parameter(s) "
+                         f"({', '.join(names)}), got {len(params)}")
     return family(*[float(p) for p in params])
 
 
@@ -228,25 +225,19 @@ def builtin_interaction(kind: str, strength: float = 1.0, screening: float | Non
     """
     if strength <= 0:
         raise ValueError(f"strength must be positive, got {strength}")
+    if kind not in ("coulomb", "newton", "screened"):
+        raise ValueError(f"unknown interaction kind {kind!r}; known: coulomb, newton, screened")
+    if kind == "screened" and (screening is None or screening <= 0):
+        raise ValueError("screened interaction requires screening > 0")
     four_pi2 = 4.0 * np.pi**2
-    if kind == "coulomb":
-        def what(k):
-            k = np.asarray(k, dtype=float)
-            return np.where(k == 0, 0.0, strength / (four_pi2 * np.where(k == 0, 1.0, k) ** 2))
-        return Interaction(kind="coulomb", what=what, gamma=1.0, cw=strength / four_pi2)
-    if kind == "newton":
-        def what(k):
-            k = np.asarray(k, dtype=float)
-            return np.where(k == 0, 0.0, -strength / (four_pi2 * np.where(k == 0, 1.0, k) ** 2))
-        return Interaction(kind="newton", what=what, gamma=1.0, cw=strength / four_pi2)
-    if kind == "screened":
-        if screening is None or screening <= 0:
-            raise ValueError("screened interaction requires screening > 0")
-        def what(k):
-            k = np.asarray(k, dtype=float)
-            return np.where(k == 0, 0.0, strength / (four_pi2 * (k**2 + screening**2)))
-        return Interaction(kind="screened", what=what, gamma=1.0, cw=strength / four_pi2)
-    raise ValueError(f"unknown interaction kind {kind!r}; known: coulomb, newton, screened")
+    signed = -strength if kind == "newton" else strength
+    s2 = screening**2 if kind == "screened" else 0.0
+
+    def what(k):
+        k = np.asarray(k, dtype=float)
+        return np.where(k == 0, 0.0, signed / (four_pi2 * (np.where(k == 0, 1.0, k) ** 2 + s2)))
+
+    return Interaction(kind=kind, what=what, gamma=1.0, cw=strength / four_pi2)
 
 
 def zero_interaction() -> Interaction:
@@ -265,18 +256,15 @@ class AnalyticityReport:
     """Result of re-checking a profile's stored analyticity constants.
 
     ``worst_ratio`` is max over sampled eta of |ft(eta)| exp(2 pi lam |eta|) / c0;
-    the profile passes iff it stays <= 1.  For Gaussian-mixture profiles the
-    derivative series sum_n lam^n/n! * ||d^n f0/dv^n||_L1 is also evaluated
-    (component-wise upper bound, truncated with a tail estimate) and reported
-    as a separate ratio against the same c0; it does not gate ``passed``.
+    the profile passes iff it stays <= 1.  ``series_ratio`` is the derivative
+    series sum_n lam^n/n! * ||d^n f0/dv^n||_L1 (component-wise upper bound of
+    the mixture, tail estimate included) against the same c0; it does not
+    gate ``passed``.
     """
 
     passed: bool
     worst_ratio: float
-    worst_eta: float
-    series_sum: float | None = None
-    series_ratio: float | None = None
-    series_remainder: float | None = None
+    series_ratio: float
 
 
 @functools.lru_cache
@@ -322,37 +310,26 @@ def _derivative_series(components: Components, lam: float, n_max: int) -> tuple[
     return total, tail
 
 
-def verify_analyticity(
-    profile: VelocityProfile,
-    eta_max: float = 4.0,
-    n_samples: int = 2001,
-    series_n_max: int = 40,
-) -> AnalyticityReport:
+# sup-check samples on [-eta_max, eta_max]: at eta_max = 4 the sampled sup of
+# the unit Maxwellian at lam = 1 is within 1e-4 of exp(1/2)
+_ANALYTICITY_SAMPLES = 2001
+# derivative-series order: the tail estimate is below 1e-12 at default widths
+_SERIES_N_MAX = 40
+
+
+def verify_analyticity(profile: VelocityProfile, eta_max: float = 4.0) -> AnalyticityReport:
     """Re-check |ft(eta)| exp(2 pi lam |eta|) <= c0 on a sampled eta range.
 
-    The derivative-series bound is evaluated only for Gaussian-mixture
-    profiles (generic numerical n-th derivatives are unstable) and truncated
-    at ``series_n_max`` with a reported remainder.
+    The derivative series is the mixture's closed-form bound, truncated at
+    order 40 and completed by its tail estimate.
     """
     if eta_max <= 0:
         raise ValueError(f"eta_max must be positive, got {eta_max}")
-    if n_samples < 2:
-        raise ValueError(f"n_samples must be >= 2, got {n_samples}")
-    eta = np.linspace(-eta_max, eta_max, n_samples)
+    eta = np.linspace(-eta_max, eta_max, _ANALYTICITY_SAMPLES)
     ratio = np.abs(profile.ft(eta)) * np.exp(2.0 * np.pi * profile.lam * np.abs(eta)) / profile.c0
-    i = int(np.argmax(ratio))
-    series_sum = series_ratio = series_rem = None
-    if profile.components is not None:
-        series_sum, series_rem = _derivative_series(profile.components, profile.lam, series_n_max)
-        series_ratio = (series_sum + series_rem) / profile.c0
-    return AnalyticityReport(
-        passed=bool(ratio[i] <= 1.0),
-        worst_ratio=float(ratio[i]),
-        worst_eta=float(eta[i]),
-        series_sum=series_sum,
-        series_ratio=series_ratio,
-        series_remainder=series_rem,
-    )
+    worst = float(np.max(ratio))
+    total, tail = _derivative_series(profile.components, profile.lam, _SERIES_N_MAX)
+    return AnalyticityReport(passed=worst <= 1.0, worst_ratio=worst, series_ratio=(total + tail) / profile.c0)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,7 @@ Three families:
   mode profile.  The shift tau glides the derivative frame with free
   transport and compensates filamentation.
 * `spatial_norm`: weighted absolute sum of spatial mode coefficients for
-  functions of x alone (optionally dropping the mean mode).
+  functions of x alone.
 * `analytic_norm`: sup of the weighted double transform plus an
   exponentially weighted L1 integral.
 
@@ -167,24 +167,16 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     return NormValue(value=float(np.sum(terms)), remainder=remainder)
 
 
-def spatial_norm(
-    coeffs: Mapping[int, complex],
-    weight: float,
-    gamma: float = 0.0,
-    homogeneous: bool = False,
-) -> float:
+def spatial_norm(coeffs: Mapping[int, complex], weight: float, gamma: float = 0.0) -> float:
     """Weighted mode sum  sum_k |c_k| e^{2 pi weight |k|} (1 + |k|)^gamma.
 
-    ``homogeneous`` removes the k = 0 mode.  The weighted terms must decay
-    over the outermost modes (tail monotonicity), otherwise the sum is
-    declared divergent.
+    The weighted terms must decay over the outermost modes (tail
+    monotonicity), otherwise the sum is declared divergent.
     """
     ks = sorted(coeffs)
     total = 0.0
     weighted: list[tuple[int, float]] = []
     for k in ks:
-        if homogeneous and k == 0:
-            continue
         term = abs(coeffs[k]) * np.exp(2.0 * np.pi * weight * abs(k)) * (1.0 + abs(k)) ** gamma
         total += term
         weighted.append((k, term))

@@ -82,10 +82,6 @@ class PhaseSpaceField:
     def dv(self) -> float:
         return 2.0 * self.vmax / self.nv
 
-    def mass(self) -> float:
-        """Total integral of f over the phase-space box."""
-        return float(self.data.mean() * 2.0 * self.vmax)
-
     def density(self) -> np.ndarray:
         """rho(x) = int f dv on the x grid."""
         return self.data.sum(axis=1) * self.dv
@@ -478,18 +474,15 @@ def run(
     ftv = np.empty((n_obs, len(ft_points)), dtype=complex)
     marginals = np.empty((n_obs, nv))
 
+    # nx and nv are powers of two (init_state), so the last rfft bin is the
+    # Nyquist bin: counted once in Parseval sums, and with no odd derivative
     what_tab = np.asarray(interaction.what(np.arange(nx // 2 + 1)), dtype=float)
     spec_weight = np.full(nx // 2 + 1, 2.0)
-    spec_weight[0] = 1.0
-    if nx % 2 == 0:
-        spec_weight[-1] = 1.0
+    spec_weight[0] = spec_weight[-1] = 1.0
     v_weight = np.full(nv // 2 + 1, 2.0)
-    v_weight[0] = 1.0
-    if nv % 2 == 0:
-        v_weight[-1] = 1.0
+    v_weight[0] = v_weight[-1] = 1.0
     deriv = 2.0 * np.pi * np.fft.rfftfreq(nv, d=state.dv)
-    if nv % 2 == 0:
-        deriv[-1] = 0.0
+    deriv[-1] = 0.0
     gradv_weight = np.sqrt(v_weight) * deriv
     gv = np.empty((nx, nv // 2 + 1), dtype=complex)
     half_v2 = 0.5 * v**2

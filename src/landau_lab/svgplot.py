@@ -2,8 +2,8 @@
 
 No external renderer: plots are reproducible text artifacts for humans
 inspecting batch runs.  Identical inputs produce byte-identical SVG (no
-timestamps, no randomness); log-scale y and dashed fit overlays cover the
-decay-plot needs.
+timestamps, no randomness).  Every package plot is a decay or growth curve:
+a log-scale y axis and dashed fit overlays cover its needs.
 """
 
 from __future__ import annotations
@@ -18,6 +18,8 @@ __all__ = ["Series", "render_plot"]
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#17becf")
 
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 18, 40, 48
+# one canvas size for every artifact plot
+_WIDTH, _HEIGHT = 720, 480
 
 
 @dataclass(frozen=True)
@@ -70,24 +72,20 @@ def render_plot(
     title: str = "",
     xlabel: str = "",
     ylabel: str = "",
-    logy: bool = False,
-    width: int = 720,
-    height: int = 480,
     vlines: Sequence[tuple[float, str]] = (),
 ) -> str:
-    """Render labelled line series to an SVG string.
+    """Render labelled line series on a log-y axis to a 720 x 480 SVG string.
 
-    With ``logy`` nonpositive y values are dropped; series left with no
-    finite points are skipped.  An entirely empty plot stays a valid SVG
-    with a "no data" annotation.
+    Nonpositive y values are dropped; series left with no finite points are
+    skipped.  An entirely empty plot stays a valid SVG with a "no data"
+    annotation.
     """
+    width, height = _WIDTH, _HEIGHT
     cleaned: list[tuple[Series, np.ndarray, np.ndarray]] = []
     for s in series:
         x = np.asarray(s.x, dtype=float)
         y = np.asarray(s.y, dtype=float)
-        keep = np.isfinite(x) & np.isfinite(y)
-        if logy:
-            keep &= y > 0.0
+        keep = np.isfinite(x) & np.isfinite(y) & (y > 0.0)
         if np.any(keep):
             cleaned.append((s, x[keep], y[keep]))
 
@@ -119,23 +117,14 @@ def render_plot(
         x_lo, x_hi = min(x_lo, vx), max(x_hi, vx)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
-    if logy:
-        y_lo, y_hi = float(ys.min()), float(ys.max())
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo / 10.0, y_hi * 10.0
-        y_ticks = _log_ticks(y_lo, y_hi)
-        ly_lo, ly_hi = np.log10(y_lo), np.log10(y_hi)
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo / 10.0, y_hi * 10.0
+    y_ticks = _log_ticks(y_lo, y_hi)
+    ly_lo, ly_hi = np.log10(y_lo), np.log10(y_hi)
 
-        def ypix(v):
-            return y0 - (np.log10(v) - ly_lo) / (ly_hi - ly_lo) * (y0 - y1)
-    else:
-        y_lo, y_hi = float(ys.min()), float(ys.max())
-        if y_hi == y_lo:
-            y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
-        y_ticks = _linear_ticks(y_lo, y_hi)
-
-        def ypix(v):
-            return y0 - (v - y_lo) / (y_hi - y_lo) * (y0 - y1)
+    def ypix(v):
+        return y0 - (np.log10(v) - ly_lo) / (ly_hi - ly_lo) * (y0 - y1)
 
     def xpix(v):
         return x0 + (v - x_lo) / (x_hi - x_lo) * (x1 - x0)

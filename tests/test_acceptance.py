@@ -6,12 +6,10 @@ to see the lines.  Session fixtures in conftest.py share the expensive runs.
 """
 
 import numpy as np
-import pytest
 from scipy.integrate import quad
 
-from landau_lab.echoes import detect_peaks
-from landau_lab.linear import ModeHistory, fit_decay_rate, scan_stability_margin, smallness_criterion, monotone_criterion, solve_volterra
-from landau_lab.models import builtin_interaction, maxwellian, zero_interaction
+from landau_lab.linear import fit_decay_rate, scan_stability_margin, smallness_criterion, monotone_criterion, solve_volterra
+from landau_lab.models import builtin_interaction, zero_interaction
 from landau_lab.norms import GlidingNormSpec, coincidence_check, gliding_norm
 from landau_lab.sim import (
     PerturbationMode,

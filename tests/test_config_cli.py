@@ -6,7 +6,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import landau_lab
@@ -183,6 +182,16 @@ def test_bad_key_exits_2(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL + "seed = 1\n")
     assert main(["run", str(path)]) == 2
     assert "unknown key 'seed'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", ["1.0, 0.5, 2.0, 9.0", "1.0, 0.5"])
+def test_too_many_profile_params_exit_2(tmp_path, capsys, params):
+    # maxwellian takes theta alone; lam and c0 are set by their own keys
+    out = tmp_path / "o"
+    text = LINEAR_FAST.format(out=out).replace("name = maxwellian", f"name = maxwellian\nparams = {params}")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 2
+    assert "status = failed:config" in (out / "run.meta").read_text()
+    assert "'maxwellian' takes at most 1 parameter(s) (theta)" in capsys.readouterr().err
 
 
 CERTIFY_COULOMB = """\

@@ -11,7 +11,6 @@ from landau_lab.errors import DivergenceError
 from landau_lab.models import maxwellian, zero_interaction
 from landau_lab.norms import (
     AnalyticNormSpec,
-    CoincidenceResult,
     GlidingNormSpec,
     NormValue,
     _tail_estimate,
@@ -261,7 +260,6 @@ def test_gliding_norm_lam_zero_is_finite_and_silent(p):
 
 def test_spatial_norm_constant():
     assert spatial_norm({0: 1.0}, weight=0.7) == 1.0
-    assert spatial_norm({0: 1.0}, weight=0.7, homogeneous=True) == 0.0
 
 
 def test_spatial_norm_cosine_weights():

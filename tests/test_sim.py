@@ -37,7 +37,7 @@ def small_state(pert=SINGLE, nx=32, nv=256):
 def test_init_equilibrium_matches_profile():
     st = small_state(PerturbationSpec())
     np.testing.assert_allclose(st.data, np.outer(np.ones(32), MAX.pdf(st.v)), rtol=0, atol=1e-18)
-    assert st.mass() == pytest.approx(1.0, abs=1e-9)
+    assert st.density().mean() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_init_single_mode_coefficient():

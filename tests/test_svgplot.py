@@ -3,7 +3,6 @@
 import re
 
 import numpy as np
-import pytest
 
 from landau_lab.svgplot import Series, render_plot
 
@@ -18,7 +17,7 @@ def polyline_points(svg: str) -> list[np.ndarray]:
 
 def test_exponential_is_straight_on_log_axis():
     t = np.linspace(0.0, 10.0, 101)
-    svg = render_plot([Series(label="decay", x=t, y=np.exp(-0.7 * t))], logy=True)
+    svg = render_plot([Series(label="decay", x=t, y=np.exp(-0.7 * t))])
     pts = polyline_points(svg)[0]
     x, y = pts[:, 0], pts[:, 1]
     slope = (y[-1] - y[0]) / (x[-1] - x[0])
@@ -34,14 +33,14 @@ def test_empty_series_yields_no_data_annotation():
 
 
 def test_nonpositive_values_dropped_on_log_axis():
-    svg = render_plot([Series(label="bad", x=[0, 1, 2], y=[0.0, -1.0, 0.0])], logy=True)
+    svg = render_plot([Series(label="bad", x=[0, 1, 2], y=[0.0, -1.0, 0.0])])
     assert "no data" in svg
 
 
 def test_render_is_deterministic():
     series = [Series(label="a", x=[0, 1, 2, 3], y=[1.0, 0.5, 0.25, 0.125])]
-    a = render_plot(series, title="t", xlabel="x", ylabel="y", logy=True)
-    b = render_plot(series, title="t", xlabel="x", ylabel="y", logy=True)
+    a = render_plot(series, title="t", xlabel="x", ylabel="y")
+    b = render_plot(series, title="t", xlabel="x", ylabel="y")
     assert a == b
 
 
