@@ -268,6 +268,8 @@ def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes artifacts and run.meta, returns exit code."""
     out = _out_dir(cfg)
     try:
+        if cfg.get("certify", "lambda_strip") is None:
+            cfg = cfg.replace("certify", "lambda_strip", repr(0.5 * cfg.build_profile().lam))
         meta, artifacts, code = _DISPATCH[cfg.experiment](cfg, out)
     except (ConfigError, ValueError) as exc:
         # ValueError = a module precondition the schema cannot see (bad

@@ -80,7 +80,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
         "fit_t_max": ("float", None, _positive),
     },
     "certify": {
-        "lambda_strip": ("float", 0.5, _positive),
+        "lambda_strip": ("float", None, _positive),  # unset: half the profile's width
         "kappa": ("float", 0.05, _positive),
         "k_max": ("int", 4, _positive),
         "eta_max": ("float", 4.0, _positive),

@@ -18,7 +18,8 @@ stays away from 1.  Two strip objects are kept deliberately distinct:
 Conflating the two changes results for profiles whose transform is not
 real and nonnegative.  Every Laplace-side integral, and the small-gain
 integral of `smallness_criterion`, runs on the nodes of one builder,
-`_gl_panels`: composite 20-node Gauss-Legendre on equal panels.
+`_gl_panels`: composite 20-node Gauss-Legendre on equal panels.  The strip
+scans and the functional share one product-grid transform, `_strip_transform`.
 """
 
 from __future__ import annotations
@@ -130,14 +131,13 @@ def _horizon(profile: VelocityProfile, k: int, re_max: float) -> float:
     return max(1.0, (b + np.sqrt(b * b + 4.0 * a * d)) / (2.0 * a))
 
 
-def _laplace_nodes(profile, interaction, k, zetas, *, modulus: bool):
-    """Composite GL nodes t resolving both the kernel scale and the oscillation,
-    and the weighted kernel base wt * K0(t, k) on them.
+def _laplace_nodes(profile, interaction, k, re_max: float, im_max: float, *, modulus: bool):
+    """Composite GL nodes t resolving both the kernel scale and the oscillation
+    up to Re zeta = re_max and |Im zeta| = im_max, and the weighted kernel base
+    wt * K0(t, k) on them.
 
     With ``modulus=True`` the kernel's ft factor is replaced by its modulus.
     """
-    re_max = float(np.max(zetas.real))
-    im_max = float(np.max(np.abs(zetas.imag)))
     t_max = _horizon(profile, k, re_max)
     # ~2 panels per oscillation wavelength keeps 20-node GL at machine accuracy
     h = min(0.5 / abs(k), 1.0, 4.0 / (TWO_PI * abs(k) * (im_max + 1e-12)))
@@ -148,18 +148,20 @@ def _laplace_nodes(profile, interaction, k, zetas, *, modulus: bool):
     return t, wt * (-4.0 * np.pi**2) * float(interaction.what(np.array(k))) * ftv * k**2 * t
 
 
-def _kernel_transform(profile, interaction, k, zetas, *, modulus: bool):
-    """int_0^inf exp(2 pi |k| zeta t) K0(t, k) dt for an array of zeta.
+def _strip_transform(profile, interaction, k, res, ims, *, modulus: bool) -> np.ndarray:
+    """int_0^inf exp(2 pi |k| (re + i im) t) K0(t, k) dt on the product grid res x ims.
 
-    With ``modulus=True`` the kernel's ft factor is replaced by its modulus.
-    Returns an array of the same shape as ``zetas``.
+    exp(c (re + i im) t) = exp(c re t) exp(i c im t), so the (len(res),
+    len(ims)) result is one matrix product on the nodes of (max re, max |im|),
+    with no complex exponential per grid point.  With ``modulus=True`` the
+    kernel's ft factor is replaced by its modulus.
     """
-    zetas = np.atleast_1d(np.asarray(zetas, dtype=complex))
-    t, base = _laplace_nodes(profile, interaction, k, zetas, modulus=modulus)
-    expo = TWO_PI * abs(k) * np.multiply.outer(zetas, t)
-    if np.max(expo.real) > 600.0:
+    t, base = _laplace_nodes(profile, interaction, k, float(np.max(res)), float(np.max(np.abs(ims))),
+                             modulus=modulus)
+    growth = TWO_PI * abs(k) * np.multiply.outer(res, t)
+    if np.max(growth) > 600.0:
         raise NumericError("Laplace exponent overflow; shrink the strip or t_max")
-    return np.exp(expo) @ base
+    return (np.exp(growth) * base) @ np.exp(1j * TWO_PI * abs(k) * np.multiply.outer(ims, t)).T
 
 
 def stability_functional(
@@ -179,7 +181,7 @@ def stability_functional(
     xi = complex(xi)
     if xi.real >= profile.lam:
         raise DivergenceError(f"Re(xi) = {xi.real:g} >= analyticity width {profile.lam:g}")
-    return complex(_kernel_transform(profile, interaction, k, np.conj(xi), modulus=True)[0])
+    return complex(_strip_transform(profile, interaction, k, [xi.real], [-xi.imag], modulus=True)[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +199,8 @@ _STRIP_IM_POINTS = 161
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Sampled evidence for the strip stability margin (not a proof)."""
+    """Sampled evidence for the strip stability margin (not a proof); each mode's
+    re_points x im_points grid shares the quadrature nodes of its largest Re and Im."""
 
     kappa_est: float
     lambda_strip: float
@@ -249,14 +252,12 @@ def scan_stability_margin(
         raise ValueError("k_max must be >= 1")
     res = np.linspace(0.0, lambda_strip, _STRIP_RE_POINTS, endpoint=False)
     ims = np.linspace(0.0, _STRIP_IM_MAX, _STRIP_IM_POINTS)
-    zetas = (res[:, None] + 1j * ims[None, :]).ravel()
 
     kappa_est = np.inf
     worst_k, worst_xi = 1, 0j
     edge_max = 0.0
     for k in range(1, k_max + 1):
-        vals = _kernel_transform(profile, interaction, k, zetas, modulus=True)
-        vals = vals.reshape(len(res), len(ims))
+        vals = _strip_transform(profile, interaction, k, res, ims, modulus=True)
         gaps = np.abs(vals - 1.0)
         i = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
         if gaps[i] < kappa_est:
@@ -440,7 +441,7 @@ def _root_newton(profile, interaction, k, seed: complex) -> complex:
     """Newton iteration for J(zeta) = 1, with J'(zeta) = 2 pi |k| * moment-1 integral."""
     zeta = complex(seed)
     for _ in range(60):
-        t, base = _laplace_nodes(profile, interaction, k, np.array([zeta]), modulus=False)
+        t, base = _laplace_nodes(profile, interaction, k, zeta.real, abs(zeta.imag), modulus=False)
         ex = np.exp(TWO_PI * abs(k) * zeta * t)
         j = complex(np.sum(ex * base))
         jp = complex(np.sum(ex * base * TWO_PI * abs(k) * t))
@@ -464,7 +465,9 @@ def root_scan(
     never falls below the collapse gap 0.05 the cap itself is returned (the mode decay
     is then limited only by the source).  A collapse bracketed by the grid is
     refined to the actual resolvent root; a root at nonpositive width means
-    there is no decay gap at all and `StabilityGapError` is raised.
+    there is no decay gap at all and `StabilityGapError` is raised.  All
+    widths share the quadrature nodes of the cap width, whose horizon covers
+    every narrower width; the refinement builds its own nodes per iterate.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
@@ -474,20 +477,14 @@ def root_scan(
     widths = np.linspace(0.0, width_cap, _ROOT_N_WIDTHS)
     ims = np.linspace(0.0, _ROOT_IM_MAX, _ROOT_IM_POINTS)
 
-    gaps = np.empty(len(widths))
-    best = (np.inf, 0j)
-    for i, w in enumerate(widths):
-        vals = _kernel_transform(profile, interaction, k, w + 1j * ims, modulus=False)
-        g = np.abs(vals - 1.0)
-        j = int(np.argmin(g))
-        gaps[i] = g[j]
-        if g[j] < best[0]:
-            best = (float(g[j]), complex(w, ims[j]))
+    g = np.abs(_strip_transform(profile, interaction, k, widths, ims, modulus=False) - 1.0)
+    gaps = np.min(g, axis=1)
+    i, j = np.unravel_index(int(np.argmin(g)), g.shape)
 
     root = None
     lambda_star = float(width_cap)
-    if best[0] < _ROOT_REFINE_TRIGGER:
-        root = _root_newton(profile, interaction, k, best[1])
+    if g[i, j] < _ROOT_REFINE_TRIGGER:
+        root = _root_newton(profile, interaction, k, complex(widths[i], ims[j]))
         if root.real <= 1e-12:
             raise StabilityGapError(
                 f"transform of K0 reaches 1 at Re zeta = {root.real:.3g} <= 0: no decay gap (k={k})"

@@ -225,6 +225,36 @@ def test_certify_pass_and_fail(tmp_path):
     assert "certification_failed" in (out2 / "run.meta").read_text()
 
 
+CERTIFY_SCREENED_DEFAULT_STRIP = """\
+[experiment]
+name = certify
+
+[profile]
+{profile}
+
+[interaction]
+kind = screened
+strength = 4
+screening = 0.5
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("profile, strip", [
+    ("name = maxwellian", "0.5"),
+    # bump_on_tail's width is sqrt(0.25) = 0.5: a fixed 0.5 default sat on it and every run exited 2
+    ("name = bump_on_tail\nparams = 0.1, 3.0, 0.25", "0.25"),
+], ids=["maxwellian", "bump_on_tail"])
+def test_unset_lambda_strip_is_half_the_profile_width(tmp_path, profile, strip):
+    out = tmp_path / "o"
+    text = CERTIFY_SCREENED_DEFAULT_STRIP.format(profile=profile, out=out)
+    assert main(["certify", str(write_cfg(tmp_path, text))]) in (0, 4)
+    assert f"config.certify.lambda_strip = {strip}\n" in (out / "run.meta").read_text()
+    assert f"lambda_strip = {strip}\n" in (out / "stability_report.txt").read_text()
+
+
 def test_certify_subcommand_overrides_experiment(tmp_path):
     # the strong benchmark coupling parks its resolvent root near 0.31, so
     # only a narrower strip certifies; larger k_max tightens the mode tail
@@ -342,10 +372,10 @@ times = 2,0,0.5,1
 """ + SMALL_GRID.format(strength=157.91367041742973)
 
 
-def _run_cli_process(config: Path, root: Path) -> dict[str, bytes]:
+def _run_cli_process(config: Path, root: Path, **env_extra: str) -> dict[str, bytes]:
     """`landau-lab run` in a fresh interpreter; returns the output files by name."""
     src = str(Path(landau_lab.__file__).resolve().parents[1])
-    env = dict(os.environ, LANDAU_LAB_OUTPUT_ROOT=str(root),
+    env = dict(os.environ, LANDAU_LAB_OUTPUT_ROOT=str(root), **env_extra,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "landau_lab.cli", "run", str(config)],
                           env=env, capture_output=True, text=True)
@@ -369,6 +399,16 @@ def test_phase_space_experiment_succeeds_and_is_byte_identical_across_processes(
     assert f"artifacts = {artifacts}\n" in meta
     assert sorted(first) == sorted(artifacts.split(",") + ["run.meta"])
     assert first == second
+
+
+@pytest.mark.parametrize("text", [LINEAR_FAST.format(out="out"), CERTIFY_COULOMB.format(out="out")],
+                         ids=["linear_damping", "certify"])
+def test_strip_scans_are_byte_identical_across_blas_thread_counts(tmp_path, text):
+    # the strip transform is a BLAS matrix product; its artifacts must not depend on the thread count
+    config = write_cfg(tmp_path, text)
+    one = _run_cli_process(config, tmp_path / "a", OPENBLAS_NUM_THREADS="1")
+    two = _run_cli_process(config, tmp_path / "b", OPENBLAS_NUM_THREADS="2")
+    assert one == two
 
 
 def test_failed_rate_fit_is_reported_in_meta(tmp_path):

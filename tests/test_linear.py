@@ -1,14 +1,20 @@
 """Memory kernel, Volterra marching, stability scans, rate extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from landau_lab import linear
 from landau_lab.errors import DivergenceError, NumericError, StabilityGapError
 from landau_lab.linear import (
     ModeHistory,
+    _laplace_nodes,
+    _root_newton,
+    _strip_transform,
     fit_decay_rate,
     linearized_ftilde,
     memory_kernel,
@@ -30,6 +36,58 @@ FOUR_PI2 = 4.0 * np.pi**2
 MAX = maxwellian()
 COULOMB = builtin_interaction("coulomb", 1.0)
 STRONG = builtin_interaction("coulomb", 16.0 * np.pi**2)  # classic weak-damping benchmark
+# Newton strength at which the k = 1 strip functional reaches 1 - 0.05 at the outermost
+# sampled point of the 0.5 strip, by adaptive quadrature; the certify sweep brackets it
+NEWTON_THRESHOLD = 20.7494514853421
+
+
+def per_point_kernel_transform(profile, interaction, k, zetas, *, modulus):
+    """int_0^inf exp(2 pi |k| zeta t) K0(t, k) dt with one complex exponential per (zeta, node).
+
+    Same nodes as `_strip_transform` (those of max Re and max |Im|), summed
+    point by point: the reference for its product-grid factorisation, which
+    must agree to roundoff.
+    """
+    zetas = np.asarray(zetas, dtype=complex)
+    t, base = _laplace_nodes(profile, interaction, k, float(np.max(zetas.real)), float(np.max(np.abs(zetas.imag))),
+                             modulus=modulus)
+    return np.exp(2.0 * np.pi * abs(k) * np.multiply.outer(zetas, t)) @ base
+
+
+def per_width_root_scan(profile, interaction, k):
+    """`root_scan`'s grid search with one transform per width on that width's own nodes.
+
+    Returns the Newton seed (None when refinement does not start), the root
+    and lambda_star: the reference for the one-call scan on the cap width's nodes.
+    """
+    widths = np.linspace(0.0, profile.lam, linear._ROOT_N_WIDTHS)
+    ims = np.linspace(0.0, linear._ROOT_IM_MAX, linear._ROOT_IM_POINTS)
+    gaps, best = [], (np.inf, 0j)
+    for w in widths:
+        g = np.abs(per_point_kernel_transform(profile, interaction, k, w + 1j * ims, modulus=False) - 1.0)
+        j = int(np.argmin(g))
+        gaps.append(g[j])
+        if g[j] < best[0]:
+            best = (g[j], complex(w, ims[j]))
+    if best[0] < linear._ROOT_REFINE_TRIGGER:
+        root = _root_newton(profile, interaction, k, best[1])
+        return best[1], root, float(min(root.real, profile.lam))
+    collapsed = np.array(gaps) < linear._ROOT_GAP
+    return None, None, float(widths[int(np.argmax(collapsed))] if np.any(collapsed) else profile.lam)
+
+
+def per_point_margin_scan(profile, interaction, lambda_strip, k_max=4):
+    """(kappa_est, worst_k, worst_xi) of `scan_stability_margin`, one transform per strip point."""
+    res = np.linspace(0.0, lambda_strip, linear._STRIP_RE_POINTS, endpoint=False)
+    ims = np.linspace(0.0, linear._STRIP_IM_MAX, linear._STRIP_IM_POINTS)
+    best = (np.inf, 1, 0j)
+    for k in range(1, k_max + 1):
+        vals = per_point_kernel_transform(profile, interaction, k, res[:, None] + 1j * ims[None, :], modulus=True)
+        gaps = np.abs(vals - 1.0)
+        i = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+        if gaps[i] < best[0]:
+            best = (float(gaps[i]), k, complex(res[i[0]], ims[i[1]]))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -82,6 +140,38 @@ def test_majorant_functional_differs_from_true_transform_when_not_even():
 
     true_transform = quad(integrand, 0, 12, complex_func=True, limit=400)[0]
     assert abs(majorant - true_transform) > 0.1 * abs(majorant)
+
+
+# ---------------------------------------------------------------------------
+# product-grid strip transform
+
+
+@pytest.mark.parametrize("modulus", [True, False])
+@pytest.mark.parametrize("profile", [MAX, bump_on_tail(weight=0.2, drift=2.0)], ids=["maxwellian", "drifting_bump"])
+def test_strip_transform_matches_per_point_sum(profile, modulus):
+    res = np.linspace(0.0, 0.45, 6)
+    ims = np.linspace(-6.0, 6.0, 49)  # negative Im values included
+    for k in (1, 3):
+        got = _strip_transform(profile, STRONG, k, res, ims, modulus=modulus)
+        ref = per_point_kernel_transform(profile, STRONG, k, res[:, None] + 1j * ims[None, :], modulus=modulus)
+        assert got.shape == (len(res), len(ims))
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+
+def test_strip_transform_zero_interaction_is_exactly_zero():
+    for modulus in (True, False):
+        vals = _strip_transform(MAX, zero_interaction(), 1, [0.0, 0.3], [-2.0, 0.0, 5.0], modulus=modulus)
+        assert np.all(vals == 0.0)
+
+
+def test_laplace_exponent_overflow_is_a_numeric_error():
+    # a stored width of 30-40 puts 2 pi |k| Re(zeta) t far past exp(600) at the horizon
+    with pytest.raises(NumericError, match="Laplace exponent overflow"):
+        root_scan(replace(maxwellian(), lam=30.0), COULOMB, 1)
+    with pytest.raises(NumericError, match="Laplace exponent overflow"):
+        scan_stability_margin(replace(maxwellian(), lam=40.0), COULOMB, 30.0, 0.05)
+    with pytest.raises(NumericError, match="Laplace exponent overflow"):
+        stability_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 30.0 + 1.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +234,15 @@ def test_margin_super_jeans_fails():
     rep = scan_stability_margin(MAX, builtin_interaction("newton", 40.0), 0.5, 0.05, k_max=2)
     assert not rep.passed
     assert rep.kappa_est < 0.05
+
+
+@pytest.mark.parametrize("factor", [0.8, 0.9, 0.98, 1.02, 1.1, 1.2])
+def test_margin_scan_matches_per_point_reference(factor):
+    newton = builtin_interaction("newton", factor * NEWTON_THRESHOLD)
+    rep = scan_stability_margin(MAX, newton, 0.5, 0.05)
+    kappa, worst_k, worst_xi = per_point_margin_scan(MAX, newton, 0.5)
+    assert (rep.worst_k, rep.worst_xi) == (worst_k, worst_xi)
+    assert rep.kappa_est == pytest.approx(kappa, rel=0, abs=1e-13)
 
 
 def test_margin_validates_strip():
@@ -298,6 +397,25 @@ def test_root_scan_root_satisfies_transform_equation():
         val = quad(integrand, 0, 8, complex_func=True, limit=400)[0]
         assert val == pytest.approx(1.0 + 0.0j, abs=1e-8)
         assert res.rate == pytest.approx(2 * np.pi * k * res.root.real, rel=1e-12)
+
+
+@pytest.mark.parametrize("profile, interaction, k", [
+    (MAX, COULOMB, 1), (MAX, COULOMB, 2), (MAX, STRONG, 1), (MAX, STRONG, 2), (MAX, STRONG, 3),
+    (bump_on_tail(weight=0.2, drift=2.0), STRONG, 1),
+], ids=["coulomb-1", "coulomb-2", "strong-1", "strong-2", "strong-3", "bump-strong-1"])
+def test_root_scan_matches_per_width_reference(monkeypatch, profile, interaction, k):
+    seed, root, lambda_star = per_width_root_scan(profile, interaction, k)
+    seeds = []
+
+    def recording_newton(profile, interaction, k, seed):
+        seeds.append(seed)
+        return _root_newton(profile, interaction, k, seed)
+
+    monkeypatch.setattr(linear, "_root_newton", recording_newton)
+    res = root_scan(profile, interaction, k)
+    assert seeds == ([] if seed is None else [seed])
+    assert res.root == root
+    assert res.lambda_star == lambda_star
 
 
 def test_root_scan_super_jeans_raises():
