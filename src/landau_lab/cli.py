@@ -28,7 +28,7 @@ from .errors import ConfigError, LandauLabError
 from .linear import (fit_decay_rate, monotone_criterion, root_scan, scan_stability_margin, smallness_criterion,
                      solve_volterra, write_csv, write_modes_csv)
 from .models import verify_analyticity, verify_decay
-from .norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
+from .norms import AnalyticNormSpec, GlidingNormSpec, _analytic, _ftilde, _gliding, spatial_norm
 from .echoes import run_echo_experiment
 from .sim import PhaseSpaceField, Stepper, init_state, recurrence_time, run
 from .svgplot import Series, render_plot
@@ -89,7 +89,6 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
     amp = cfg.get("linear", "amplitude")
     window = _fit_window(cfg)
     meta: dict = {}
-    artifacts: list[str] = []
     all_series: list[Series] = []
     rows: list[tuple] = []
     for k in cfg.get("linear", "k_list"):
@@ -103,11 +102,9 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
         all_series.extend(_decay_series(hist, fit))
         rows += [(t, k, v) for t, v in zip(hist.times, hist.values)]
     write_modes_csv(out / "modes.csv", rows)
-    artifacts.append("modes.csv")
     (out / "decay.svg").write_text(render_plot(
         all_series, title="mode decay and fitted rates", xlabel="t", ylabel="|rho|"))
-    artifacts.append("decay.svg")
-    return meta, artifacts, EXIT_OK
+    return meta, ["modes.csv", "decay.svg"], EXIT_OK
 
 
 def _experiment_nonlinear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], int]:
@@ -223,12 +220,13 @@ def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
     params = [f"{sec['lam']:.17g}", f"{sec['mu']:.17g}", f"{sec['gamma']:.17g}"]
     spec = GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=p,
                            tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
-    g = gliding_norm(state, spec)
+    ft = _ftilde(state)
+    g = _gliding(state, ft, spec)
     raw = state.rho_hat(sec["k_max"])
     floor = _SPATIAL_COEFF_FLOOR * float(np.max(np.abs(raw)))
     coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
     s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
-    a = analytic_norm(state, AnalyticNormSpec(lam=max(sec["lam"], _ANALYTIC_INDEX_FLOOR),
+    a = _analytic(state, ft, AnalyticNormSpec(lam=max(sec["lam"], _ANALYTIC_INDEX_FLOOR),
                                               mu=max(sec["mu"], _ANALYTIC_INDEX_FLOOR), beta=_ANALYTIC_BETA))
     return [
         head + ["gliding", *params, sec["p"], f"{tau:.17g}", f"{g.value:.17g}", f"{g.remainder:.17g}"],
@@ -355,15 +353,11 @@ def main(argv: list[str] | None = None) -> int:
             section, name = _resolve_param_key(key)
             load_config(args.config)  # fail fast on template errors
             tasks = [(args.config, section, name, v, f"{name}={v}") for v in values]
-            codes = {}
             if args.jobs > 1 and len(tasks) > 1:
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                    for sub_dir, code in pool.map(_sweep_worker, tasks):
-                        codes[sub_dir] = code
+                    codes = dict(pool.map(_sweep_worker, tasks))
             else:
-                for t in tasks:
-                    sub_dir, code = _sweep_worker(t)
-                    codes[sub_dir] = code
+                codes = dict(map(_sweep_worker, tasks))
             for sub_dir in sorted(codes):
                 print(f"{sub_dir}: exit {codes[sub_dir]}")
             return max(codes.values())

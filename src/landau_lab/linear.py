@@ -200,15 +200,12 @@ _STRIP_IM_POINTS = 161
 @dataclass(frozen=True)
 class StabilityReport:
     """Sampled evidence for the strip stability margin (not a proof); each mode's
-    re_points x im_points grid shares the quadrature nodes of its largest Re and Im."""
+    `_STRIP_*` grid shares the quadrature nodes of its largest Re and Im."""
 
     kappa_est: float
     lambda_strip: float
     kappa_requested: float
     k_max: int
-    re_points: int
-    im_max: float
-    im_points: int
     worst_k: int
     worst_xi: complex
     tail_bound: float
@@ -222,9 +219,9 @@ class StabilityReport:
             f"kappa_requested = {self.kappa_requested:.12g}",
             f"lambda_strip = {self.lambda_strip:.12g}",
             f"k_max = {self.k_max}",
-            f"grid_re_points = {self.re_points}",
-            f"grid_im_max = {self.im_max:.12g}",
-            f"grid_im_points = {self.im_points}",
+            f"grid_re_points = {_STRIP_RE_POINTS}",
+            f"grid_im_max = {_STRIP_IM_MAX:.12g}",
+            f"grid_im_points = {_STRIP_IM_POINTS}",
             f"worst_k = {self.worst_k}",
             f"worst_xi = {self.worst_xi.real:.12g}{self.worst_xi.imag:+.12g}j",
             f"tail_bound_beyond_k_max = {self.tail_bound:.12g}",
@@ -278,9 +275,6 @@ def scan_stability_margin(
         lambda_strip=float(lambda_strip),
         kappa_requested=float(kappa),
         k_max=k_max,
-        re_points=_STRIP_RE_POINTS,
-        im_max=_STRIP_IM_MAX,
-        im_points=_STRIP_IM_POINTS,
         worst_k=worst_k,
         worst_xi=worst_xi,
         tail_bound=float(tail_bound),
@@ -334,20 +328,17 @@ def solve_volterra(
     """March rho(t) = source(t) + int_0^t K0(t - tau) rho(tau) dtau forward in time.
 
     Trapezoidal product integration on a uniform grid; second order in dt
-    (verified by dt-halving).  ``source`` is evaluated on the grid and is
-    typically t -> h_i_tilde(k, k t).
+    (verified by dt-halving).  ``source`` maps the time-grid array to values
+    of its shape (else `ValueError`), typically t -> h_i_tilde(k, k t).
     """
     if dt <= 0 or t_end < dt:
         raise ValueError("need dt > 0 and t_end >= dt")
     n = int(round(t_end / dt))
     times = np.arange(n + 1) * dt
     kern = np.asarray(memory_kernel(profile, interaction, k, times), dtype=complex)
-    try:
-        src = np.asarray(source(times), dtype=complex)
-        if src.shape != times.shape:
-            raise TypeError
-    except TypeError:
-        src = np.array([source(float(t)) for t in times], dtype=complex)
+    src = np.asarray(source(times), dtype=complex)
+    if src.shape != times.shape:
+        raise ValueError(f"source returned shape {src.shape}, expected the time grid's {times.shape}")
 
     rho = np.empty(n + 1, dtype=complex)
     rho[0] = src[0]
@@ -409,14 +400,12 @@ def fit_decay_rate(history: ModeHistory, window: tuple[float, float]) -> DecayFi
 # resolvent-root scan
 
 
-# Strip scan of the true transform of K0: _ROOT_GAP is the minimum distance
-# from 1 below which a width counts as collapsed; _ROOT_REFINE_TRIGGER is the
-# looser threshold at which a complex Newton refinement starts from the best
-# grid point.
+# Strip scan of the true transform of K0: _ROOT_REFINE_TRIGGER is the
+# distance from 1 below which a complex Newton refinement starts from the
+# best grid point.
 _ROOT_N_WIDTHS = 25
 _ROOT_IM_MAX = 6.0
 _ROOT_IM_POINTS = 241
-_ROOT_GAP = 0.05
 _ROOT_REFINE_TRIGGER = 0.5
 
 
@@ -462,12 +451,13 @@ def root_scan(
     """Scan strip widths for the first collapse of |J - 1|, J the transform of K0.
 
     Widths are sampled up to the profile's analyticity width; if the gap
-    never falls below the collapse gap 0.05 the cap itself is returned (the mode decay
-    is then limited only by the source).  A collapse bracketed by the grid is
-    refined to the actual resolvent root; a root at nonpositive width means
-    there is no decay gap at all and `StabilityGapError` is raised.  All
-    widths share the quadrature nodes of the cap width, whose horizon covers
-    every narrower width; the refinement builds its own nodes per iterate.
+    stays at or above 0.5 on the whole grid the cap itself is returned (the
+    mode decay is then limited only by the source).  Otherwise the best grid
+    point is refined to the actual resolvent root; a root at nonpositive
+    width means there is no decay gap at all and `StabilityGapError` is
+    raised.  All widths share the quadrature nodes of the cap width, whose
+    horizon covers every narrower width; the refinement builds its own nodes
+    per iterate.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
@@ -478,7 +468,6 @@ def root_scan(
     ims = np.linspace(0.0, _ROOT_IM_MAX, _ROOT_IM_POINTS)
 
     g = np.abs(_strip_transform(profile, interaction, k, widths, ims, modulus=False) - 1.0)
-    gaps = np.min(g, axis=1)
     i, j = np.unravel_index(int(np.argmin(g)), g.shape)
 
     root = None
@@ -490,9 +479,6 @@ def root_scan(
                 f"transform of K0 reaches 1 at Re zeta = {root.real:.3g} <= 0: no decay gap (k={k})"
             )
         lambda_star = float(min(root.real, width_cap))
-    elif np.any(gaps < _ROOT_GAP):
-        # grid says collapsed but refinement never triggered; be conservative
-        lambda_star = float(widths[int(np.argmax(gaps < _ROOT_GAP))])
     return RootScanResult(
         k=k,
         lambda_star=lambda_star,

@@ -11,6 +11,8 @@ Three families:
 * `analytic_norm`: sup of the weighted double transform plus an
   exponentially weighted L1 integral.
 
+The gliding and analytic cores read one double transform, built by `_ftilde`.
+
 Norm evaluations are diagnostics: the simulator never conditions behavior
 on them, so truncation choices cannot contaminate physics runs.  Every
 gliding evaluation returns a truncation remainder estimate.
@@ -56,7 +58,6 @@ class GlidingNormSpec:
     tau: float = 0.0
     n_max: int = 24
     k_max: int = 8
-    spectral_floor: float = 1e-14
 
     def __post_init__(self):
         if self.lam < 0 or self.mu < 0:
@@ -65,8 +66,10 @@ class GlidingNormSpec:
             raise ValueError("need n_max >= 0 and k_max >= 1")
         if self.p not in (1, 2, np.inf, float("inf")):
             raise ValueError(f"p must be 1, 2 or inf, got {self.p}")
-        if not 0.0 <= self.spectral_floor < 1.0:
-            raise ValueError("spectral_floor must lie in [0, 1)")
+
+
+# relative clip floor of the gliding spectrum, at the FFT roundoff (no caller varies it)
+_GLIDING_FLOOR = 1e-14
 
 
 @dataclass(frozen=True)
@@ -99,16 +102,21 @@ def _tail_estimate(terms: np.ndarray) -> float:
     return float(last * r / (1.0 - r))
 
 
+def _ftilde(field: PhaseSpaceField) -> np.ndarray:
+    """Double transform f~(k, eta) / dv for k = 0 .. nx/2 on the grid's eta comb."""
+    return np.fft.fft(np.fft.rfft(field.data, axis=0) / field.nx, axis=1)
+
+
 def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     """Truncated hybrid norm of a phase-space field.
 
     Derivatives act in the velocity spectrum, where (d/dv + 2 i pi tau k)
     is exact multiplication by 2 i pi (eta + tau k); the truncation is the
-    only source of error.  Spectrum entries below ``spectral_floor`` times
-    the field's largest spectral amplitude are zeroed first: repeated
-    derivatives amplify the roundoff floor by (2 pi lam eta_max)^n / n!,
-    and for fields with analytic velocity profiles the true tail sits far
-    below any such floor.
+    only source of error.  Spectrum entries below 1e-14 times the largest
+    amplitude of modes 0 .. k_max are zeroed first: repeated derivatives
+    amplify the roundoff floor by (2 pi lam eta_max)^n / n!, and for fields
+    with analytic velocity profiles the true tail sits far below any such
+    floor.
 
     Each populated mode k builds its derivative ladder, spectrum * mult^n
     for n = 0 .. n_max, by repeated multiplication in one buffer reused
@@ -119,14 +127,18 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     analyticity width) and `ValueError` when the n_max-th derivative of a
     populated mode is not resolved by the grid.
     """
+    return _gliding(field, _ftilde(field), spec)
+
+
+def _gliding(field: PhaseSpaceField, ft: np.ndarray, spec: GlidingNormSpec) -> NormValue:
+    """`gliding_norm` of ``field`` from its double transform ``ft = _ftilde(field)``."""
     if spec.k_max > field.nx // 2:
         raise ValueError(f"k_max = {spec.k_max} beyond the spatial Nyquist mode {field.nx // 2}")
     dv = field.dv
-    rows = np.fft.rfft(field.data, axis=0) / field.nx
     eta = np.fft.fftfreq(field.nv, d=dv)
     edge = np.abs(eta) >= 0.9 * np.max(np.abs(eta))
-    spectra = np.fft.fft(rows[: spec.k_max + 1], axis=1)
-    clip = spec.spectral_floor * float(np.max(np.abs(spectra))) if spectra.size else 0.0
+    spectra = ft[: spec.k_max + 1]
+    clip = _GLIDING_FLOOR * float(np.max(np.abs(spectra)))
     spectra = np.where(np.abs(spectra) < clip, 0.0, spectra)
     if spec.lam > 0:
         log_fact = np.cumsum(np.log(np.arange(1, spec.n_max + 1)))
@@ -163,8 +175,7 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
             raise DivergenceError(
                 f"gliding-norm terms grow with n (last: {tail3.tolist()}); lam too large for this field"
             )
-    remainder = _tail_estimate(terms)
-    return NormValue(value=float(np.sum(terms)), remainder=remainder)
+    return NormValue(value=float(np.sum(terms)), remainder=_tail_estimate(terms))
 
 
 def spatial_norm(coeffs: Mapping[int, complex], weight: float, gamma: float = 0.0) -> float:
@@ -217,13 +228,17 @@ def analytic_norm(field: PhaseSpaceField, spec: AnalyticNormSpec) -> float:
     space; an exponent beyond the double-precision range triggers the
     overflow guard instead of returning inf.
     """
+    return _analytic(field, _ftilde(field), spec)
+
+
+def _analytic(field: PhaseSpaceField, ft: np.ndarray, spec: AnalyticNormSpec) -> float:
+    """`analytic_norm` of ``field`` from its double transform ``ft = _ftilde(field)``."""
     if 2.0 * np.pi * spec.beta * field.vmax > 700.0:
         raise NumericError("beta * vmax exceeds the exponent budget for the integral term")
-    rows = np.fft.rfft(field.data, axis=0) / field.nx
     eta = np.fft.fftfreq(field.nv, d=field.dv)
-    ft_abs = np.abs(np.fft.fft(rows, axis=1)) * field.dv
+    ft_abs = np.abs(ft) * field.dv
     ft_abs = np.where(ft_abs < spec.spectral_floor * float(np.max(ft_abs)), 0.0, ft_abs)
-    k = np.arange(rows.shape[0])
+    k = np.arange(ft.shape[0])
     with np.errstate(divide="ignore"):
         log_sup = (
             np.log(ft_abs)

@@ -343,6 +343,12 @@ def _check_ftilde_range(nx: int, nv: int, vmax: float, ks: Sequence[int], etas: 
         raise ValueError(f"|k| exceeds the grid's spatial Nyquist mode {nx // 2}")
 
 
+def _direct_ftilde(phases: np.ndarray, row: np.ndarray, k: int, nx: int, dv: float) -> np.ndarray | complex:
+    """f~(k, eta): ``phases`` = exp(-2 i pi eta v) summed against rfft row |k| of f, conjugated for k < 0."""
+    row = row / nx
+    return phases @ (np.conj(row) if k < 0 else row) * dv
+
+
 def ftilde_sample(state: PhaseSpaceField, k: int, eta_list: Sequence[float]) -> np.ndarray:
     """Double-transform values f~(k, eta) for the requested eta list.
 
@@ -352,11 +358,8 @@ def ftilde_sample(state: PhaseSpaceField, k: int, eta_list: Sequence[float]) -> 
     """
     eta = np.asarray(eta_list, dtype=float)
     _check_ftilde_range(state.nx, state.nv, state.vmax, [k], eta)
-    row = np.fft.rfft(state.data, axis=0)[abs(k)] / state.nx
-    if k < 0:
-        row = np.conj(row)
     phases = np.exp(-2j * np.pi * np.outer(eta, state.v))
-    return phases @ row * state.dv
+    return _direct_ftilde(phases, np.fft.rfft(state.data, axis=0)[abs(k)], k, state.nx, state.dv)
 
 
 @dataclass
@@ -485,6 +488,7 @@ def run(
     deriv[-1] = 0.0
     gradv_weight = np.sqrt(v_weight) * deriv
     gv = np.empty((nx, nv // 2 + 1), dtype=complex)
+    gv_re_im = gv.view(float)
     half_v2 = 0.5 * v**2
     dv = state.dv
     ft_phases = np.exp(-2j * np.pi * np.outer(ft_etas, v))
@@ -497,14 +501,14 @@ def run(
         np.mean(f, axis=0, out=marginals[i])
         ekin[i] = float(marginals[i] @ half_v2) * dv
         epot[i] = 0.5 * float(np.sum(spec_weight * what_tab * np.abs(rho_k_full) ** 2))
-        l2[i] = np.sqrt(float(np.vdot(f, f)) * dv / nx)
+        # einsum, not the threaded BLAS dot: the sums must not depend on the thread count
+        l2[i] = np.sqrt(float(np.einsum("ij,ij->", f, f)) * dv / nx)
         np.fft.rfft(f, axis=1, out=gv)
         np.multiply(gv, gradv_weight, out=gv)
-        gradv[i] = np.sqrt(np.vdot(gv, gv).real * dv / (nx * nv**2))
+        gradv[i] = np.sqrt(float(np.einsum("ij,ij->", gv_re_im, gv_re_im)) * dv / (nx * nv**2))
         rho_modes[i] = rho_k_full[: k_obs + 1]
         for j, (k, _) in enumerate(ft_points):
-            row = fk[abs(k)] / nx
-            ftv[i, j] = ft_phases[j] @ (np.conj(row) if k < 0 else row) * dv
+            ftv[i, j] = _direct_ftilde(ft_phases[j], fk[abs(k)], k, nx, dv)
 
     stops = range(0, n_steps + 1, observe_stride)
     for i, (n, f, fk) in enumerate(stepper.evolve(state.data, stops, impulses)):

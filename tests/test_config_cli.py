@@ -6,12 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import landau_lab
-from landau_lab.cli import _norm_rows, main, run_experiment
+from landau_lab.cli import _ANALYTIC_BETA, _norm_rows, main, run_experiment
 from landau_lab.config import load_config, loads_config
 from landau_lab.errors import ConfigError
+from landau_lab.norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm
 from landau_lab.sim import init_state, strang_step
 
 MINIMAL = """\
@@ -411,6 +413,16 @@ def test_strip_scans_are_byte_identical_across_blas_thread_counts(tmp_path, text
     assert one == two
 
 
+@pytest.mark.parametrize("text", [NONLINEAR_SMALL, ECHO_SMALL, NORMS_SMALL], ids=["nonlinear_damping", "echo", "norms"])
+def test_phase_space_artifacts_are_byte_identical_across_blas_thread_counts(tmp_path, text):
+    # at 32 x 1024 the whole-field sums of the observables are long enough for
+    # a BLAS dot product to split over two threads; they must not depend on it
+    config = write_cfg(tmp_path, text.replace("nx = 16", "nx = 32").replace("nv = 256", "nv = 1024"))
+    one = _run_cli_process(config, tmp_path / "a", OPENBLAS_NUM_THREADS="1")
+    two = _run_cli_process(config, tmp_path / "b", OPENBLAS_NUM_THREADS="2")
+    assert one == two
+
+
 def test_failed_rate_fit_is_reported_in_meta(tmp_path):
     # a 0.1-wide window holds two samples at observe stride 1/16: too few to fit
     text = NONLINEAR_SMALL.replace("t_end = 4", "t_end = 2").replace("fit_t_max = 3", "fit_t_max = 0.6")
@@ -439,3 +451,36 @@ def test_norms_rows_match_per_snapshot_strang_steps(tmp_path):
         value, remainder = float(ref[7]), float(ref[8])
         assert float(row[7]) == pytest.approx(value, rel=1e-12)
         assert abs(float(row[8]) - remainder) <= 1e-12 * abs(value)
+
+
+def _norms_snapshot():
+    """The NORMS_SMALL field at t = 1 and its [norms] section."""
+    cfg = loads_config(NORMS_SMALL)
+    cur = init_state(cfg.build_profile(), cfg.build_perturbation(),
+                     cfg.get("grid", "nx"), cfg.get("grid", "nv"), cfg.get("grid", "vmax"))
+    while cur.time < 1.0 - 1e-12:
+        cur = strang_step(cur, cfg.build_interaction(), cfg.get("time", "dt"))
+    return cur, cfg.values["norms"]
+
+
+def test_norm_rows_take_one_x_transform_per_snapshot(monkeypatch):
+    state, sec = _norms_snapshot()
+    rfft, shapes = np.fft.rfft, []
+
+    def counting_rfft(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    _norm_rows(state, sec)
+    assert [s for s in shapes if len(s) == 2] == [state.data.shape]
+
+
+def test_norm_rows_equal_the_public_norms_bit_for_bit():
+    state, sec = _norms_snapshot()
+    gliding, _, analytic = _norm_rows(state, sec)
+    g = gliding_norm(state, GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=1,
+                                            tau=state.time, n_max=sec["n_max"], k_max=sec["k_max"]))
+    a = analytic_norm(state, AnalyticNormSpec(lam=sec["lam"], mu=sec["mu"], beta=_ANALYTIC_BETA))
+    assert (float(gliding[7]), float(gliding[8])) == (g.value, g.remainder)
+    assert float(analytic[7]) == a

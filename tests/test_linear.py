@@ -62,18 +62,16 @@ def per_width_root_scan(profile, interaction, k):
     """
     widths = np.linspace(0.0, profile.lam, linear._ROOT_N_WIDTHS)
     ims = np.linspace(0.0, linear._ROOT_IM_MAX, linear._ROOT_IM_POINTS)
-    gaps, best = [], (np.inf, 0j)
+    best = (np.inf, 0j)
     for w in widths:
         g = np.abs(per_point_kernel_transform(profile, interaction, k, w + 1j * ims, modulus=False) - 1.0)
         j = int(np.argmin(g))
-        gaps.append(g[j])
         if g[j] < best[0]:
             best = (g[j], complex(w, ims[j]))
     if best[0] < linear._ROOT_REFINE_TRIGGER:
         root = _root_newton(profile, interaction, k, best[1])
         return best[1], root, float(min(root.real, profile.lam))
-    collapsed = np.array(gaps) < linear._ROOT_GAP
-    return None, None, float(widths[int(np.argmax(collapsed))] if np.any(collapsed) else profile.lam)
+    return None, None, float(profile.lam)
 
 
 def per_point_margin_scan(profile, interaction, lambda_strip, k_max=4):
@@ -316,6 +314,11 @@ def test_volterra_is_linear_in_the_source(a, b):
     h2 = solve_volterra(MAX, STRONG, s2, 1, 2.0, 1 / 16)
     h12 = solve_volterra(MAX, STRONG, lambda t: a * s1(t) + b * s2(t), 1, 2.0, 1 / 16)
     np.testing.assert_allclose(h12.values, a * h1.values + b * h2.values, rtol=1e-12, atol=1e-13)
+
+
+def test_volterra_source_must_return_the_time_grid_shape():
+    with pytest.raises(ValueError, match="time grid"):
+        solve_volterra(MAX, STRONG, lambda t: 1.0, 1, 1.0, 1 / 16)
 
 
 def test_mode_history_validation():

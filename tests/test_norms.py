@@ -13,6 +13,7 @@ from landau_lab.norms import (
     AnalyticNormSpec,
     GlidingNormSpec,
     NormValue,
+    _GLIDING_FLOOR,
     _tail_estimate,
     analytic_norm,
     coincidence_check,
@@ -60,7 +61,7 @@ def per_term_gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> Norm
     rows = np.fft.rfft(field.data, axis=0) / field.nx
     eta = np.fft.fftfreq(field.nv, d=dv)
     spectra = np.fft.fft(rows[: spec.k_max + 1], axis=1)
-    clip = spec.spectral_floor * float(np.max(np.abs(spectra)))
+    clip = _GLIDING_FLOOR * float(np.max(np.abs(spectra)))
     spectra = np.where(np.abs(spectra) < clip, 0.0, spectra)
     terms = np.zeros(spec.n_max + 1)
     for k in range(-spec.k_max, spec.k_max + 1):
