@@ -184,15 +184,13 @@ def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str],
     )
     write_csv(out / "echoes.csv", ["k", "ell", "tau_kick", "t_predicted", "t_detected", "amplitude", "rel_error"],
               rep.to_csv_rows())
-    hist = rep.log.mode_history(abs(rep.k_response))
     vlines = [(rep.prediction.t_echo, "predicted")] + [(p.time, "detected") for p in rep.peaks]
     (out / "echo_timeline.svg").write_text(render_plot(
-        [Series(label=f"|rho| k={abs(rep.k_response)}", x=hist.times, y=np.abs(hist.values))],
+        [Series(label=f"|rho| k={rep.log.k}", x=rep.log.times, y=np.abs(rep.log.values))],
         title="echo timeline", xlabel="t", ylabel="|rho|", vlines=vlines))
     meta = {
         "echo_predicted_t": f"{rep.prediction.t_echo:.12g}",
         "echo_detected": str(rep.match is not None).lower(),
-        "recurrence_time": f"{rep.log.recurrence[1]:.12g}",
     }
     if rep.match is not None:
         meta["echo_detected_t"] = f"{rep.match.time:.12g}"
@@ -245,10 +243,10 @@ def _experiment_norms(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str]
             raise ConfigError(f"[norms] times entry {t:g} is not a nonnegative multiple of dt = {dt:g}")
     # one trajectory; each snapshot is evaluated as it is reached, none is kept
     start = init_state(profile, cfg.build_perturbation(), **grid)
-    snapshots = Stepper(**grid, dt=dt, interaction=interaction).evolve(start.data, [int(round(t / dt)) for t in times])
+    stepper = Stepper(**grid, dt=dt, interaction=interaction)
     rows = []
-    for t, (_, data, _) in zip(times, snapshots):
-        rows += _norm_rows(PhaseSpaceField(**grid, data=data, time=t), sec)
+    for t, _ in zip(times, stepper.evolve(start.data, [int(round(t / dt)) for t in times])):
+        rows += _norm_rows(PhaseSpaceField(**grid, data=stepper.x_state(), time=t), sec)
     write_csv(out / "norms.csv", ["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"], rows)
     return {}, ["norms.csv"], EXIT_OK
 

@@ -4,19 +4,21 @@ A perturbation at spatial mode ell launched at t = 0 phase-mixes away; an
 impulsive kick at mode (k - ell) at time tau revives a macroscopic response
 at mode k at the predictable later time t = tau (k - ell) / k, when the
 gliding velocity-frequency content of the stored perturbation re-crosses
-zero.
+zero.  The two-pulse run steps with `sim.Stepper` and reads the response
+mode straight from each stop's x-spectrum: no observable log, no inverse
+x-FFT per observation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError
 from .linear import ModeHistory
 from .models import Interaction, VelocityProfile
-from .sim import KickEvent, ObservableLog, PerturbationMode, PerturbationSpec, recurrence_time, run
+from .sim import KickEvent, PerturbationMode, PerturbationSpec, Stepper, _schedule, init_state, recurrence_time
 
 __all__ = [
     "EchoPrediction",
@@ -90,7 +92,8 @@ def detect_peaks(history: ModeHistory, floor: float, min_separation: float) -> l
 class EchoReport:
     """Post-kick peaks of the response mode; ``match`` is the one nearest the
     prediction (None if no peak cleared the floor), ``rel_error`` its relative
-    timing error |t_detected - t_echo| / t_echo (nan without a match)."""
+    timing error |t_detected - t_echo| / t_echo (nan without a match).
+    ``log`` is the history of rho_hat(t, |k_response|) at every observation."""
 
     k_response: int
     tau_kick: float
@@ -98,7 +101,7 @@ class EchoReport:
     peaks: list[Peak]
     match: Peak | None
     rel_error: float
-    log: ObservableLog = field(repr=False)
+    log: ModeHistory
 
     def to_csv_rows(self) -> list[list]:
         pred, peak = self.prediction, self.match
@@ -132,7 +135,9 @@ def run_echo_experiment(
     The quadratic coupling mixes modes additively, so the response is
     k = k_initial + kick_mode (the conjugate mirror |k| is observed; the
     real field makes them equal in modulus).  The run ends at the predicted
-    echo time plus 2, rounded up to whole observation strides.  Detection
+    echo time plus 2, rounded up to whole observation strides.  Each
+    observation reads rho_hat(t, |k|) = sum_v fk[|k|, v] dv / nx from the
+    stepper's x-spectrum, the only quantity the report uses.  Detection
     looks for post-kick local maxima of |rho_hat(t, k)| above ``floor`` and
     pairs them with the timing law applied to the initial mode as source.
     """
@@ -152,13 +157,14 @@ def run_echo_experiment(
         kicks=(KickEvent(time=tau_kick, mode=kick_mode, amplitude=amp_kick),) if amp_kick != 0.0 else (),
     )
     k_obs = max(abs(k_resp), abs(k_initial), abs(kick_mode))
-    log = run(
-        profile, interaction, pert,
-        nx=nx, nv=nv, vmax=vmax, dt=dt, t_end=float(t_end),
-        observe_stride=observe_stride, k_obs=k_obs,
-    )
+    n_steps, impulses = _schedule(pert, nx=nx, dt=dt, t_end=float(t_end), observe_stride=observe_stride, k_obs=k_obs)
+    state = init_state(profile, pert, nx, nv, vmax)
+    stepper = Stepper(nx, nv, vmax, dt, interaction)
+    stops = range(0, n_steps + 1, observe_stride)
+    scale = stepper.dv / nx
+    values = np.array([fk[abs(k_resp)].sum() * scale for _, fk in stepper.evolve(state.data, stops, impulses)])
+    h = ModeHistory(k=abs(k_resp), times=np.array(stops) * dt, values=values)
     guard = 4 * observe_stride * dt  # skip the kick's own transient
-    h = log.mode_history(abs(k_resp))
     post = h.times > tau_kick + guard
     peaks = detect_peaks(ModeHistory(k=abs(k_resp), times=h.times[post], values=h.values[post]),
                          floor=floor, min_separation=min_separation)
@@ -170,5 +176,5 @@ def run_echo_experiment(
         peaks=peaks,
         match=match,
         rel_error=float("nan") if match is None else abs(match.time - prediction.t_echo) / prediction.t_echo,
-        log=log,
+        log=h,
     )

@@ -9,10 +9,12 @@ scheme is exactly reversible.
 
 One engine, `Stepper`, does all stepping.  It fuses the trailing
 half-transport of each step with the leading half of the next (Cheng &
-Knorr 1976), so a step costs one x-FFT pair and one v-FFT pair, and each
-observation one extra inverse x-FFT.  Observations branch off the carried
-x-spectrum without replacing it, so the trajectory does not depend on where
-they fall.
+Knorr 1976), so a step costs one x-FFT pair and one v-FFT pair.  A stop
+yields the x-spectrum, which branches off the carried one without replacing
+it, so the trajectory does not depend on where the stops fall; the x-space
+state costs one more inverse x-FFT, paid only by callers that ask for it
+(`run` does at every stop; the echo experiment reads density modes from the
+spectrum and never does).
 
 The velocity domain [-vmax, vmax] is periodically continued for the
 transforms, gated by the requirement that the equilibrium tail at the cut
@@ -216,10 +218,11 @@ class Stepper:
 
     Between two stops the trailing half-transport of one step and the
     leading half of the next act as one full transport, so a step costs one
-    x-FFT pair and one v-FFT pair; a stop adds one inverse x-FFT.  The state
-    carried from step to step is the x-spectrum after the last kick, and a
-    stop never replaces it, so the state at step n does not depend on which
-    other stops are requested.
+    x-FFT pair and one v-FFT pair; a stop costs one half-transport product,
+    and `x_state` one inverse x-FFT more.  The state carried from step to
+    step is the x-spectrum after the last kick, and a stop never replaces
+    it, so the state at step n does not depend on which other stops are
+    requested.
 
     The phase tables and scratch buffers belong to the stepper: it runs one
     `evolve` at a time.
@@ -251,6 +254,7 @@ class Stepper:
         self._obs_fk = np.empty_like(self._fk)
         self._f = np.empty((nx, nv))
         self._fv = np.empty((nx, nh), dtype=complex)
+        self._stop_input: np.ndarray | None = None
 
     def _kick(self, impulse: np.ndarray | None) -> None:
         f, fv = self._f, self._fv
@@ -272,13 +276,14 @@ class Stepper:
         stops: Iterable[int],
         impulses: dict[int, np.ndarray] | None = None,
         t0: float = 0.0,
-    ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-        """Step from ``data`` and yield ``(n, f, fk)`` at each step index n in ``stops``.
+    ) -> Iterator[tuple[int, np.ndarray]]:
+        """Step from ``data`` and yield ``(n, fk)`` at each step index n in ``stops``.
 
-        ``stops`` must be ascending.  ``f`` is the state after n steps and
-        ``fk`` its unnormalized x-spectrum (``rfft`` along x); both are the
-        stepper's buffers, valid until the generator resumes.
-        ``impulses[n]`` adds a velocity shift (x grid) to the kick of step n.
+        ``stops`` must be ascending.  ``fk`` is the unnormalized x-spectrum
+        (``rfft`` along x) of the state after n steps, and `x_state` returns
+        that state itself; both are the stepper's buffers, valid until the
+        generator resumes.  ``impulses[n]`` adds a velocity shift (x grid) to
+        the kick of step n.
         """
         impulses = impulses or {}
         fk, obs_fk, f = self._fk, self._obs_fk, self._f
@@ -294,14 +299,22 @@ class Stepper:
                 np.fft.rfft(f, axis=0, out=fk)
                 n += 1
             if n == 0:
-                np.copyto(f, data)
+                self._stop_input = data
                 np.copyto(obs_fk, fk)
             else:
+                self._stop_input = None
                 np.multiply(fk, self.transport_half, out=obs_fk)
-                np.fft.irfft(obs_fk, n=self.nx, axis=0, out=f)
-            if not np.isfinite(f).all():
+            # row 0 holds the column sums over x, and a NaN or inf anywhere in
+            # a column reaches its sum: this sees every non-finite state
+            if not np.isfinite(obs_fk[0]).all():
                 raise NumericError(f"non-finite values detected at t = {t0 + n * self.dt:g}")
-            yield n, f, obs_fk
+            yield n, obs_fk
+
+    def x_state(self) -> np.ndarray:
+        """The state at the stop `evolve` last yielded: its input at step 0, else one inverse x-FFT."""
+        if self._stop_input is not None:
+            return self._stop_input
+        return np.fft.irfft(self._obs_fk, n=self.nx, axis=0, out=self._f)
 
 
 @functools.lru_cache(maxsize=8)
@@ -327,8 +340,9 @@ def strang_step(
         raise ValueError("dt must be nonzero")
     stepper = _cached_stepper(state.nx, state.nv, state.vmax, dt, interaction)
     impulses = None if impulse is None else {0: impulse}
-    _, f, _ = next(stepper.evolve(state.data, (1,), impulses, t0=state.time))
-    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, data=f.copy(), time=state.time + dt)
+    next(stepper.evolve(state.data, (1,), impulses, t0=state.time))
+    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, data=stepper.x_state().copy(),
+                           time=state.time + dt)
 
 
 # ---------------------------------------------------------------------------
@@ -343,10 +357,11 @@ def _check_ftilde_range(nx: int, nv: int, vmax: float, ks: Sequence[int], etas: 
         raise ValueError(f"|k| exceeds the grid's spatial Nyquist mode {nx // 2}")
 
 
-def _direct_ftilde(phases: np.ndarray, row: np.ndarray, k: int, nx: int, dv: float) -> np.ndarray | complex:
+def _direct_ftilde(phases: np.ndarray, row: np.ndarray, k: int, nx: int, dv: float) -> np.ndarray:
     """f~(k, eta): ``phases`` = exp(-2 i pi eta v) summed against rfft row |k| of f, conjugated for k < 0."""
     row = row / nx
-    return phases @ (np.conj(row) if k < 0 else row) * dv
+    # einsum, not the threaded BLAS product: the sums must not depend on the thread count
+    return np.einsum("...j,j->...", phases, np.conj(row) if k < 0 else row) * dv
 
 
 def ftilde_sample(state: PhaseSpaceField, k: int, eta_list: Sequence[float]) -> np.ndarray:
@@ -377,7 +392,9 @@ class ObservableLog:
 
     ``rho_modes[:, k]`` holds the density coefficients for k = 0..k_obs
     (negative modes are conjugates for the real field).  ``marginals`` are
-    x-averaged velocity profiles.  Samples past 0.8 of the k = 1 recurrence
+    x-averaged velocity profiles.  ``l2`` and ``gradv_l2`` are the L2 norms
+    of f and of its velocity derivative over the torus and the velocity
+    grid.  Samples past 0.8 of the k = 1 recurrence
     time carry the post_recurrence flag; per-mode horizons are in
     ``recurrence``.
     """
@@ -422,6 +439,33 @@ class ObservableLog:
             for i, t in enumerate(self.times) for (k, eta), z in zip(self.ftilde_points, self.ftilde[i])))
 
 
+def _schedule(
+    perturbation: PerturbationSpec, *, nx: int, dt: float, t_end: float, observe_stride: int, k_obs: int,
+) -> tuple[int, dict[int, np.ndarray]]:
+    """Validate the step grid, observation stride, k_obs and kick times of a run.
+
+    Returns the step count and the kick impulses (x grid) by step index.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_steps = int(round(t_end / dt))
+    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
+        raise ValueError(f"t_end = {t_end:g} is not a multiple of dt = {dt:g}")
+    if observe_stride < 1 or n_steps % observe_stride != 0:
+        raise ValueError(f"observe_stride = {observe_stride} must divide n_steps = {n_steps}")
+    if k_obs > nx // 2:
+        raise ValueError(f"k_obs = {k_obs} beyond the spatial Nyquist mode {nx // 2}")
+    x = np.arange(nx) / nx
+    impulses: dict[int, np.ndarray] = {}
+    for kick in perturbation.kicks:
+        s = int(round(kick.time / dt))
+        if abs(s * dt - kick.time) > 1e-9 * max(1.0, abs(kick.time)) or not 0 <= s < n_steps:
+            raise ValueError(f"kick time {kick.time:g} must sit on the step grid within [0, t_end)")
+        wave = kick.amplitude * np.cos(2.0 * np.pi * kick.mode * x + kick.phase)
+        impulses[s] = impulses.get(s, 0.0) + wave
+    return n_steps, impulses
+
+
 def run(
     profile: VelocityProfile,
     interaction: Interaction,
@@ -441,30 +485,15 @@ def run(
     Kick events in the perturbation spec are applied impulsively during the
     step containing their (grid-aligned) time.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end = {t_end:g} is not a multiple of dt = {dt:g}")
-    if observe_stride < 1 or n_steps % observe_stride != 0:
-        raise ValueError(f"observe_stride = {observe_stride} must divide n_steps = {n_steps}")
-    if k_obs > nx // 2:
-        raise ValueError(f"k_obs = {k_obs} beyond the spatial Nyquist mode {nx // 2}")
+    n_steps, impulses = _schedule(perturbation, nx=nx, dt=dt, t_end=t_end,
+                                  observe_stride=observe_stride, k_obs=k_obs)
     ft_points = tuple((int(k), float(eta)) for k, eta in ftilde_points)
     ft_etas = np.array([eta for _, eta in ft_points])
     _check_ftilde_range(nx, nv, vmax, [k for k, _ in ft_points], ft_etas)
 
     state = init_state(profile, perturbation, nx, nv, vmax)
     stepper = Stepper(nx, nv, vmax, dt, interaction)
-    x = state.x
     v = state.v
-    impulses: dict[int, np.ndarray] = {}
-    for kick in perturbation.kicks:
-        s = int(round(kick.time / dt))
-        if abs(s * dt - kick.time) > 1e-9 * max(1.0, abs(kick.time)) or not 0 <= s < n_steps:
-            raise ValueError(f"kick time {kick.time:g} must sit on the step grid within [0, t_end)")
-        wave = kick.amplitude * np.cos(2.0 * np.pi * kick.mode * x + kick.phase)
-        impulses[s] = impulses.get(s, 0.0) + wave
 
     n_obs = n_steps // observe_stride + 1
     times = np.empty(n_obs)
@@ -499,19 +528,22 @@ def run(
         rho_k_full = np.fft.rfft(rho) / nx
         mass[i] = rho.mean()
         np.mean(f, axis=0, out=marginals[i])
-        ekin[i] = float(marginals[i] @ half_v2) * dv
+        # einsum, not the threaded BLAS dot, for the sums below: they must not
+        # depend on the thread count
+        ekin[i] = float(np.einsum("i,i->", marginals[i], half_v2)) * dv
         epot[i] = 0.5 * float(np.sum(spec_weight * what_tab * np.abs(rho_k_full) ** 2))
-        # einsum, not the threaded BLAS dot: the sums must not depend on the thread count
         l2[i] = np.sqrt(float(np.einsum("ij,ij->", f, f)) * dv / nx)
         np.fft.rfft(f, axis=1, out=gv)
         np.multiply(gv, gradv_weight, out=gv)
-        gradv[i] = np.sqrt(float(np.einsum("ij,ij->", gv_re_im, gv_re_im)) * dv / (nx * nv**2))
+        # Parseval over v: sum_j |g_j|^2 = sum_eta |G_eta|^2 / nv
+        gradv[i] = np.sqrt(float(np.einsum("ij,ij->", gv_re_im, gv_re_im)) * dv / (nx * nv))
         rho_modes[i] = rho_k_full[: k_obs + 1]
         for j, (k, _) in enumerate(ft_points):
             ftv[i, j] = _direct_ftilde(ft_phases[j], fk[abs(k)], k, nx, dv)
 
     stops = range(0, n_steps + 1, observe_stride)
-    for i, (n, f, fk) in enumerate(stepper.evolve(state.data, stops, impulses)):
+    for i, (n, fk) in enumerate(stepper.evolve(state.data, stops, impulses)):
+        f = stepper.x_state()
         observe(i, n * dt, f, fk)
 
     final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=f.copy(), time=n_steps * dt)

@@ -413,10 +413,20 @@ def test_strip_scans_are_byte_identical_across_blas_thread_counts(tmp_path, text
     assert one == two
 
 
-@pytest.mark.parametrize("text", [NONLINEAR_SMALL, ECHO_SMALL, NORMS_SMALL], ids=["nonlinear_damping", "echo", "norms"])
+# 4 x 65536: a BLAS dot over the velocity grid alone splits over two threads,
+# both the real one of ekin and the complex one of an ftilde sample
+NONLINEAR_WIDE_V = (NONLINEAR_SMALL.replace("nx = 16", "nx = 4").replace("nv = 256", "nv = 65536")
+                    .replace("t_end = 4", "t_end = 0.5").replace("k_obs = 2", "k_obs = 1")
+                    .replace("ftilde = 1:0.0", "ftilde = 1:0.5").replace("fit_t_min = 0.5", "fit_t_min = 0")
+                    .replace("fit_t_max = 3", "fit_t_max = 0.5"))
+
+
+@pytest.mark.parametrize("text", [NONLINEAR_SMALL, ECHO_SMALL, NORMS_SMALL, NONLINEAR_WIDE_V],
+                         ids=["nonlinear_damping", "echo", "norms", "nonlinear_damping_nv65536"])
 def test_phase_space_artifacts_are_byte_identical_across_blas_thread_counts(tmp_path, text):
     # at 32 x 1024 the whole-field sums of the observables are long enough for
     # a BLAS dot product to split over two threads; they must not depend on it
+    # (the wide-v config keeps its own grid)
     config = write_cfg(tmp_path, text.replace("nx = 16", "nx = 32").replace("nv = 256", "nv = 1024"))
     one = _run_cli_process(config, tmp_path / "a", OPENBLAS_NUM_THREADS="1")
     two = _run_cli_process(config, tmp_path / "b", OPENBLAS_NUM_THREADS="2")

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from landau_lab.echoes import detect_peaks, predict_echo_time
+from landau_lab.echoes import detect_peaks, predict_echo_time, run_echo_experiment
 from landau_lab.linear import ModeHistory
+from landau_lab.models import builtin_interaction, maxwellian
+from landau_lab.sim import KickEvent, PerturbationMode, PerturbationSpec, run
 
 # ---------------------------------------------------------------------------
 # timing law
@@ -95,3 +97,35 @@ def test_echo_report_without_match(echo_control):
     assert np.isnan(echo_control.rel_error)
     rows = echo_control.to_csv_rows()
     assert len(rows) == 1 and rows[0][4:] == ["", "", ""]
+
+
+SMALL_ECHO = dict(k_initial=1, kick_mode=-2, tau_kick=2.0, nx=16, nv=256, vmax=8.0, dt=1 / 32, observe_stride=2)
+
+
+def test_echo_takes_one_inverse_x_transform_per_step_and_none_per_stop(monkeypatch):
+    irfft, axes = np.fft.irfft, []
+
+    def counting_irfft(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            axes.append(kwargs.get("axis", -1))
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    rep = run_echo_experiment(maxwellian(), builtin_interaction("coulomb", 1.0), **SMALL_ECHO)
+    n_steps = int(round(rep.log.times[-1] * 32))
+    assert n_steps == 192 and len(rep.log.times) == n_steps // 2 + 1
+    assert axes.count(0) == n_steps
+
+
+def test_echo_history_matches_the_run_of_the_same_kicked_config():
+    profile, interaction = maxwellian(), builtin_interaction("coulomb", 1.0)
+    rep = run_echo_experiment(profile, interaction, **SMALL_ECHO)
+    pert = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=1e-3),),
+                            kicks=(KickEvent(time=2.0, mode=-2, amplitude=1e-3),))
+    log = run(profile, interaction, pert, nx=16, nv=256, vmax=8.0, dt=1 / 32,
+              t_end=float(rep.log.times[-1]), observe_stride=2, k_obs=2)
+    np.testing.assert_array_equal(rep.log.times, log.times)
+    # the echo sums the spectrum over v, run transforms the x-space density:
+    # they agree to roundoff on the scale of the table's peak, the mass mode
+    peak = np.max(np.abs(log.rho_modes))
+    np.testing.assert_allclose(rep.log.values, log.rho_modes[:, 1], rtol=0, atol=1e-15 * peak)

@@ -184,14 +184,28 @@ def test_final_state_does_not_depend_on_observe_stride():
 def test_evolve_yields_each_stop_and_keeps_the_trajectory():
     st = small_state()
     stepper = Stepper(st.nx, st.nv, st.vmax, 1 / 32, STRONG)
-    seen = [(n, f.copy()) for n, f, _ in stepper.evolve(st.data, [0, 3, 3, 8])]
+    seen = [(n, stepper.x_state().copy()) for n, _ in stepper.evolve(st.data, [0, 3, 3, 8])]
     assert [n for n, _ in seen] == [0, 3, 3, 8]
     np.testing.assert_array_equal(seen[0][1], st.data)
+    next(stepper.evolve(st.data, [0]))
+    assert stepper.x_state() is st.data  # stop 0 hands back the input itself
     np.testing.assert_array_equal(seen[1][1], seen[2][1])
-    _, alone, _ = next(stepper.evolve(st.data, [8]))
+    next(stepper.evolve(st.data, [8]))
+    alone = stepper.x_state()
     np.testing.assert_array_equal(alone, seen[3][1])
     with pytest.raises(ValueError, match="ascending"):
         list(stepper.evolve(st.data, [2, 1]))
+
+
+@pytest.mark.parametrize("stops", [[0], [3]], ids=["stop_0", "stop_3"])
+def test_evolve_detects_nonfinite_without_an_x_state_request(stops):
+    # the check reads the stop's spectrum, so a caller that never asks for
+    # the x-space state still sees the NaN
+    st = small_state()
+    st.data[5, 100] = np.nan
+    stepper = Stepper(st.nx, st.nv, st.vmax, 1 / 32, STRONG)
+    with pytest.raises(NumericError, match="non-finite"):
+        next(stepper.evolve(st.data, stops))
 
 
 def test_strang_step_reuses_cached_steppers():
@@ -244,6 +258,13 @@ def test_energy_drift_scales_second_order():
         return np.max(np.abs(e - e[0])) / e[0]
 
     assert 3.5 <= drift(1 / 64) / drift(1 / 128) <= 4.5
+
+
+@pytest.mark.parametrize("nv", [256, 1024])
+def test_gradv_l2_of_the_maxwellian_matches_closed_form(nv):
+    # ||d_v M||_L2 = (int v^2 M^2 dv)^(1/2) = (4 sqrt(pi))^(-1/2) for the unit Maxwellian
+    log = run(MAX, STRONG, PerturbationSpec(), nx=4, nv=nv, vmax=8.0, dt=1 / 32, t_end=1 / 32, k_obs=1)
+    np.testing.assert_allclose(log.gradv_l2, (4.0 * np.sqrt(np.pi)) ** -0.5, rtol=1e-12)
 
 
 def test_homogeneous_run_has_no_modes():
