@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +351,9 @@ def main(argv: list[str] | None = None) -> int:
             load_config(args.config)  # fail fast on template errors
             tasks = [(args.config, section, name, v, f"{name}={v}") for v in values]
             if args.jobs > 1 and len(tasks) > 1:
+                # imported here: multiprocessing adds ~20 ms to every other command's startup
+                from concurrent.futures import ProcessPoolExecutor
+
                 with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                     codes = dict(pool.map(_sweep_worker, tasks))
             else:

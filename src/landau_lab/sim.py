@@ -12,15 +12,16 @@ half-transport of each step with the leading half of the next (Cheng &
 Knorr 1976), so a step costs one x-FFT pair and one v-FFT pair.  A stop
 yields the x-spectrum, which branches off the carried one without replacing
 it, so the trajectory does not depend on where the stops fall; the x-space
-state costs one more inverse x-FFT, paid only by callers that ask for it
-(`run` does at every stop; the echo experiment reads density modes from the
-spectrum and never does).
+state costs one more inverse x-FFT, paid only by callers that ask for it.
+`run` reads every observable from the spectrum and asks once, for the final
+state; the echo experiment reads its density mode from the spectrum and
+never asks; the norms experiment asks at each snapshot.
 
 The velocity domain [-vmax, vmax] is periodically continued for the
 transforms, gated by the requirement that the equilibrium tail at the cut
 is negligible.  Spectral velocity discreteness makes free phase mixing
 refocus at the recurrence time t_R = nv / (2 vmax |k|); quantitative claims
-should stay below 0.8 t_R and the log flags later samples.
+should stay below 0.8 t_R, and the log records t_R per observed mode.
 """
 
 from __future__ import annotations
@@ -222,7 +223,9 @@ class Stepper:
     and `x_state` one inverse x-FFT more.  The state carried from step to
     step is the x-spectrum after the last kick, and a stop never replaces
     it, so the state at step n does not depend on which other stops are
-    requested.
+    requested.  Observers that can read the spectrum (`run`, the echo
+    experiment) never call `x_state` per stop; `run` calls it once, for its
+    final state.
 
     The phase tables and scratch buffers belong to the stepper: it runs one
     `evolve` at a time.
@@ -304,6 +307,10 @@ class Stepper:
             else:
                 self._stop_input = None
                 np.multiply(fk, self.transport_half, out=obs_fk)
+                # the phase makes the x-Nyquist row complex, and the inverse
+                # x-FFT of a real field drops its imaginary part: drop it here,
+                # so that fk is the spectrum of the state itself
+                obs_fk[-1].imag = 0.0
             # row 0 holds the column sums over x, and a NaN or inf anywhere in
             # a column reaches its sum: this sees every non-finite state
             if not np.isfinite(obs_fk[0]).all():
@@ -392,11 +399,10 @@ class ObservableLog:
 
     ``rho_modes[:, k]`` holds the density coefficients for k = 0..k_obs
     (negative modes are conjugates for the real field).  ``marginals`` are
-    x-averaged velocity profiles.  ``l2`` and ``gradv_l2`` are the L2 norms
-    of f and of its velocity derivative over the torus and the velocity
-    grid.  Samples past 0.8 of the k = 1 recurrence
-    time carry the post_recurrence flag; per-mode horizons are in
-    ``recurrence``.
+    the x-averaged velocity profiles of the last two observations.  ``l2``
+    and ``gradv_l2`` are the L2 norms of f and of its velocity derivative
+    over the torus and the velocity grid.  ``recurrence`` holds the
+    recurrence horizon t_R of each mode k = 1..max(k_obs, 1).
     """
 
     times: np.ndarray
@@ -412,7 +418,6 @@ class ObservableLog:
     marginals: np.ndarray
     v: np.ndarray
     recurrence: dict[int, float]
-    post_recurrence: np.ndarray
     final_state: PhaseSpaceField | None = None
 
     def mode_history(self, k: int) -> ModeHistory:
@@ -483,7 +488,9 @@ def run(
     """Run the nonlinear simulation and collect the observable log.
 
     Kick events in the perturbation spec are applied impulsively during the
-    step containing their (grid-aligned) time.
+    step containing their (grid-aligned) time.  Every observable is read
+    from the stop's x-spectrum (Parseval over x, and over v for the
+    velocity gradient), so only the final state costs an inverse x-FFT.
     """
     n_steps, impulses = _schedule(perturbation, nx=nx, dt=dt, t_end=t_end,
                                   observe_stride=observe_stride, k_obs=k_obs)
@@ -504,56 +511,59 @@ def run(
     gradv = np.empty(n_obs)
     rho_modes = np.empty((n_obs, k_obs + 1), dtype=complex)
     ftv = np.empty((n_obs, len(ft_points)), dtype=complex)
-    marginals = np.empty((n_obs, nv))
+    marginals = np.empty((2, nv))
 
-    # nx and nv are powers of two (init_state), so the last rfft bin is the
-    # Nyquist bin: counted once in Parseval sums, and with no odd derivative
+    # nx and nv are powers of two (init_state), so the last rfft bin in x is
+    # the Nyquist bin, counted once in Parseval sums, and the v Nyquist bin
+    # carries no odd derivative
     what_tab = np.asarray(interaction.what(np.arange(nx // 2 + 1)), dtype=float)
     spec_weight = np.full(nx // 2 + 1, 2.0)
     spec_weight[0] = spec_weight[-1] = 1.0
-    v_weight = np.full(nv // 2 + 1, 2.0)
-    v_weight[0] = v_weight[-1] = 1.0
-    deriv = 2.0 * np.pi * np.fft.rfftfreq(nv, d=state.dv)
-    deriv[-1] = 0.0
-    gradv_weight = np.sqrt(v_weight) * deriv
-    gv = np.empty((nx, nv // 2 + 1), dtype=complex)
-    gv_re_im = gv.view(float)
+    deriv = 2.0 * np.pi * np.fft.fftfreq(nv, d=state.dv)
+    deriv[nv // 2] = 0.0
+    g = np.empty((nx // 2 + 1, nv), dtype=complex)
     half_v2 = 0.5 * v**2
     dv = state.dv
     ft_phases = np.exp(-2j * np.pi * np.outer(ft_etas, v))
 
-    def observe(i: int, t: float, f: np.ndarray, fk: np.ndarray) -> None:
+    def spectral_sq(a: np.ndarray) -> float:
+        # Parseval over x: weighted by spec_weight, the rows of a half
+        # x-spectrum stand for the full spectrum of a real x-field, so this is
+        # nx times the sum of squares over x (also after a v-FFT, as every eta
+        # is summed).  einsum, not the threaded BLAS dot, so that the sum does
+        # not depend on the thread count; two steps, as one three-operand
+        # einsum is slower.
+        re_im = a.view(float)
+        return float(np.einsum("k,k->", spec_weight, np.einsum("kj,kj->k", re_im, re_im)))
+
+    def observe(i: int, t: float, fk: np.ndarray) -> None:
         times[i] = t
-        rho = f.sum(axis=1) * dv
-        rho_k_full = np.fft.rfft(rho) / nx
-        mass[i] = rho.mean()
-        np.mean(f, axis=0, out=marginals[i])
-        # einsum, not the threaded BLAS dot, for the sums below: they must not
-        # depend on the thread count
-        ekin[i] = float(np.einsum("i,i->", marginals[i], half_v2)) * dv
+        rho_k_full = fk.sum(axis=1) * (dv / nx)
+        mass[i] = rho_k_full[0].real
+        marginals[0] = marginals[1]
+        np.divide(fk[0].real, nx, out=marginals[1])
+        ekin[i] = float(np.einsum("i,i->", marginals[1], half_v2)) * dv
         epot[i] = 0.5 * float(np.sum(spec_weight * what_tab * np.abs(rho_k_full) ** 2))
-        l2[i] = np.sqrt(float(np.einsum("ij,ij->", f, f)) * dv / nx)
-        np.fft.rfft(f, axis=1, out=gv)
-        np.multiply(gv, gradv_weight, out=gv)
+        l2[i] = np.sqrt(spectral_sq(fk) * dv) / nx
+        # the v-derivative by its comb on the v-spectrum of the x-spectrum;
         # Parseval over v: sum_j |g_j|^2 = sum_eta |G_eta|^2 / nv
-        gradv[i] = np.sqrt(float(np.einsum("ij,ij->", gv_re_im, gv_re_im)) * dv / (nx * nv))
+        np.fft.fft(fk, axis=1, out=g)
+        np.multiply(g, deriv, out=g)
+        gradv[i] = np.sqrt(spectral_sq(g) * dv / nv) / nx
         rho_modes[i] = rho_k_full[: k_obs + 1]
         for j, (k, _) in enumerate(ft_points):
             ftv[i, j] = _direct_ftilde(ft_phases[j], fk[abs(k)], k, nx, dv)
 
     stops = range(0, n_steps + 1, observe_stride)
     for i, (n, fk) in enumerate(stepper.evolve(state.data, stops, impulses)):
-        f = stepper.x_state()
-        observe(i, n * dt, f, fk)
+        observe(i, n * dt, fk)
 
-    final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=f.copy(), time=n_steps * dt)
+    final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=stepper.x_state().copy(), time=n_steps * dt)
     t_r = {k: recurrence_time(nv, vmax, k) for k in range(1, max(k_obs, 1) + 1)}
     return ObservableLog(
         times=times, mass=mass, ekin=ekin, epot=epot, l2=l2, gradv_l2=gradv,
         k_obs=k_obs, rho_modes=rho_modes, ftilde_points=ft_points, ftilde=ftv,
-        marginals=marginals, v=v, recurrence=t_r,
-        post_recurrence=times > 0.8 * t_r[1],
-        final_state=final,
+        marginals=marginals, v=v, recurrence=t_r, final_state=final,
     )
 
 

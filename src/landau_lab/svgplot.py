@@ -20,6 +20,11 @@ _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b", "#
 _MARGIN_L, _MARGIN_R, _MARGIN_T, _MARGIN_B = 72, 18, 40, 48
 # one canvas size for every artifact plot
 _WIDTH, _HEIGHT = 720, 480
+# lowest plotted value relative to the plotted maximum: double-precision
+# transforms and sums leave roundoff near 1e-16 of the largest value, so
+# samples 12 decades down are noise, and letting them set the axis would
+# move every tick whenever the roundoff moves
+_LOG_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -76,16 +81,17 @@ def render_plot(
 ) -> str:
     """Render labelled line series on a log-y axis to a 720 x 480 SVG string.
 
-    Nonpositive y values are dropped; series left with no finite points are
-    skipped.  An entirely empty plot stays a valid SVG with a "no data"
-    annotation.
+    Nonpositive y values, and those below 1e-12 of the largest plotted
+    value, are dropped; series left with no finite points are skipped.  An
+    entirely empty plot stays a valid SVG with a "no data" annotation.
     """
     width, height = _WIDTH, _HEIGHT
+    arrays = [(s, np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)) for s in series]
+    valid = [np.isfinite(x) & np.isfinite(y) & (y > 0.0) for _, x, y in arrays]
+    y_max = max((float(y[ok].max()) for (_, _, y), ok in zip(arrays, valid) if np.any(ok)), default=0.0)
     cleaned: list[tuple[Series, np.ndarray, np.ndarray]] = []
-    for s in series:
-        x = np.asarray(s.x, dtype=float)
-        y = np.asarray(s.y, dtype=float)
-        keep = np.isfinite(x) & np.isfinite(y) & (y > 0.0)
+    for (s, x, y), ok in zip(arrays, valid):
+        keep = ok & (y >= _LOG_FLOOR * y_max)
         if np.any(keep):
             cleaned.append((s, x[keep], y[keep]))
 

@@ -294,6 +294,15 @@ def test_sweep_fans_out(tmp_path):
     assert (out / "strength=200" / "modes.csv").exists()
 
 
+def test_importing_the_cli_loads_no_process_pool():
+    # only `sweep --jobs` needs the pool; every other command skips its startup cost
+    code = ("import sys, landau_lab.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=_child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_sweep_range_syntax_and_key_resolution(tmp_path, capsys):
     out = tmp_path / "sweep2"
     path = write_cfg(tmp_path, LINEAR_FAST.format(out=out))
@@ -374,13 +383,18 @@ times = 2,0,0.5,1
 """ + SMALL_GRID.format(strength=157.91367041742973)
 
 
+def _child_env(**env_extra: str) -> dict[str, str]:
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(Path(landau_lab.__file__).resolve().parents[1])
+    return dict(os.environ, **env_extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _run_cli_process(config: Path, root: Path, **env_extra: str) -> dict[str, bytes]:
     """`landau-lab run` in a fresh interpreter; returns the output files by name."""
-    src = str(Path(landau_lab.__file__).resolve().parents[1])
-    env = dict(os.environ, LANDAU_LAB_OUTPUT_ROOT=str(root), **env_extra,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "landau_lab.cli", "run", str(config)],
-                          env=env, capture_output=True, text=True)
+                          env=_child_env(LANDAU_LAB_OUTPUT_ROOT=str(root), **env_extra),
+                          capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     return {p.name: p.read_bytes() for p in sorted((root / "out").iterdir())}
 

@@ -178,7 +178,9 @@ def test_final_state_does_not_depend_on_observe_stride():
     every = run(MAX, STRONG, SINGLE, observe_stride=1, **kw)
     last = run(MAX, STRONG, SINGLE, observe_stride=32, **kw)
     assert np.array_equal(every.final_state.data, last.final_state.data)
-    assert np.array_equal(every.marginals[::32], last.marginals)
+    assert np.array_equal(every.ekin[::32], last.ekin)
+    assert np.array_equal(every.rho_modes[::32], last.rho_modes)
+    assert np.array_equal(every.marginals[-1], last.marginals[-1])
 
 
 def test_evolve_yields_each_stop_and_keeps_the_trajectory():
@@ -229,6 +231,60 @@ def test_strang_step_reuses_cached_steppers():
 
 # ---------------------------------------------------------------------------
 # run-level conservation and observables
+
+
+def x_space_observables(f, nx, dv, k_obs, interaction):
+    """Reference: mass, ekin, epot, l2, gradv_l2 and rho_k (k <= k_obs) summed over the x-space state f."""
+    nv = f.shape[1]
+    v = -0.5 * nv * dv + np.arange(nv) * dv
+    rho = f.sum(axis=1) * dv
+    rho_k = np.fft.fft(rho) / nx  # every mode, negative ones too
+    epot = 0.5 * np.sum(interaction.what(np.fft.fftfreq(nx, d=1.0 / nx)) * np.abs(rho_k) ** 2)
+    # |d_v f|^2 by Parseval over the real v-FFT: interior bins count twice,
+    # and the Nyquist bin has no odd derivative
+    deriv = 2.0 * np.pi * np.fft.rfftfreq(nv, d=dv)
+    deriv[-1] = 0.0
+    weight = np.full(nv // 2 + 1, 2.0)
+    weight[0] = weight[-1] = 1.0
+    grad_sq = np.sum(weight * deriv**2 * np.abs(np.fft.rfft(f, axis=1)) ** 2) / nv
+    return (rho.mean(), float(np.sum(f.mean(axis=0) * 0.5 * v**2)) * dv, epot,
+            np.sqrt(np.sum(f**2) * dv / nx), np.sqrt(grad_sq * dv / nx), rho_k[: k_obs + 1])
+
+
+def test_run_observables_match_x_space_sums_at_every_stop():
+    # run reads every observable from the stop's x-spectrum; the reference
+    # steps the same trajectory and sums over the x-space state itself
+    dt, stride, k_obs = 1 / 32, 4, 3
+    pert = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=0.05), PerturbationMode(k=3, amplitude=0.02)),
+                            kicks=(KickEvent(time=0.5, mode=2, amplitude=0.05, phase=0.3),))
+    log = run(MAX, STRONG, pert, nx=32, nv=256, vmax=8.0, dt=dt, t_end=2.0, observe_stride=stride, k_obs=k_obs)
+    st = small_state(pert)
+    impulses = {16: 0.05 * np.cos(2 * np.pi * 2 * st.x + 0.3)}
+    stepper = Stepper(st.nx, st.nv, st.vmax, dt, STRONG)
+    ref = [x_space_observables(stepper.x_state(), st.nx, st.dv, k_obs, STRONG)
+           for _ in stepper.evolve(st.data, range(0, 65, stride), impulses)]
+    mass, ekin, epot, l2, gradv, modes = (np.array(col) for col in zip(*ref))
+    assert len(mass) == len(log.times) == 17
+    for name, got, want in (("mass", log.mass, mass), ("ekin", log.ekin, ekin), ("epot", log.epot, epot),
+                            ("l2", log.l2, l2), ("gradv_l2", log.gradv_l2, gradv)):
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0, err_msg=name)
+    np.testing.assert_allclose(log.rho_modes, modes, rtol=0, atol=1e-14)
+    assert np.max(np.abs(modes[:, 1:])) > 1e-3  # the modes are live, not roundoff
+
+
+@pytest.mark.parametrize("stride", [1, 4, 64])
+def test_run_takes_one_inverse_x_transform_per_step_and_one_for_the_final_state(monkeypatch, stride):
+    irfft, axes = np.fft.irfft, []
+
+    def counting_irfft(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            axes.append(kwargs.get("axis", -1))
+        return irfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counting_irfft)
+    log = run(MAX, STRONG, SINGLE, nx=32, nv=256, vmax=8.0, dt=1 / 32, t_end=2.0, observe_stride=stride, k_obs=1)
+    assert len(log.times) == 64 // stride + 1
+    assert axes.count(0) == 64 + 1
 
 
 @pytest.fixture(scope="module")
@@ -325,7 +381,6 @@ def test_free_transport_mode_revives_at_recurrence():
     mid = amp[len(amp) // 2]
     assert mid < 1e-12  # fully phase-mixed in between
     assert amp[-1] == pytest.approx(amp[0], rel=1e-10)  # spurious revival at t_R
-    assert bool(log.post_recurrence[-1])
 
 
 def test_kick_changes_only_target_mode_linearly():

@@ -37,6 +37,22 @@ def test_nonpositive_values_dropped_on_log_axis():
     assert "no data" in svg
 
 
+def test_sub_floor_samples_leave_the_svg_unchanged():
+    # roundoff far below the peak must neither set the log axis nor move its ticks
+    t = np.arange(10.0)
+    # an echo timeline: the initial mode, its decay, then the echo at 6e-6
+    peak = [5e-4, 3e-5, 1e-6, 4e-7, 1e-6, 6e-6, 2e-6, 1e-6, 4e-6]
+
+    def svg(roundoff):
+        return render_plot([Series(label="|rho|", x=t, y=peak[:4] + [roundoff] + peak[4:])], title="echo")
+
+    base = svg(1e-17)
+    assert svg(3e-19) == base and svg(5e-18) == base
+    assert len(polyline_points(base)[0]) == 9
+    # the axis starts at the smallest kept sample, not at the roundoff
+    assert ">1e-06<" in base and "e-1" not in base
+
+
 def test_render_is_deterministic():
     series = [Series(label="a", x=[0, 1, 2, 3], y=[1.0, 0.5, 0.25, 0.125])]
     a = render_plot(series, title="t", xlabel="x", ylabel="y")
