@@ -121,7 +121,7 @@ def _experiment_nonlinear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[
         log.write_ftilde_csv(out / "ftilde.csv")
         artifacts.append("ftilde.csv")
     hist = log.mode_history(1)
-    meta = {"recurrence_time": f"{log.recurrence[1]:.12g}"}
+    meta: dict = {}
     try:
         fit = fit_decay_rate(hist, _fit_window(cfg))
     except LandauLabError as exc:
@@ -208,18 +208,22 @@ _ANALYTIC_INDEX_FLOOR = 1e-6
 _ANALYTIC_BETA = 0.1
 
 
-def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
-    """The gliding, spatial and analytic rows of ``norms.csv`` for one snapshot."""
+def _norm_rows(state: PhaseSpaceField, fk: np.ndarray, sec: dict) -> list[list[str]]:
+    """The gliding, spatial and analytic rows of ``norms.csv`` for one snapshot.
+
+    Every norm reads ``fk``, the snapshot's unnormalized x-spectrum, except
+    the |f| integral of the analytic norm, which reads ``state.data``.
+    """
     t = state.time
-    tau = t if sec["tau_mode"] == "time" else sec["tau"]
+    tau = t if sec["tau"] is None else sec["tau"]
     p = {"1": 1, "2": 2, "inf": np.inf}[sec["p"]]
     head = [f"{t:.17g}"]
     params = [f"{sec['lam']:.17g}", f"{sec['mu']:.17g}", f"{sec['gamma']:.17g}"]
     spec = GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=p,
                            tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
-    ft = _ftilde(state)
+    ft = _ftilde(fk, state.nx)
     g = _gliding(state, ft, spec)
-    raw = state.rho_hat(sec["k_max"])
+    raw = fk[: sec["k_max"] + 1].sum(axis=1) * (state.dv / state.nx)
     floor = _SPATIAL_COEFF_FLOOR * float(np.max(np.abs(raw)))
     coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
     s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
@@ -240,12 +244,15 @@ def _experiment_norms(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str]
     for t in times:
         if t < 0.0 or abs(round(t / dt) * dt - t) > 1e-9:
             raise ConfigError(f"[norms] times entry {t:g} is not a nonnegative multiple of dt = {dt:g}")
-    # one trajectory; each snapshot is evaluated as it is reached, none is kept
+    # one trajectory; each snapshot is evaluated from its spectrum as it is
+    # reached, and inverted into one reused buffer for the |f| integral
     start = init_state(profile, cfg.build_perturbation(), **grid)
     stepper = Stepper(**grid, dt=dt, interaction=interaction)
+    f = np.empty_like(start.data)
     rows = []
-    for t, _ in zip(times, stepper.evolve(start.data, [int(round(t / dt)) for t in times])):
-        rows += _norm_rows(PhaseSpaceField(**grid, data=stepper.x_state(), time=t), sec)
+    for t, (_, fk) in zip(times, stepper.evolve(start.data, [int(round(t / dt)) for t in times])):
+        np.fft.irfft(fk, n=start.nx, axis=0, out=f)
+        rows += _norm_rows(PhaseSpaceField(**grid, data=f, time=t), fk, sec)
     write_csv(out / "norms.csv", ["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"], rows)
     return {}, ["norms.csv"], EXIT_OK
 

@@ -100,8 +100,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
         "mu": ("float", 0.05, _nonnegative),
         "gamma": ("float", 0.0, _nonnegative),
         "p": ("str", "1", None),
-        "tau_mode": ("str", "time", None),
-        "tau": ("float", 0.0, _nonnegative),
+        "tau": ("float", None, _nonnegative),  # unset: tau follows the snapshot time
         "n_max": ("int", 24, _positive),
         "k_max": ("int", 4, _positive),
         "times": ("floats", (0.0, 1.0, 2.0, 4.0), None),
@@ -264,8 +263,6 @@ def _validate(cfg: ExperimentConfig) -> None:
     p = cfg.values["norms"]["p"]
     if p not in ("1", "2", "inf"):
         raise ConfigError(f"[norms] p must be 1, 2 or inf, got {p!r}")
-    if cfg.values["norms"]["tau_mode"] not in ("time", "fixed"):
-        raise ConfigError("[norms] tau_mode must be 'time' or 'fixed'")
 
 
 def loads_config(text: str, source: str = "<memory>") -> ExperimentConfig:

@@ -93,9 +93,8 @@ class EchoReport:
     """Post-kick peaks of the response mode; ``match`` is the one nearest the
     prediction (None if no peak cleared the floor), ``rel_error`` its relative
     timing error |t_detected - t_echo| / t_echo (nan without a match).
-    ``log`` is the history of rho_hat(t, |k_response|) at every observation."""
+    ``log`` is the history of rho_hat(t, |prediction.k|) at every observation."""
 
-    k_response: int
     tau_kick: float
     prediction: EchoPrediction
     peaks: list[Peak]
@@ -170,7 +169,6 @@ def run_echo_experiment(
                          floor=floor, min_separation=min_separation)
     match = min(peaks, key=lambda p: abs(p.time - prediction.t_echo)) if peaks else None
     return EchoReport(
-        k_response=k_resp,
         tau_kick=tau_kick,
         prediction=prediction,
         peaks=peaks,

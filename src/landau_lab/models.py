@@ -269,16 +269,17 @@ class AnalyticityReport:
 
 @functools.lru_cache
 def _hermite_l1_norms(n_max: int) -> np.ndarray:
-    """m_n = E|He_n(Z)| for standard normal Z, n = 0..n_max (dense trapezoid)."""
-    from numpy.polynomial import hermite_e
+    """m_n = E|He_n(Z)| for standard normal Z, n = 0..n_max (dense trapezoid).
 
+    He_n comes from the recurrence He_{n+1} = v He_n - n He_{n-1}, He_0 = 1.
+    """
     v = np.linspace(-14.0, 14.0, 28001)
     weight = np.exp(-(v**2) / 2.0) / np.sqrt(2.0 * np.pi)
     out = np.empty(n_max + 1)
+    prev, cur = np.zeros_like(v), np.ones_like(v)
     for n in range(n_max + 1):
-        coef = np.zeros(n + 1)
-        coef[n] = 1.0
-        out[n] = np.trapezoid(np.abs(hermite_e.hermeval(v, coef)) * weight, v)
+        out[n] = np.trapezoid(np.abs(cur) * weight, v)
+        prev, cur = cur, v * cur - n * prev
     return out
 
 

@@ -11,7 +11,8 @@ Three families:
 * `analytic_norm`: sup of the weighted double transform plus an
   exponentially weighted L1 integral.
 
-The gliding and analytic cores read one double transform, built by `_ftilde`.
+The gliding and analytic cores read one double transform, which `_ftilde`
+builds from the field's x-spectrum.
 
 Norm evaluations are diagnostics: the simulator never conditions behavior
 on them, so truncation choices cannot contaminate physics runs.  Every
@@ -102,9 +103,9 @@ def _tail_estimate(terms: np.ndarray) -> float:
     return float(last * r / (1.0 - r))
 
 
-def _ftilde(field: PhaseSpaceField) -> np.ndarray:
-    """Double transform f~(k, eta) / dv for k = 0 .. nx/2 on the grid's eta comb."""
-    return np.fft.fft(np.fft.rfft(field.data, axis=0) / field.nx, axis=1)
+def _ftilde(fk: np.ndarray, nx: int) -> np.ndarray:
+    """Double transform f~(k, eta) / dv, k = 0 .. nx/2 on the eta comb, from the x-spectrum ``fk`` (``rfft``)."""
+    return np.fft.fft(fk / nx, axis=1)
 
 
 def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
@@ -127,11 +128,11 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     analyticity width) and `ValueError` when the n_max-th derivative of a
     populated mode is not resolved by the grid.
     """
-    return _gliding(field, _ftilde(field), spec)
+    return _gliding(field, _ftilde(np.fft.rfft(field.data, axis=0), field.nx), spec)
 
 
 def _gliding(field: PhaseSpaceField, ft: np.ndarray, spec: GlidingNormSpec) -> NormValue:
-    """`gliding_norm` of ``field`` from its double transform ``ft = _ftilde(field)``."""
+    """`gliding_norm` of ``field`` from its double transform ``ft``, built by `_ftilde`."""
     if spec.k_max > field.nx // 2:
         raise ValueError(f"k_max = {spec.k_max} beyond the spatial Nyquist mode {field.nx // 2}")
     dv = field.dv
@@ -228,11 +229,11 @@ def analytic_norm(field: PhaseSpaceField, spec: AnalyticNormSpec) -> float:
     space; an exponent beyond the double-precision range triggers the
     overflow guard instead of returning inf.
     """
-    return _analytic(field, _ftilde(field), spec)
+    return _analytic(field, _ftilde(np.fft.rfft(field.data, axis=0), field.nx), spec)
 
 
 def _analytic(field: PhaseSpaceField, ft: np.ndarray, spec: AnalyticNormSpec) -> float:
-    """`analytic_norm` of ``field`` from its double transform ``ft = _ftilde(field)``."""
+    """`analytic_norm` of ``field`` from its double transform ``ft``, built by `_ftilde`."""
     if 2.0 * np.pi * spec.beta * field.vmax > 700.0:
         raise NumericError("beta * vmax exceeds the exponent budget for the integral term")
     eta = np.fft.fftfreq(field.nv, d=field.dv)

@@ -10,12 +10,12 @@ scheme is exactly reversible.
 One engine, `Stepper`, does all stepping.  It fuses the trailing
 half-transport of each step with the leading half of the next (Cheng &
 Knorr 1976), so a step costs one x-FFT pair and one v-FFT pair.  A stop
-yields the x-spectrum, which branches off the carried one without replacing
-it, so the trajectory does not depend on where the stops fall; the x-space
-state costs one more inverse x-FFT, paid only by callers that ask for it.
-`run` reads every observable from the spectrum and asks once, for the final
-state; the echo experiment reads its density mode from the spectrum and
-never asks; the norms experiment asks at each snapshot.
+yields the x-spectrum and nothing else; it branches off the carried
+spectrum without replacing it, so the trajectory does not depend on where
+the stops fall.  Every observer reads the spectrum.  Only three callers
+invert it to x-space, at one inverse x-FFT each: `strang_step` for the state
+it returns, `run` once for its final state, and the norms experiment for
+the |f| integral of the analytic norm.
 
 The velocity domain [-vmax, vmax] is periodically continued for the
 transforms, gated by the requirement that the equilibrium tail at the cut
@@ -84,16 +84,6 @@ class PhaseSpaceField:
     @property
     def dv(self) -> float:
         return 2.0 * self.vmax / self.nv
-
-    def density(self) -> np.ndarray:
-        """rho(x) = int f dv on the x grid."""
-        return self.data.sum(axis=1) * self.dv
-
-    def rho_hat(self, k_max: int) -> np.ndarray:
-        """Fourier coefficients of the density for k = 0..k_max."""
-        if k_max > self.nx // 2:
-            raise ValueError(f"k_max {k_max} beyond the grid's Nyquist mode {self.nx // 2}")
-        return np.fft.rfft(self.density())[: k_max + 1] / self.nx
 
 
 @dataclass(frozen=True)
@@ -219,13 +209,10 @@ class Stepper:
 
     Between two stops the trailing half-transport of one step and the
     leading half of the next act as one full transport, so a step costs one
-    x-FFT pair and one v-FFT pair; a stop costs one half-transport product,
-    and `x_state` one inverse x-FFT more.  The state carried from step to
-    step is the x-spectrum after the last kick, and a stop never replaces
-    it, so the state at step n does not depend on which other stops are
-    requested.  Observers that can read the spectrum (`run`, the echo
-    experiment) never call `x_state` per stop; `run` calls it once, for its
-    final state.
+    x-FFT pair and one v-FFT pair; a stop costs one half-transport product.
+    The state carried from step to step is the x-spectrum after the last
+    kick, and a stop never replaces it, so the state at step n does not
+    depend on which other stops are requested.
 
     The phase tables and scratch buffers belong to the stepper: it runs one
     `evolve` at a time.
@@ -257,7 +244,6 @@ class Stepper:
         self._obs_fk = np.empty_like(self._fk)
         self._f = np.empty((nx, nv))
         self._fv = np.empty((nx, nh), dtype=complex)
-        self._stop_input: np.ndarray | None = None
 
     def _kick(self, impulse: np.ndarray | None) -> None:
         f, fv = self._f, self._fv
@@ -283,10 +269,10 @@ class Stepper:
         """Step from ``data`` and yield ``(n, fk)`` at each step index n in ``stops``.
 
         ``stops`` must be ascending.  ``fk`` is the unnormalized x-spectrum
-        (``rfft`` along x) of the state after n steps, and `x_state` returns
-        that state itself; both are the stepper's buffers, valid until the
-        generator resumes.  ``impulses[n]`` adds a velocity shift (x grid) to
-        the kick of step n.
+        (``rfft`` along x) of the state after n steps; its inverse x-FFT is
+        that state.  ``fk`` is the stepper's buffer, which the next stop or
+        the next `evolve` overwrites.  ``impulses[n]`` adds a velocity shift
+        (x grid) to the kick of step n.
         """
         impulses = impulses or {}
         fk, obs_fk, f = self._fk, self._obs_fk, self._f
@@ -302,10 +288,8 @@ class Stepper:
                 np.fft.rfft(f, axis=0, out=fk)
                 n += 1
             if n == 0:
-                self._stop_input = data
                 np.copyto(obs_fk, fk)
             else:
-                self._stop_input = None
                 np.multiply(fk, self.transport_half, out=obs_fk)
                 # the phase makes the x-Nyquist row complex, and the inverse
                 # x-FFT of a real field drops its imaginary part: drop it here,
@@ -316,12 +300,6 @@ class Stepper:
             if not np.isfinite(obs_fk[0]).all():
                 raise NumericError(f"non-finite values detected at t = {t0 + n * self.dt:g}")
             yield n, obs_fk
-
-    def x_state(self) -> np.ndarray:
-        """The state at the stop `evolve` last yielded: its input at step 0, else one inverse x-FFT."""
-        if self._stop_input is not None:
-            return self._stop_input
-        return np.fft.irfft(self._obs_fk, n=self.nx, axis=0, out=self._f)
 
 
 @functools.lru_cache(maxsize=8)
@@ -347,8 +325,8 @@ def strang_step(
         raise ValueError("dt must be nonzero")
     stepper = _cached_stepper(state.nx, state.nv, state.vmax, dt, interaction)
     impulses = None if impulse is None else {0: impulse}
-    next(stepper.evolve(state.data, (1,), impulses, t0=state.time))
-    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, data=stepper.x_state().copy(),
+    _, fk = next(stepper.evolve(state.data, (1,), impulses, t0=state.time))
+    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, data=np.fft.irfft(fk, n=state.nx, axis=0),
                            time=state.time + dt)
 
 
@@ -558,7 +536,8 @@ def run(
     for i, (n, fk) in enumerate(stepper.evolve(state.data, stops, impulses)):
         observe(i, n * dt, fk)
 
-    final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=stepper.x_state().copy(), time=n_steps * dt)
+    # the last stop is step n_steps, and fk still holds its spectrum
+    final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=np.fft.irfft(fk, n=nx, axis=0), time=n_steps * dt)
     t_r = {k: recurrence_time(nv, vmax, k) for k in range(1, max(k_obs, 1) + 1)}
     return ObservableLog(
         times=times, mass=mass, ekin=ekin, epot=epot, l2=l2, gradv_l2=gradv,

@@ -13,8 +13,8 @@ import landau_lab
 from landau_lab.cli import _ANALYTIC_BETA, _norm_rows, main, run_experiment
 from landau_lab.config import load_config, loads_config
 from landau_lab.errors import ConfigError
-from landau_lab.norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm
-from landau_lab.sim import init_state, strang_step
+from landau_lab.norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
+from landau_lab.sim import init_state, run, strang_step
 
 MINIMAL = """\
 [experiment]
@@ -468,7 +468,7 @@ def test_norms_rows_match_per_snapshot_strang_steps(tmp_path):
     for t in sorted(sec["times"]):
         while cur.time < t - 1e-12:
             cur = strang_step(cur, cfg.build_interaction(), dt)
-        expected += _norm_rows(cur, sec)
+        expected += _norm_rows(cur, np.fft.rfft(cur.data, axis=0), sec)
     assert len(got) == len(expected) == 12
     for row, ref in zip(got, expected):
         assert row[:7] == ref[:7]
@@ -496,15 +496,76 @@ def test_norm_rows_take_one_x_transform_per_snapshot(monkeypatch):
         return rfft(a, *args, **kwargs)
 
     monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    _norm_rows(state, sec)
+    _norm_rows(state, np.fft.rfft(state.data, axis=0), sec)
     assert [s for s in shapes if len(s) == 2] == [state.data.shape]
 
 
 def test_norm_rows_equal_the_public_norms_bit_for_bit():
     state, sec = _norms_snapshot()
-    gliding, _, analytic = _norm_rows(state, sec)
+    gliding, _, analytic = _norm_rows(state, np.fft.rfft(state.data, axis=0), sec)
     g = gliding_norm(state, GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=1,
                                             tau=state.time, n_max=sec["n_max"], k_max=sec["k_max"]))
     a = analytic_norm(state, AnalyticNormSpec(lam=sec["lam"], mu=sec["mu"], beta=_ANALYTIC_BETA))
     assert (float(gliding[7]), float(gliding[8])) == (g.value, g.remainder)
     assert float(analytic[7]) == a
+
+
+def test_norms_experiment_takes_no_x_transform_per_snapshot(tmp_path, monkeypatch):
+    # the stepper's forward x-FFTs (one for the input, one per step) are the
+    # only two-dimensional x-transforms: every snapshot reads the spectrum
+    cfg = loads_config(NORMS_SMALL.replace("dir = out", f"dir = {tmp_path / 'norms'}"))
+    rfft, axes = np.fft.rfft, []
+
+    def counting_rfft(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            axes.append(kwargs.get("axis", -1))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    assert run_experiment(cfg) == 0
+    n_steps = int(round(max(cfg.get("norms", "times")) / cfg.get("time", "dt")))
+    assert axes.count(0) == n_steps + 1
+
+
+def test_norms_spatial_coefficients_equal_run_rho_modes_bit_for_bit(tmp_path, monkeypatch):
+    cfg = loads_config(NORMS_SMALL.replace("dir = out", f"dir = {tmp_path / 'norms'}"))
+    seen = []
+
+    def recording_spatial_norm(coeffs, weight, gamma=0.0):
+        seen.append(dict(coeffs))
+        return spatial_norm(coeffs, weight, gamma)
+
+    monkeypatch.setattr(landau_lab.cli, "spatial_norm", recording_spatial_norm)
+    assert run_experiment(cfg) == 0
+    dt, k_max = cfg.get("time", "dt"), cfg.get("norms", "k_max")
+    log = run(cfg.build_profile(), cfg.build_interaction(), cfg.build_perturbation(), **cfg.values["grid"],
+              dt=dt, t_end=2.0, observe_stride=1, k_obs=k_max)
+    times = sorted(cfg.get("norms", "times"))
+    assert len(seen) == len(times)
+    for t, coeffs in zip(times, seen):
+        row = log.rho_modes[int(round(t / dt))]
+        assert coeffs and all(coeffs[k] == row[k] for k in coeffs)
+    assert sorted(seen[-1]) == list(range(k_max + 1))  # every mode is live by t = 2
+
+
+def _norms_csv(tmp_path, text):
+    cfg = loads_config(text.replace("dir = out", f"dir = {tmp_path / 'norms'}"))
+    assert run_experiment(cfg) == 0
+    with open(tmp_path / "norms" / "norms.csv", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_norms_tau_follows_the_snapshot_time_unless_set(tmp_path):
+    rows = _norms_csv(tmp_path / "a", NORMS_SMALL)
+    assert len(rows) == 12 and all(float(r["tau"]) == float(r["t"]) for r in rows)
+    fixed = _norms_csv(tmp_path / "b", NORMS_SMALL.replace("lam = 0.2", "lam = 0.2\ntau = 0.5"))
+    assert {r["family"] for r in fixed} == {"gliding", "spatial", "analytic"}
+    assert all(r["tau"] == "0.5" for r in fixed)
+    # tau = t at t = 0.5: the fixed-tau rows of that snapshot are the same
+    assert [r for r in fixed if r["t"] == "0.5"] == [r for r in rows if r["t"] == "0.5"]
+
+
+def test_norms_tau_mode_is_an_unknown_key(tmp_path, capsys):
+    text = NORMS_SMALL.replace("lam = 0.2", "lam = 0.2\ntau_mode = time")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 2
+    assert "unknown key 'tau_mode'" in capsys.readouterr().err

@@ -83,7 +83,7 @@ def test_echo_amplitude_grows_with_kick_time(echo_sweep):
 
 def test_echo_report_metadata(echo_sweep):
     rep = echo_sweep[4.0]
-    assert rep.k_response == -1
+    assert rep.prediction.k == -1
     assert (rep.prediction.k, rep.prediction.ell) == (-1, 1)
     assert rep.match in rep.peaks
     assert rep.rel_error == abs(rep.match.time - rep.prediction.t_echo) / rep.prediction.t_echo

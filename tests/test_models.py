@@ -168,6 +168,17 @@ def test_hermite_l1_norms_low_orders():
     assert m[3] == pytest.approx(8 * phi(np.sqrt(3)) + 2 * phi(0.0), rel=1e-5)
 
 
+def test_hermite_l1_norms_match_the_hermeval_table():
+    # reference: each He_n evaluated from its coefficient vector on the same grid
+    from numpy.polynomial import hermite_e
+
+    v = np.linspace(-14.0, 14.0, 28001)
+    weight = np.exp(-(v**2) / 2.0) / np.sqrt(2.0 * np.pi)
+    ref = [np.trapezoid(np.abs(hermite_e.hermeval(v, np.eye(n + 1)[n])) * weight, v)
+           for n in range(_SERIES_N_MAX + 1)]
+    np.testing.assert_allclose(_hermite_l1_norms(_SERIES_N_MAX), ref, rtol=1e-14, atol=0)
+
+
 def test_derivative_series_value_maxwellian():
     rep = verify_analyticity(maxwellian())
     # the first four terms have closed forms: 1, 2*phi(0), 2*phi(1), (8*phi(sqrt3)+2*phi(0))/6

@@ -37,12 +37,12 @@ def small_state(pert=SINGLE, nx=32, nv=256):
 def test_init_equilibrium_matches_profile():
     st = small_state(PerturbationSpec())
     np.testing.assert_allclose(st.data, np.outer(np.ones(32), MAX.pdf(st.v)), rtol=0, atol=1e-18)
-    assert st.density().mean() == pytest.approx(1.0, abs=1e-9)
+    assert (st.data.sum(axis=1) * st.dv).mean() == pytest.approx(1.0, abs=1e-9)
 
 
 def test_init_single_mode_coefficient():
     st = small_state()
-    rho = st.rho_hat(2)
+    rho = np.fft.rfft(st.data.sum(axis=1) * st.dv)[:3] / st.nx
     assert abs(rho[1]) == pytest.approx(0.5e-3, rel=1e-10)
     assert abs(rho[2]) < 1e-16
 
@@ -53,7 +53,7 @@ def test_init_modes_superpose():
         PerturbationMode(k=2, amplitude=5e-4, phase=0.7),
     ))
     st = small_state(p12)
-    rho = st.rho_hat(3)
+    rho = np.fft.rfft(st.data.sum(axis=1) * st.dv)[:4] / st.nx
     assert abs(rho[1]) == pytest.approx(0.5e-3, rel=1e-9)
     assert rho[2] == pytest.approx(2.5e-4 * np.exp(0.7j), rel=1e-9)
 
@@ -81,7 +81,7 @@ def test_init_gaussian_shape_is_additive():
 
 def test_force_zero_for_homogeneous_state():
     st = small_state(PerturbationSpec())
-    f = _force(st.density(), _force_multiplier(st.nx, STRONG))
+    f = _force(st.data.sum(axis=1) * st.dv, _force_multiplier(st.nx, STRONG))
     assert np.max(np.abs(f)) < 1e-15
 
 
@@ -90,10 +90,10 @@ def test_force_matches_poisson_oracle():
     eps = 1e-3
     st = small_state(PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=eps),)))
     c1 = builtin_interaction("coulomb", 1.0)
-    f = _force(st.density(), _force_multiplier(st.nx, c1))
+    rho = st.data.sum(axis=1) * st.dv
+    f = _force(rho, _force_multiplier(st.nx, c1))
     nx = st.nx
     dx = 1.0 / nx
-    rho = st.density()
     src = rho - rho.mean()
     lap = (np.diag(np.full(nx, -2.0)) + np.diag(np.ones(nx - 1), 1) + np.diag(np.ones(nx - 1), -1))
     lap[0, -1] = lap[-1, 0] = 1.0
@@ -186,14 +186,11 @@ def test_final_state_does_not_depend_on_observe_stride():
 def test_evolve_yields_each_stop_and_keeps_the_trajectory():
     st = small_state()
     stepper = Stepper(st.nx, st.nv, st.vmax, 1 / 32, STRONG)
-    seen = [(n, stepper.x_state().copy()) for n, _ in stepper.evolve(st.data, [0, 3, 3, 8])]
+    seen = [(n, fk.copy()) for n, fk in stepper.evolve(st.data, [0, 3, 3, 8])]
     assert [n for n, _ in seen] == [0, 3, 3, 8]
-    np.testing.assert_array_equal(seen[0][1], st.data)
-    next(stepper.evolve(st.data, [0]))
-    assert stepper.x_state() is st.data  # stop 0 hands back the input itself
+    np.testing.assert_array_equal(seen[0][1], np.fft.rfft(st.data, axis=0))
     np.testing.assert_array_equal(seen[1][1], seen[2][1])
-    next(stepper.evolve(st.data, [8]))
-    alone = stepper.x_state()
+    _, alone = next(stepper.evolve(st.data, [8]))
     np.testing.assert_array_equal(alone, seen[3][1])
     with pytest.raises(ValueError, match="ascending"):
         list(stepper.evolve(st.data, [2, 1]))
@@ -201,8 +198,8 @@ def test_evolve_yields_each_stop_and_keeps_the_trajectory():
 
 @pytest.mark.parametrize("stops", [[0], [3]], ids=["stop_0", "stop_3"])
 def test_evolve_detects_nonfinite_without_an_x_state_request(stops):
-    # the check reads the stop's spectrum, so a caller that never asks for
-    # the x-space state still sees the NaN
+    # the check reads the stop's spectrum, so a caller that never inverts
+    # it to x-space still sees the NaN
     st = small_state()
     st.data[5, 100] = np.nan
     stepper = Stepper(st.nx, st.nv, st.vmax, 1 / 32, STRONG)
@@ -261,8 +258,8 @@ def test_run_observables_match_x_space_sums_at_every_stop():
     st = small_state(pert)
     impulses = {16: 0.05 * np.cos(2 * np.pi * 2 * st.x + 0.3)}
     stepper = Stepper(st.nx, st.nv, st.vmax, dt, STRONG)
-    ref = [x_space_observables(stepper.x_state(), st.nx, st.dv, k_obs, STRONG)
-           for _ in stepper.evolve(st.data, range(0, 65, stride), impulses)]
+    ref = [x_space_observables(np.fft.irfft(fk, n=st.nx, axis=0), st.nx, st.dv, k_obs, STRONG)
+           for _, fk in stepper.evolve(st.data, range(0, 65, stride), impulses)]
     mass, ekin, epot, l2, gradv, modes = (np.array(col) for col in zip(*ref))
     assert len(mass) == len(log.times) == 17
     for name, got, want in (("mass", log.mass, mass), ("ekin", log.ekin, ekin), ("epot", log.epot, epot),
