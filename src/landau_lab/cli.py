@@ -141,8 +141,8 @@ def _experiment_nonlinear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[
 
 def _experiment_certify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], int]:
     profile, interaction = cfg.build_profile(), cfg.build_interaction()
-    analyticity = verify_analyticity(profile, eta_max=cfg.get("certify", "eta_max"))
-    decay = verify_decay(interaction, k_max=cfg.get("certify", "decay_k_max"))
+    analyticity = verify_analyticity(profile)
+    decay = verify_decay(interaction)
     margin = scan_stability_margin(
         profile, interaction,
         lambda_strip=cfg.get("certify", "lambda_strip"),
@@ -179,7 +179,6 @@ def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str],
         amp_initial=cfg.get("echo", "amp_initial"), amp_kick=cfg.get("echo", "amp_kick"),
         **cfg.values["grid"],
         dt=cfg.get("time", "dt"), observe_stride=cfg.get("time", "observe_stride"),
-        floor=cfg.get("echo", "floor"), min_separation=cfg.get("echo", "min_separation"),
     )
     write_csv(out / "echoes.csv", ["k", "ell", "tau_kick", "t_predicted", "t_detected", "amplitude", "rel_error"],
               rep.to_csv_rows())
@@ -200,9 +199,6 @@ def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str],
 # FFT-roundoff floor of the density coefficients, relative to the largest:
 # the spatial weight exp(2 pi (lam tau + mu) |k|) would grow noise into a tail
 _SPATIAL_COEFF_FLOOR = 1e-13
-# analytic_norm needs lam, mu > 0 but [norms] mu may be 0; this floor moves
-# its weight by 2 pi 1e-6 |eta| (2e-4 at the Nyquist eta of nv 1024, vmax 8)
-_ANALYTIC_INDEX_FLOOR = 1e-6
 # velocity weight exp(2 pi beta |v|) of the integral term (no [norms] key):
 # inside the 700 exponent budget for any vmax up to 1,000
 _ANALYTIC_BETA = 0.1
@@ -227,8 +223,7 @@ def _norm_rows(state: PhaseSpaceField, fk: np.ndarray, sec: dict) -> list[list[s
     floor = _SPATIAL_COEFF_FLOOR * float(np.max(np.abs(raw)))
     coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
     s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
-    a = _analytic(state, ft, AnalyticNormSpec(lam=max(sec["lam"], _ANALYTIC_INDEX_FLOOR),
-                                              mu=max(sec["mu"], _ANALYTIC_INDEX_FLOOR), beta=_ANALYTIC_BETA))
+    a = _analytic(state, ft, AnalyticNormSpec(lam=sec["lam"], mu=sec["mu"], beta=_ANALYTIC_BETA))
     return [
         head + ["gliding", *params, sec["p"], f"{tau:.17g}", f"{g.value:.17g}", f"{g.remainder:.17g}"],
         head + ["spatial", *params, "", f"{tau:.17g}", f"{s:.17g}", "0"],

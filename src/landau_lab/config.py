@@ -5,7 +5,7 @@ keys are hard errors (no silent typos), parse failures carry line numbers,
 and a resolved config round-trips through `ExperimentConfig.to_text`
 unchanged.  Structured values use compact item syntax:
 
-    modes  = k:amplitude[:phase[:shape[:width]]]; ...
+    modes  = k:amplitude[:phase]; ...
     kicks  = time:mode:amplitude[:phase]; ...
     ftilde = k:eta; ...
 """
@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .errors import ConfigError
 from .models import Interaction, VelocityProfile, builtin_interaction, builtin_profile, zero_interaction
-from .sim import KickEvent, PerturbationMode, PerturbationSpec
+from .sim import KickEvent, PerturbationMode, PerturbationSpec, _require_power_of_two
 
 __all__ = ["ExperimentConfig", "load_config", "loads_config"]
 
@@ -83,8 +83,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
         "lambda_strip": ("float", None, _positive),  # unset: half the profile's width
         "kappa": ("float", 0.05, _positive),
         "k_max": ("int", 4, _positive),
-        "eta_max": ("float", 4.0, _positive),
-        "decay_k_max": ("int", 32, _positive),
     },
     "echo": {
         "k_initial": ("int", 1, None),
@@ -92,8 +90,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
         "tau_kick": ("float", 4.0, _positive),
         "amp_initial": ("float", 1e-3, _positive),
         "amp_kick": ("float", 1e-3, _nonnegative),
-        "floor": ("float", 1e-8, _positive),
-        "min_separation": ("float", 1.0, _positive),
     },
     "norms": {
         "lam": ("float", 0.4, _positive),
@@ -132,13 +128,12 @@ def _parse_scalar(section: str, key: str, raw: str, kind: str):
             items = []
             for item in filter(None, (s.strip() for s in raw.split(";"))):
                 parts = item.split(":")
-                if not 2 <= len(parts) <= 5:
-                    raise ValueError("expected k:amplitude[:phase[:shape[:width]]]")
-                k, amp = int(parts[0]), float(parts[1])
-                phase = float(parts[2]) if len(parts) > 2 else 0.0
-                shape = parts[3] if len(parts) > 3 else "same_as_f0"
-                width = float(parts[4]) if len(parts) > 4 else None
-                items.append(PerturbationMode(k=k, amplitude=amp, phase=phase, shape=shape, width=width))
+                if not 2 <= len(parts) <= 3:
+                    raise ValueError("expected k:amplitude[:phase]")
+                items.append(PerturbationMode(
+                    k=int(parts[0]), amplitude=float(parts[1]),
+                    phase=float(parts[2]) if len(parts) > 2 else 0.0,
+                ))
             return tuple(items)
         if kind == "kicks":
             items = []
@@ -168,13 +163,8 @@ def _format_value(value, kind: str) -> str:
     if kind == "pairs":
         return "; ".join(f"{k}:{_FLOAT_KEYS_FMT.format(eta)}" for k, eta in value)
     if kind == "modes":
-        items = []
-        for m in value:
-            item = f"{m.k}:{_FLOAT_KEYS_FMT.format(m.amplitude)}:{_FLOAT_KEYS_FMT.format(m.phase)}:{m.shape}"
-            if m.width is not None:
-                item += f":{_FLOAT_KEYS_FMT.format(m.width)}"
-            items.append(item)
-        return "; ".join(items)
+        return "; ".join(f"{m.k}:{_FLOAT_KEYS_FMT.format(m.amplitude)}:{_FLOAT_KEYS_FMT.format(m.phase)}"
+                         for m in value)
     if kind == "kicks":
         return "; ".join(
             f"{_FLOAT_KEYS_FMT.format(k.time)}:{k.mode}:{_FLOAT_KEYS_FMT.format(k.amplitude)}:{_FLOAT_KEYS_FMT.format(k.phase)}"
@@ -188,7 +178,6 @@ class ExperimentConfig:
     """Fully resolved experiment configuration (defaults applied)."""
 
     values: dict = dataclass_field(default_factory=dict)
-    source: str = "<memory>"
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -204,7 +193,7 @@ class ExperimentConfig:
         kind = _SCHEMA[section][key][0]
         values = {s: dict(kv) for s, kv in self.values.items()}
         values[section][key] = _parse_scalar(section, key, raw, kind)
-        cfg = ExperimentConfig(values=values, source=self.source)
+        cfg = ExperimentConfig(values=values)
         _validate(cfg)
         return cfg
 
@@ -256,10 +245,11 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown interaction kind {kind!r}")
     if kind == "screened" and cfg.values["interaction"]["screening"] is None:
         raise ConfigError("screened interaction requires [interaction] screening")
-    for section, key in (("grid", "nx"), ("grid", "nv")):
-        n = cfg.values[section][key]
-        if n & (n - 1):
-            raise ConfigError(f"[{section}] {key} must be a power of two, got {n}")
+    for key in ("nx", "nv"):
+        try:
+            _require_power_of_two(cfg.values["grid"][key], f"[grid] {key}")
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     p = cfg.values["norms"]["p"]
     if p not in ("1", "2", "inf"):
         raise ConfigError(f"[norms] p must be 1, 2 or inf, got {p!r}")
@@ -291,7 +281,7 @@ def loads_config(text: str, source: str = "<memory>") -> ExperimentConfig:
                 value = default
             values[section][key] = value
 
-    cfg = ExperimentConfig(values=values, source=source)
+    cfg = ExperimentConfig(values=values)
     _validate(cfg)
     return cfg
 

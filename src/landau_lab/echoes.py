@@ -112,6 +112,12 @@ class EchoReport:
         ]]
 
 
+# peak detection of the two-pulse run: a peak stands above 1e-8 and at least
+# one time unit from any larger one
+_PEAK_FLOOR = 1e-8
+_PEAK_MIN_SEPARATION = 1.0
+
+
 def run_echo_experiment(
     profile: VelocityProfile,
     interaction: Interaction,
@@ -126,8 +132,6 @@ def run_echo_experiment(
     vmax: float = 8.0,
     dt: float = 1.0 / 32,
     observe_stride: int = 2,
-    floor: float = 1e-8,
-    min_separation: float = 1.0,
 ) -> EchoReport:
     """Two-pulse echo run: initial mode ``k_initial``, impulsive kick at ``tau_kick``.
 
@@ -137,8 +141,9 @@ def run_echo_experiment(
     echo time plus 2, rounded up to whole observation strides.  Each
     observation reads rho_hat(t, |k|) = sum_v fk[|k|, v] dv / nx from the
     stepper's x-spectrum, the only quantity the report uses.  Detection
-    looks for post-kick local maxima of |rho_hat(t, k)| above ``floor`` and
-    pairs them with the timing law applied to the initial mode as source.
+    looks for post-kick local maxima of |rho_hat(t, k)| above 1e-8, at least
+    1 apart in t, and pairs them with the timing law applied to the initial
+    mode as source.
     """
     k_resp = k_initial + kick_mode
     if k_resp == 0:
@@ -166,7 +171,7 @@ def run_echo_experiment(
     guard = 4 * observe_stride * dt  # skip the kick's own transient
     post = h.times > tau_kick + guard
     peaks = detect_peaks(ModeHistory(k=abs(k_resp), times=h.times[post], values=h.values[post]),
-                         floor=floor, min_separation=min_separation)
+                         floor=_PEAK_FLOOR, min_separation=_PEAK_MIN_SEPARATION)
     match = min(peaks, key=lambda p: abs(p.time - prediction.t_echo)) if peaks else None
     return EchoReport(
         tau_kick=tau_kick,

@@ -311,22 +311,21 @@ def _derivative_series(components: Components, lam: float, n_max: int) -> tuple[
     return total, tail
 
 
-# sup-check samples on [-eta_max, eta_max]: at eta_max = 4 the sampled sup of
-# the unit Maxwellian at lam = 1 is within 1e-4 of exp(1/2)
+# sup-check range and samples: on |eta| <= 4 the sampled sup of the unit
+# Maxwellian at lam = 1 is within 1e-4 of exp(1/2)
+_ANALYTICITY_ETA_MAX = 4.0
 _ANALYTICITY_SAMPLES = 2001
 # derivative-series order: the tail estimate is below 1e-12 at default widths
 _SERIES_N_MAX = 40
 
 
-def verify_analyticity(profile: VelocityProfile, eta_max: float = 4.0) -> AnalyticityReport:
-    """Re-check |ft(eta)| exp(2 pi lam |eta|) <= c0 on a sampled eta range.
+def verify_analyticity(profile: VelocityProfile) -> AnalyticityReport:
+    """Re-check |ft(eta)| exp(2 pi lam |eta|) <= c0 on a sampled |eta| <= 4.
 
     The derivative series is the mixture's closed-form bound, truncated at
     order 40 and completed by its tail estimate.
     """
-    if eta_max <= 0:
-        raise ValueError(f"eta_max must be positive, got {eta_max}")
-    eta = np.linspace(-eta_max, eta_max, _ANALYTICITY_SAMPLES)
+    eta = np.linspace(-_ANALYTICITY_ETA_MAX, _ANALYTICITY_ETA_MAX, _ANALYTICITY_SAMPLES)
     ratio = np.abs(profile.ft(eta)) * np.exp(2.0 * np.pi * profile.lam * np.abs(eta)) / profile.c0
     worst = float(np.max(ratio))
     total, tail = _derivative_series(profile.components, profile.lam, _SERIES_N_MAX)
@@ -342,7 +341,7 @@ class DecayReport:
     worst_ratio: float
 
 
-def verify_decay(interaction: Interaction, k_max: int) -> DecayReport:
+def verify_decay(interaction: Interaction, k_max: int = 32) -> DecayReport:
     """Check the interaction's stored decay constants on 1 <= |k| <= k_max."""
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")

@@ -216,8 +216,8 @@ class AnalyticNormSpec:
     spectral_floor: float = 1e-14
 
     def __post_init__(self):
-        if self.lam <= 0 or self.mu <= 0 or self.beta <= 0:
-            raise ValueError("lam, mu and beta must be positive")
+        if self.lam < 0 or self.mu < 0 or self.beta <= 0:
+            raise ValueError("lam and mu must be >= 0 and beta positive")
         if not 0.0 <= self.spectral_floor < 1.0:
             raise ValueError("spectral_floor must lie in [0, 1)")
 

@@ -58,8 +58,8 @@ class PhaseSpaceField:
     """Distribution values f(x_i, v_j) on a uniform nx-by-nv grid.
 
     x lives on the unit torus (x_i = i / nx), v on [-vmax, vmax) with
-    spacing 2 vmax / nv.  A simulation owns its field exclusively;
-    observable extraction works on snapshots.
+    spacing 2 vmax / nv.  A field is a snapshot: `Stepper.evolve` reads
+    ``data`` once and steps its own x-spectrum, so stepping never changes it.
     """
 
     nx: int
@@ -74,10 +74,6 @@ class PhaseSpaceField:
             raise ValueError(f"data shape {self.data.shape} != (nx, nv) = {(self.nx, self.nv)}")
 
     @property
-    def x(self) -> np.ndarray:
-        return np.arange(self.nx) / self.nx
-
-    @property
     def v(self) -> np.ndarray:
         return -self.vmax + np.arange(self.nv) * self.dv
 
@@ -88,24 +84,11 @@ class PhaseSpaceField:
 
 @dataclass(frozen=True)
 class PerturbationMode:
-    """One spatial cosine mode of the initial perturbation.
-
-    ``shape`` selects the velocity profile of the perturbation: the
-    equilibrium itself (multiplicative) or a normalized Gaussian of the
-    given width (additive).
-    """
+    """One spatial cosine mode of the initial perturbation, multiplying the equilibrium."""
 
     k: int
     amplitude: float
     phase: float = 0.0
-    shape: str = "same_as_f0"
-    width: float | None = None
-
-    def __post_init__(self):
-        if self.shape not in ("same_as_f0", "gaussian"):
-            raise ValueError(f"unknown perturbation shape {self.shape!r}")
-        if self.shape == "gaussian" and (self.width is None or self.width <= 0):
-            raise ValueError("gaussian perturbation shape requires width > 0")
 
 
 @dataclass(frozen=True)
@@ -145,7 +128,7 @@ def init_state(
     nv: int,
     vmax: float,
 ) -> PhaseSpaceField:
-    """Build f_i = f0(v) (1 + sum_k amp cos(2 pi k x + phase)) plus additive shapes.
+    """Build f_i = f0(v) (1 + sum_k amp cos(2 pi k x + phase)).
 
     Fails when the equilibrium tail at +-vmax reaches 1e-13 (the
     periodic velocity continuation would wrap non-negligible mass) or when
@@ -162,18 +145,10 @@ def init_state(
         )
     x = np.arange(nx) / nx
     v = -vmax + np.arange(nv) * (2.0 * vmax / nv)
-    fv = profile.pdf(v)
     mult = np.ones(nx)
-    data = None
     for m in perturbation.modes:
-        wave = m.amplitude * np.cos(2.0 * np.pi * m.k * x + m.phase)
-        if m.shape == "same_as_f0":
-            mult = mult + wave
-        else:
-            bump = np.exp(-(v**2) / (2.0 * m.width**2)) / np.sqrt(2.0 * np.pi * m.width**2)
-            data = (data if data is not None else 0.0) + np.outer(wave, bump)
-    base = np.outer(mult, fv)
-    data = base if data is None else base + data
+        mult = mult + m.amplitude * np.cos(2.0 * np.pi * m.k * x + m.phase)
+    data = np.outer(mult, profile.pdf(v))
     if data.min() < 0.0:
         raise ValueError(f"initial distribution is negative (min {data.min():.3e}); reduce amplitudes")
     return PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=data, time=0.0)

@@ -2,6 +2,7 @@
 
 import csv
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,6 +94,18 @@ def test_parse_error_carries_source():
 def test_grid_must_be_power_of_two():
     with pytest.raises(ConfigError, match="power of two"):
         loads_config(MINIMAL + "\n[grid]\nnx = 48\n")
+    # one cell is no grid either: init_state would reject it mid-run
+    for key in ("nx", "nv"):
+        with pytest.raises(ConfigError, match=rf"\[grid\] {key} must be a power of two, got 1"):
+            loads_config(MINIMAL + f"\n[grid]\n{key} = 1\n")
+
+
+def test_readme_example_config_loads():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, re.S)
+    cfg = loads_config(block)
+    assert cfg.experiment == "nonlinear_damping" and cfg.get("interaction", "strength") == 157.91367041742973
+    assert cfg.get("observables", "ftilde") == ((1, 0.0),)
 
 
 def test_structured_values_parse():
@@ -105,6 +118,16 @@ def test_structured_values_parse():
     kicks = cfg.get("perturbation", "kicks")
     assert kicks[0].mode == -2 and kicks[0].time == 4.0
     assert cfg.get("observables", "ftilde") == ((1, 0.0), (2, 0.25))
+    # the benchmark's override form
+    phase = 0.7853981633974483
+    (mode,) = cfg.replace("perturbation", "modes", f"1:2e-3:{phase!r}").get("perturbation", "modes")
+    assert (mode.k, mode.amplitude, mode.phase) == (1, 2e-3, phase)
+
+
+def test_mode_items_take_at_most_a_phase():
+    # the additive Gaussian shape and its width were removed: every mode multiplies f0
+    with pytest.raises(ConfigError, match=r"expected k:amplitude\[:phase\]"):
+        loads_config(MINIMAL + "\n[perturbation]\nmodes = 1:1e-3:0:gaussian:0.5\n")
 
 
 def test_config_round_trips():
@@ -184,6 +207,12 @@ def test_bad_key_exits_2(tmp_path, capsys):
     path = write_cfg(tmp_path, MINIMAL + "seed = 1\n")
     assert main(["run", str(path)]) == 2
     assert "unknown key 'seed'" in capsys.readouterr().err
+    # these tuned the lab's own checks, and no workload varied them: now constants
+    for section, key in (("certify", "eta_max"), ("certify", "decay_k_max"),
+                         ("echo", "floor"), ("echo", "min_separation")):
+        path = write_cfg(tmp_path, MINIMAL + f"\n[{section}]\n{key} = 1\n")
+        assert main(["run", str(path)]) == 2
+        assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("params", ["1.0, 0.5, 2.0, 9.0", "1.0, 0.5"])
@@ -508,6 +537,14 @@ def test_norm_rows_equal_the_public_norms_bit_for_bit():
     a = analytic_norm(state, AnalyticNormSpec(lam=sec["lam"], mu=sec["mu"], beta=_ANALYTIC_BETA))
     assert (float(gliding[7]), float(gliding[8])) == (g.value, g.remainder)
     assert float(analytic[7]) == a
+
+
+def test_norm_rows_at_mu_zero_equal_the_public_analytic_norm():
+    # [norms] mu may be 0, and the analytic norm takes it as it is
+    state, sec = _norms_snapshot()
+    sec = dict(sec, mu=0.0)
+    analytic = _norm_rows(state, np.fft.rfft(state.data, axis=0), sec)[2]
+    assert float(analytic[7]) == analytic_norm(state, AnalyticNormSpec(lam=sec["lam"], mu=0.0, beta=_ANALYTIC_BETA))
 
 
 def test_norms_experiment_takes_no_x_transform_per_snapshot(tmp_path, monkeypatch):

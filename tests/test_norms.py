@@ -297,6 +297,29 @@ def test_analytic_norm_maxwellian_sup_and_integral():
     assert val == pytest.approx(np.exp(lam**2 / 2) + integral, rel=2e-5)
 
 
+def test_norm_specs_share_one_index_rule():
+    # lam, mu >= 0 for both families; negative indices and beta <= 0 stay errors
+    for lam, mu in ((0.0, 0.3), (0.3, 0.0), (0.0, 0.0)):
+        GlidingNormSpec(lam=lam, mu=mu)
+        AnalyticNormSpec(lam=lam, mu=mu, beta=0.1)
+    for lam, mu in ((-0.1, 0.3), (0.3, -0.1)):
+        with pytest.raises(ValueError, match=">= 0"):
+            GlidingNormSpec(lam=lam, mu=mu)
+        with pytest.raises(ValueError, match=">= 0"):
+            AnalyticNormSpec(lam=lam, mu=mu, beta=0.1)
+    with pytest.raises(ValueError, match="beta"):
+        AnalyticNormSpec(lam=0.3, mu=0.3, beta=0.0)
+
+
+def test_analytic_norm_at_zero_indices_is_the_mass_plus_the_integral():
+    # unit weights leave the sup at f~(0, 0), the mass of the nonnegative equilibrium
+    st_eq = equilibrium_state()
+    beta = 0.1
+    mass = st_eq.data.sum() * st_eq.dv / st_eq.nx
+    integral = np.sum(st_eq.data * np.exp(2 * np.pi * beta * np.abs(st_eq.v))) * st_eq.dv / st_eq.nx
+    assert analytic_norm(st_eq, AnalyticNormSpec(lam=0.0, mu=0.0, beta=beta)) == pytest.approx(mass + integral, rel=1e-14)
+
+
 def test_analytic_norm_zero_field():
     st0 = PhaseSpaceField(nx=32, nv=256, vmax=8.0, data=np.zeros((32, 256)))
     assert analytic_norm(st0, AnalyticNormSpec(lam=0.5, mu=0.5, beta=0.1)) == 0.0

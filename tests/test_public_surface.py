@@ -23,7 +23,7 @@ KEEP = {
 
 
 # Fields and public methods of exported classes that no package or benchmark
-# code loads as an attribute, each with the reader it is kept for.
+# code reads (see `_member_readers`), each with the reader it is kept for.
 KEEP_MEMBERS = {
     "AsymptoticProfile.f_inf": "the planned f-infinity oracle, like asymptotic_profile",
     "AsymptoticProfile.sup_diff": "the planned f-infinity oracle, like asymptotic_profile",
@@ -91,22 +91,56 @@ def _members(tree: ast.Module) -> list[str]:
     return out
 
 
-def _attribute_loads() -> set[str]:
-    """Attribute names that package or benchmark code loads."""
-    paths = [*sorted(SRC.glob("*.py")), *sorted(BENCH.glob("*.py"))]
-    return {node.attr for p in paths for node in ast.walk(ast.parse(p.read_text()))
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+def _imported_modules(tree: ast.Module) -> set[str]:
+    """The package modules a module imports: ``from .sim import ...``,
+    ``from landau_lab import sim``, ``import landau_lab.sim`` and the like."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:  # a relative import sits in the package itself
+                module = f"landau_lab.{module}" if module else "landau_lab"
+            if module == "landau_lab":
+                out.update(alias.name for alias in node.names)
+            elif module.startswith("landau_lab."):
+                out.add(module.split(".")[1])
+        elif isinstance(node, ast.Import):
+            out.update(alias.name.split(".")[1] for alias in node.names if alias.name.startswith("landau_lab."))
+    return out
+
+
+def _attribute_loads(tree: ast.Module) -> set[str]:
+    """Attribute names a module loads, except keyword copies ``name=obj.name``,
+    which carry a member forward without reading it."""
+    copies = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.keyword)
+              and isinstance(node.value, ast.Attribute) and node.value.attr == node.arg}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in copies}
+
+
+def _member_readers() -> dict[str, set[str]]:
+    """Per package module, the attribute names loaded where its classes are
+    visible: in the module itself, and in package or benchmark modules that
+    import it."""
+    modules = {f"bench/{p.stem}": ast.parse(p.read_text()) for p in sorted(BENCH.glob("*.py"))}
+    modules.update(_trees())
+    imports = {name: _imported_modules(tree) for name, tree in modules.items()}
+    loads = {name: _attribute_loads(tree) for name, tree in modules.items()}
+    return {mod: set().union(*(loads[name] for name in modules if name == mod or mod in imports[name]))
+            for mod in _trees()}
+
+
+def _unread_members() -> list[str]:
+    readers = _member_readers()
+    return [m for mod, tree in _trees().items() for m in _members(tree) if m.split(".", 1)[1] not in readers[mod]]
 
 
 def test_every_field_and_method_of_an_exported_class_has_a_reader():
-    loaded = _attribute_loads()
-    unread = [m for tree in _trees().values() for m in _members(tree)
-              if m.split(".", 1)[1] not in loaded and m not in KEEP_MEMBERS]
+    unread = [m for m in _unread_members() if m not in KEEP_MEMBERS]
     assert unread == [], f"fields or methods that no package or benchmark code reads: {unread}"
 
 
 def test_member_keep_list_entries_exist_and_have_no_other_reader():
     members = {m for tree in _trees().values() for m in _members(tree)}
     assert sorted(set(KEEP_MEMBERS) - members) == []
-    loaded = _attribute_loads()
-    assert sorted(m for m in KEEP_MEMBERS if m.split(".", 1)[1] in loaded) == []
+    assert sorted(set(KEEP_MEMBERS) - set(_unread_members())) == []
