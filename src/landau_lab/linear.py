@@ -10,16 +10,16 @@ decay of a mode is set by the worst of two rates: the decay of the source,
 and the width of the strip on which the Fourier-Laplace transform of K0
 stays away from 1.  Two strip objects are kept deliberately distinct:
 
-* `stability_functional` integrates |ft| (a majorant, used by the margin
-  scan `scan_stability_margin`), and
+* the margin scan `scan_stability_margin` integrates |ft| (a majorant), and
 * `root_scan` uses the true transform of K0 (no modulus) to locate the
   resolvent root that sets the actual decay rate.
 
 Conflating the two changes results for profiles whose transform is not
 real and nonnegative.  Every Laplace-side integral, and the small-gain
 integral of `smallness_criterion`, runs on the nodes of one builder,
-`_gl_panels`: composite 20-node Gauss-Legendre on equal panels.  The strip
-scans and the functional share one product-grid transform, `_strip_transform`.
+`_gl_panels`: composite 20-node Gauss-Legendre on equal panels.  Both strip
+scans go through one product-grid transform, `_strip_transform`, whose Im
+phases are products of two short factor tables (`_block_split`).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import DivergenceError, NumericError, StabilityGapError
+from .errors import NumericError, StabilityGapError
 from .models import Interaction, VelocityProfile
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "RootScanResult",
     "DecayFit",
     "memory_kernel",
-    "stability_functional",
     "scan_stability_margin",
     "monotone_criterion",
     "smallness_criterion",
@@ -148,40 +147,48 @@ def _laplace_nodes(profile, interaction, k, re_max: float, im_max: float, *, mod
     return t, wt * (-4.0 * np.pi**2) * float(interaction.what(np.array(k))) * ftv * k**2 * t
 
 
+def _block_split(n: int) -> tuple[int, int]:
+    """Block length m, a power of two near sqrt(n), and block count for
+    writing an index 0 <= j < n as j = m p + q with 0 <= q < m."""
+    m = 1 << ((n - 1).bit_length() + 1) // 2
+    return m, -(-n // m)
+
+
 def _strip_transform(profile, interaction, k, res, ims, *, modulus: bool) -> np.ndarray:
     """int_0^inf exp(2 pi |k| (re + i im) t) K0(t, k) dt on the product grid res x ims.
 
-    exp(c (re + i im) t) = exp(c re t) exp(i c im t), so the (len(res),
-    len(ims)) result is one matrix product on the nodes of (max re, max |im|),
-    with no complex exponential per grid point.  With ``modulus=True`` the
-    kernel's ft factor is replaced by its modulus.
+    All grid points share the nodes of (max re, max |im|).  ``ims`` must be
+    an arithmetic progression with step d, to 1e-12 of its largest magnitude
+    (else `ValueError`).  Writing j = m p + q (`_block_split`), the phase of
+    Im point j is exp(i c ims[m p] t) exp(i c d q t), c = 2 pi |k|, so block
+    p of the (len(res), len(ims)) result is one matrix product of the
+    growth-weighted kernel times its start row with the m-column step table.
+    That takes (m + blocks) x nodes phases instead of len(ims) x nodes, forms
+    no (len(ims), nodes) table, and keeps a grid that does not start at 0
+    as exact as one that does.  With ``modulus=True`` the kernel's ft factor
+    is replaced by its modulus.
     """
-    t, base = _laplace_nodes(profile, interaction, k, float(np.max(res)), float(np.max(np.abs(ims))),
-                             modulus=modulus)
-    growth = TWO_PI * abs(k) * np.multiply.outer(res, t)
+    ims = np.asarray(ims, dtype=float)
+    n = len(ims)
+    d = (ims[-1] - ims[0]) / (n - 1) if n > 1 else 0.0
+    im_max = float(np.max(np.abs(ims)))
+    if np.max(np.abs(ims - (ims[0] + d * np.arange(n)))) > 1e-12 * im_max:
+        raise ValueError("the Im grid of a strip transform must be an arithmetic progression")
+    t, base = _laplace_nodes(profile, interaction, k, float(np.max(res)), im_max, modulus=modulus)
+    c = TWO_PI * abs(k)
+    growth = c * np.multiply.outer(res, t)
     if np.max(growth) > 600.0:
         raise NumericError("Laplace exponent overflow; shrink the strip or t_max")
-    return (np.exp(growth) * base) @ np.exp(1j * TWO_PI * abs(k) * np.multiply.outer(ims, t)).T
-
-
-def stability_functional(
-    profile: VelocityProfile,
-    interaction: Interaction,
-    k: int,
-    xi: complex,
-) -> complex:
-    """Strip functional -4 pi^2 what(k) int_0^inf e^{2 pi |k| conj(xi) t} |ft(kt)| k^2 t dt.
-
-    The distance of this functional from 1 over the strip 0 <= Re(xi) < lam
-    is the linear stability margin.  Raises `DivergenceError` when
-    Re(xi) >= lam (integrand no longer summable under the stored bound).
-    """
-    if k == 0:
-        raise ValueError("k must be nonzero")
-    xi = complex(xi)
-    if xi.real >= profile.lam:
-        raise DivergenceError(f"Re(xi) = {xi.real:g} >= analyticity width {profile.lam:g}")
-    return complex(_strip_transform(profile, interaction, k, [xi.real], [-xi.imag], modulus=True)[0, 0])
+    m, n_blocks = _block_split(n)
+    weighted = np.exp(growth) * base
+    arg = c * np.multiply.outer(t, d * np.arange(m))
+    steps = np.empty(arg.shape, dtype=complex)
+    np.cos(arg, out=steps.real)
+    np.sin(arg, out=steps.imag)
+    out = np.empty((len(res), n_blocks * m), dtype=complex)
+    for p in range(n_blocks):
+        np.matmul(weighted * np.exp(1j * c * ims[p * m] * t), steps, out=out[:, p * m:(p + 1) * m])
+    return out[:, :n]
 
 
 # ---------------------------------------------------------------------------

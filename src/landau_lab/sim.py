@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NumericError
 from .models import Interaction, VelocityProfile
-from .linear import ModeHistory, write_csv, write_modes_csv
+from .linear import ModeHistory, _block_split, write_csv, write_modes_csv
 
 __all__ = [
     "PhaseSpaceField",
@@ -206,8 +206,7 @@ class Stepper:
         # that is exp(i a m p) exp(i a q): cos/sin of two narrow tables and
         # one complex product instead of cos/sin of the full table.
         nh = nv // 2 + 1
-        m = 1 << ((nh - 1).bit_length() + 1) // 2
-        n_blocks = -(-nh // m)
+        m, n_blocks = _block_split(nh)
         a = -2.0 * np.pi / (nv * self.dv)
         self._phase_factors = [
             (freq, np.empty((nx, *freq.shape)), np.empty((nx, *freq.shape), dtype=complex))

@@ -1,5 +1,6 @@
 """Memory kernel, Volterra marching, stability scans, rate extraction."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from landau_lab import linear
-from landau_lab.errors import DivergenceError, NumericError, StabilityGapError
+from landau_lab.errors import NumericError, StabilityGapError
 from landau_lab.linear import (
     ModeHistory,
     _laplace_nodes,
@@ -23,7 +24,6 @@ from landau_lab.linear import (
     scan_stability_margin,
     smallness_criterion,
     solve_volterra,
-    stability_functional,
 )
 from landau_lab.models import (
     builtin_interaction,
@@ -45,13 +45,34 @@ def per_point_kernel_transform(profile, interaction, k, zetas, *, modulus):
     """int_0^inf exp(2 pi |k| zeta t) K0(t, k) dt with one complex exponential per (zeta, node).
 
     Same nodes as `_strip_transform` (those of max Re and max |Im|), summed
-    point by point: the reference for its product-grid factorisation, which
-    must agree to roundoff.
+    point by point in double precision: the grid-search reference of the scans.
     """
     zetas = np.asarray(zetas, dtype=complex)
     t, base = _laplace_nodes(profile, interaction, k, float(np.max(zetas.real)), float(np.max(np.abs(zetas.imag))),
                              modulus=modulus)
     return np.exp(2.0 * np.pi * abs(k) * np.multiply.outer(zetas, t)) @ base
+
+
+def long_double_kernel_transform(profile, interaction, k, res, ims, *, modulus):
+    """The (len(res), len(ims)) transform of `_strip_transform` on the same nodes,
+    with every phase, growth factor and sum in np.longdouble.
+
+    On x86-64 that is extended precision, whose epsilon is 1/2048 of
+    double's, so the reference's own roundoff is negligible at rtol 1e-13.
+    """
+    res = np.asarray(res, dtype=np.longdouble)
+    ims = np.asarray(ims, dtype=np.longdouble)
+    t, base = _laplace_nodes(profile, interaction, k, float(np.max(res)), float(np.max(np.abs(ims))), modulus=modulus)
+    t, base = t.astype(np.longdouble), base.astype(np.clongdouble)
+    c = 8 * np.arctan(np.longdouble(1)) * abs(k)
+    arg = c * np.multiply.outer(ims, t)
+    return np.einsum("rt,it->ri", np.exp(c * np.multiply.outer(res, t)) * base, np.cos(arg) + 1j * np.sin(arg))
+
+
+def strip_functional(profile, interaction, k, xi):
+    """The majorant strip functional at one point xi, the scan's L(k, xi):
+    -4 pi^2 what(k) int_0^inf e^{2 pi |k| conj(xi) t} |ft(kt)| k^2 t dt."""
+    return complex(_strip_transform(profile, interaction, k, [xi.real], [-xi.imag], modulus=True)[0, 0])
 
 
 def per_width_root_scan(profile, interaction, k):
@@ -131,7 +152,7 @@ def test_majorant_functional_differs_from_true_transform_when_not_even():
     # profile it must not be confused with the true transform of the kernel
     bump = bump_on_tail(weight=0.2, drift=2.0)
     xi = 0.1 + 0.0j
-    majorant = stability_functional(bump, COULOMB, 1, xi)
+    majorant = strip_functional(bump, COULOMB, 1, xi)
 
     def integrand(t):
         return np.exp(2 * np.pi * np.conj(xi) * t) * memory_kernel(bump, COULOMB, 1, t)
@@ -151,15 +172,36 @@ def test_strip_transform_matches_per_point_sum(profile, modulus):
     ims = np.linspace(-6.0, 6.0, 49)  # negative Im values included
     for k in (1, 3):
         got = _strip_transform(profile, STRONG, k, res, ims, modulus=modulus)
-        ref = per_point_kernel_transform(profile, STRONG, k, res[:, None] + 1j * ims[None, :], modulus=modulus)
+        ref = long_double_kernel_transform(profile, STRONG, k, res, ims, modulus=modulus)
         assert got.shape == (len(res), len(ims))
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
 
 def test_strip_transform_zero_interaction_is_exactly_zero():
     for modulus in (True, False):
-        vals = _strip_transform(MAX, zero_interaction(), 1, [0.0, 0.3], [-2.0, 0.0, 5.0], modulus=modulus)
+        vals = _strip_transform(MAX, zero_interaction(), 1, [0.0, 0.3], np.linspace(-2.0, 5.0, 3), modulus=modulus)
         assert np.all(vals == 0.0)
+
+
+def test_strip_transform_rejects_a_non_arithmetic_im_grid():
+    with pytest.raises(ValueError, match="arithmetic progression"):
+        _strip_transform(MAX, COULOMB, 1, [0.0, 0.3], [-2.0, 0.0, 5.0], modulus=True)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_strip_transform_forms_no_full_phase_table(k):
+    # certify's grid: one (161, nodes) complex phase table is the bound to stay under
+    newton = builtin_interaction("newton", 20.0)
+    res = np.linspace(0.0, 0.5, linear._STRIP_RE_POINTS, endpoint=False)
+    ims = np.linspace(0.0, linear._STRIP_IM_MAX, linear._STRIP_IM_POINTS)
+    t, _ = _laplace_nodes(MAX, newton, k, float(res[-1]), float(ims[-1]), modulus=True)
+    tracemalloc.start()
+    try:
+        _strip_transform(MAX, newton, k, res, ims, modulus=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(ims) * len(t) * np.dtype(complex).itemsize
 
 
 def test_laplace_exponent_overflow_is_a_numeric_error():
@@ -169,7 +211,7 @@ def test_laplace_exponent_overflow_is_a_numeric_error():
     with pytest.raises(NumericError, match="Laplace exponent overflow"):
         scan_stability_margin(replace(maxwellian(), lam=40.0), COULOMB, 30.0, 0.05)
     with pytest.raises(NumericError, match="Laplace exponent overflow"):
-        stability_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 30.0 + 1.0j)
+        strip_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 30.0 + 1.0j)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +219,12 @@ def test_laplace_exponent_overflow_is_a_numeric_error():
 
 
 def test_functional_zero_interaction():
-    assert stability_functional(MAX, zero_interaction(), 1, 0.2 + 0.5j) == 0.0
+    assert strip_functional(MAX, zero_interaction(), 1, 0.2 + 0.5j) == 0.0
 
 
 def test_functional_gaussian_value_at_origin():
     # int_0^inf exp(-2 pi^2 t^2) t dt = 1/(4 pi^2)
-    val = stability_functional(MAX, COULOMB, 1, 0.0)
+    val = strip_functional(MAX, COULOMB, 1, 0j)
     assert val == pytest.approx(-1.0 / FOUR_PI2, rel=1e-10)
     assert abs(val) == pytest.approx(FOUR_PI2 * abs(COULOMB.what(1)) * (1.0 / FOUR_PI2), rel=1e-10)
 
@@ -195,20 +237,15 @@ def test_functional_matches_adaptive_quadrature():
 
         oracle = quad(integrand, 0, 10, complex_func=True, limit=400)[0]
         oracle *= -FOUR_PI2 * float(COULOMB.what(k))
-        assert stability_functional(MAX, COULOMB, k, xi) == pytest.approx(oracle, rel=1e-9)
+        assert strip_functional(MAX, COULOMB, k, xi) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_functional_modulus_bounded_by_real_axis():
     # |L(k, xi)| <= L-evaluated-at-Re(xi) in modulus: integrand modulus peaks at real xi
     for xi in (0.1 + 0.8j, 0.4 + 3.0j, 0.0 + 5.0j):
-        lhs = abs(stability_functional(MAX, STRONG, 1, xi))
-        rhs = abs(stability_functional(MAX, STRONG, 1, xi.real))
+        lhs = abs(strip_functional(MAX, STRONG, 1, xi))
+        rhs = abs(strip_functional(MAX, STRONG, 1, complex(xi.real)))
         assert lhs <= rhs * (1 + 1e-12)
-
-
-def test_functional_diverges_outside_width():
-    with pytest.raises(DivergenceError):
-        stability_functional(MAX, COULOMB, 1, 1.0 + 0.0j)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ KEEP = {
     "ftilde_sample": "reference for run's ftilde range errors and the free-transport identity in tests",
     "asymptotic_profile": "the planned f-infinity oracle: late-time profile against the linear prediction",
     "linearized_ftilde": "the planned f-infinity oracle: late-time profile against the linear prediction",
-    "stability_functional": "the planned certified strip margin; tests compare it with adaptive quadrature",
     "coincidence_check": "an acceptance gate (gliding norm vs spatial norm for x-only inputs)",
     "gliding_norm": "the benchmark's gliding-identity check; the norms experiment calls its core on a shared transform",
     "analytic_norm": "the benchmark's raised-floor check; the norms experiment calls its core on a shared transform",
