@@ -4,9 +4,10 @@
     landau-lab certify <config>
     landau-lab sweep <config-template> --param key=1..8 [--jobs N]
 
-Every run writes ``run.meta`` (the full resolved config, the recurrence
-horizon, artifact list and status) next to its CSV and SVG artifacts.  The
-output directory comes from the config; the LANDAU_LAB_OUTPUT_ROOT
+Every run writes ``run.meta`` next to its CSV and SVG artifacts: status,
+the resolved config sections the experiment reads and their hash, the
+recurrence horizon where the experiment reads a grid, and the artifact
+list.  The output directory comes from the config; the LANDAU_LAB_OUTPUT_ROOT
 environment variable prepends an output root.  Exit codes: 0 ok, 2 config
 error, 3 numeric failure, 4 certification fail.
 """
@@ -45,17 +46,17 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _write_meta(out: Path, cfg: ExperimentConfig, extra: dict, artifacts: list[str], status: str) -> None:
+    """Write ``run.meta``; it records, and hashes, only the config sections the experiment reads."""
+    config_lines = [f"config.{section}.{key} = {v}" for section in sorted(_SECTIONS[cfg.experiment])
+                    for key, v in sorted(cfg.values[section].items()) if v is not None]
+    digest = hashlib.sha256("\n".join(config_lines).encode()).hexdigest()[:16]
     lines = [
         f"status = {status}",
         f"version = {__version__}",
         f"experiment = {cfg.experiment}",
-        f"config_hash = {hashlib.sha256(cfg.to_text().encode()).hexdigest()[:16]}",
+        f"config_hash = {digest}",
+        *config_lines,
     ]
-    for section in sorted(cfg.values):
-        for key in sorted(cfg.values[section]):
-            v = cfg.values[section][key]
-            if v is not None:
-                lines.append(f"config.{section}.{key} = {v}")
     for key in sorted(extra):
         lines.append(f"{key} = {extra[key]}")
     lines.append(f"artifacts = {','.join(sorted(artifacts)) if artifacts else 'none'}")
@@ -260,12 +261,23 @@ _DISPATCH = {
     "norms": _experiment_norms,
 }
 
+# the config sections each experiment reads, `run_experiment`'s own reads
+# included: run.meta records and hashes these alone
+_SECTIONS = {
+    "linear_damping": ("experiment", "profile", "interaction", "time", "linear", "output"),
+    "nonlinear_damping": ("experiment", "profile", "interaction", "grid", "time", "perturbation", "observables",
+                          "linear", "output"),
+    "certify": ("experiment", "profile", "interaction", "certify", "output"),
+    "echo": ("experiment", "profile", "interaction", "grid", "time", "echo", "output"),
+    "norms": ("experiment", "profile", "interaction", "grid", "time", "perturbation", "norms", "output"),
+}
+
 
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes artifacts and run.meta, returns exit code."""
     out = _out_dir(cfg)
     try:
-        if cfg.get("certify", "lambda_strip") is None:
+        if "certify" in _SECTIONS[cfg.experiment] and cfg.get("certify", "lambda_strip") is None:
             cfg = cfg.replace("certify", "lambda_strip", repr(0.5 * cfg.build_profile().lam))
         meta, artifacts, code = _DISPATCH[cfg.experiment](cfg, out)
     except (ConfigError, ValueError) as exc:
@@ -278,8 +290,9 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         _write_meta(out, cfg, {"error": str(exc)}, _partial_artifacts(out), status="failed:numeric")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    grid = cfg.values["grid"]
-    meta.setdefault("recurrence_time", f"{recurrence_time(grid['nv'], grid['vmax'], 1):.12g}")
+    if "grid" in _SECTIONS[cfg.experiment]:
+        grid = cfg.values["grid"]
+        meta["recurrence_time"] = f"{recurrence_time(grid['nv'], grid['vmax'], 1):.12g}"
     _write_meta(out, cfg, meta, artifacts, status="ok" if code == EXIT_OK else "certification_failed")
     return code
 

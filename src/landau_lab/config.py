@@ -1,9 +1,8 @@
 """Flat key = value experiment configuration with strict validation.
 
 The file format is INI-style sections of scalar keys.  Unknown sections or
-keys are hard errors (no silent typos), parse failures carry line numbers,
-and a resolved config round-trips through `ExperimentConfig.to_text`
-unchanged.  Structured values use compact item syntax:
+keys are hard errors (no silent typos), and parse failures carry line
+numbers.  Structured values use compact item syntax:
 
     modes  = k:amplitude[:phase]; ...
     kicks  = time:mode:amplitude[:phase]; ...
@@ -103,8 +102,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
     },
 }
 
-_FLOAT_KEYS_FMT = "{:.17g}"
-
 
 def _parse_scalar(section: str, key: str, raw: str, kind: str):
     try:
@@ -151,28 +148,6 @@ def _parse_scalar(section: str, key: str, raw: str, kind: str):
     raise AssertionError(f"unhandled kind {kind}")
 
 
-def _format_value(value, kind: str) -> str:
-    if kind == "float":
-        return _FLOAT_KEYS_FMT.format(value)
-    if kind in ("int", "str"):
-        return str(value)
-    if kind == "floats":
-        return ",".join(_FLOAT_KEYS_FMT.format(v) for v in value)
-    if kind == "ints":
-        return ",".join(str(v) for v in value)
-    if kind == "pairs":
-        return "; ".join(f"{k}:{_FLOAT_KEYS_FMT.format(eta)}" for k, eta in value)
-    if kind == "modes":
-        return "; ".join(f"{m.k}:{_FLOAT_KEYS_FMT.format(m.amplitude)}:{_FLOAT_KEYS_FMT.format(m.phase)}"
-                         for m in value)
-    if kind == "kicks":
-        return "; ".join(
-            f"{_FLOAT_KEYS_FMT.format(k.time)}:{k.mode}:{_FLOAT_KEYS_FMT.format(k.amplitude)}:{_FLOAT_KEYS_FMT.format(k.phase)}"
-            for k in value
-        )
-    raise AssertionError(f"unhandled kind {kind}")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Fully resolved experiment configuration (defaults applied)."""
@@ -196,18 +171,6 @@ class ExperimentConfig:
         cfg = ExperimentConfig(values=values)
         _validate(cfg)
         return cfg
-
-    def to_text(self) -> str:
-        lines = []
-        for section in _SCHEMA:
-            lines.append(f"[{section}]")
-            for key, (kind, _, _) in _SCHEMA[section].items():
-                value = self.values[section][key]
-                if value is None:
-                    continue
-                lines.append(f"{key} = {_format_value(value, kind)}")
-            lines.append("")
-        return "\n".join(lines)
 
     # --- object builders -------------------------------------------------
 

@@ -45,7 +45,6 @@ __all__ = [
     "solve_volterra",
     "fit_decay_rate",
     "root_scan",
-    "linearized_ftilde",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -82,10 +81,6 @@ class ModeHistory:
             steps = np.diff(self.times)
             if np.any(steps <= 0) or np.max(np.abs(steps - steps[0])) > 1e-9 * max(steps[0], 1.0):
                 raise ValueError("times must be strictly increasing and uniform")
-
-    @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
 
 
 # ---------------------------------------------------------------------------
@@ -492,48 +487,3 @@ def root_scan(
         rate=TWO_PI * abs(k) * lambda_star,
         root=root,
     )
-
-
-# ---------------------------------------------------------------------------
-# linearized distribution transform
-
-
-def linearized_ftilde(
-    profile: VelocityProfile,
-    interaction: Interaction,
-    rho: ModeHistory,
-    h_i_tilde: Callable[[int, float], complex],
-    k: int,
-    eta: float,
-    t: float,
-) -> complex:
-    """Transform of the linearized solution along free transport.
-
-    h(t, k, eta) = h_i(k, eta + k t)
-                   - int_0^t Fhat(tau, k) 2 i pi (eta + k (t - tau)) ft(eta + k (t - tau)) dtau
-
-    with Fhat(tau, k) = -2 i pi k what(k) rho(tau, k).  At eta = 0 this
-    reproduces rho(t, k) with the same quadrature weights the Volterra
-    marcher uses; at k = 0 the force vanishes and the initial transform is
-    returned unchanged.
-    """
-    if k == 0:
-        return complex(h_i_tilde(0, eta))
-    if k != rho.k:
-        raise ValueError(f"mode mismatch: k = {k} but history carries k = {rho.k}")
-    dt = rho.dt
-    i = int(round(t / dt))
-    if abs(i * dt - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"t = {t:g} is not on the history grid (dt = {dt:g})")
-    if i < 0 or i >= len(rho.times):
-        raise NumericError(f"t = {t:g} beyond the history horizon {rho.times[-1]:g}")
-    free = complex(h_i_tilde(k, eta + k * t))
-    if i == 0:
-        return free
-    ts = rho.times[: i + 1]
-    fhat = -2j * np.pi * k * float(interaction.what(np.array(k))) * rho.values[: i + 1]
-    arg = eta + k * (t - ts)
-    integrand = fhat * 2j * np.pi * arg * profile.ft(arg)
-    weights = np.full(i + 1, dt)
-    weights[0] = weights[-1] = 0.5 * dt
-    return free - complex(np.sum(weights * integrand))

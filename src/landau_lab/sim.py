@@ -12,10 +12,10 @@ half-transport of each step with the leading half of the next (Cheng &
 Knorr 1976), so a step costs one x-FFT pair and one v-FFT pair.  A stop
 yields the x-spectrum and nothing else; it branches off the carried
 spectrum without replacing it, so the trajectory does not depend on where
-the stops fall.  Every observer reads the spectrum.  Only three callers
+the stops fall.  Every observer reads the spectrum.  Only two callers
 invert it to x-space, at one inverse x-FFT each: `strang_step` for the state
-it returns, `run` once for its final state, and the norms experiment for
-the |f| integral of the analytic norm.
+it returns, and the norms experiment for the |f| integral of the analytic
+norm.
 
 The velocity domain [-vmax, vmax] is periodically continued for the
 transforms, gated by the requirement that the equilibrium tail at the cut
@@ -42,14 +42,12 @@ __all__ = [
     "KickEvent",
     "PerturbationSpec",
     "ObservableLog",
-    "AsymptoticProfile",
     "init_state",
     "Stepper",
     "strang_step",
     "recurrence_time",
     "ftilde_sample",
     "run",
-    "asymptotic_profile",
 ]
 
 
@@ -337,24 +335,14 @@ def ftilde_sample(state: PhaseSpaceField, k: int, eta_list: Sequence[float]) -> 
 
 
 @dataclass
-class AsymptoticProfile:
-    """Late-time x-averaged velocity profile with a convergence diagnostic."""
-
-    v: np.ndarray
-    f_inf: np.ndarray
-    sup_diff: float
-
-
-@dataclass
 class ObservableLog:
     """Sampled observables of one simulation run.
 
     ``rho_modes[:, k]`` holds the density coefficients for k = 0..k_obs
-    (negative modes are conjugates for the real field).  ``marginals`` are
-    the x-averaged velocity profiles of the last two observations.  ``l2``
-    and ``gradv_l2`` are the L2 norms of f and of its velocity derivative
-    over the torus and the velocity grid.  ``recurrence`` holds the
-    recurrence horizon t_R of each mode k = 1..max(k_obs, 1).
+    (negative modes are conjugates for the real field).  ``l2`` and
+    ``gradv_l2`` are the L2 norms of f and of its velocity derivative over
+    the torus and the velocity grid.  ``recurrence`` holds the recurrence
+    horizon t_R of each mode k = 1..max(k_obs, 1).
     """
 
     times: np.ndarray
@@ -367,10 +355,7 @@ class ObservableLog:
     rho_modes: np.ndarray
     ftilde_points: tuple[tuple[int, float], ...]
     ftilde: np.ndarray
-    marginals: np.ndarray
-    v: np.ndarray
     recurrence: dict[int, float]
-    final_state: PhaseSpaceField | None = None
 
     def mode_history(self, k: int) -> ModeHistory:
         """Density mode as a `ModeHistory` (conjugated for negative k)."""
@@ -442,7 +427,7 @@ def run(
     Kick events in the perturbation spec are applied impulsively during the
     step containing their (grid-aligned) time.  Every observable is read
     from the stop's x-spectrum (Parseval over x, and over v for the
-    velocity gradient), so only the final state costs an inverse x-FFT.
+    velocity gradient), so observing costs no inverse x-FFT.
     """
     n_steps, impulses = _schedule(perturbation, nx=nx, dt=dt, t_end=t_end,
                                   observe_stride=observe_stride, k_obs=k_obs)
@@ -463,7 +448,7 @@ def run(
     gradv = np.empty(n_obs)
     rho_modes = np.empty((n_obs, k_obs + 1), dtype=complex)
     ftv = np.empty((n_obs, len(ft_points)), dtype=complex)
-    marginals = np.empty((2, nv))
+    prof = np.empty(nv)
 
     # nx and nv are powers of two (init_state), so the last rfft bin in x is
     # the Nyquist bin, counted once in Parseval sums, and the v Nyquist bin
@@ -492,9 +477,8 @@ def run(
         times[i] = t
         rho_k_full = fk.sum(axis=1) * (dv / nx)
         mass[i] = rho_k_full[0].real
-        marginals[0] = marginals[1]
-        np.divide(fk[0].real, nx, out=marginals[1])
-        ekin[i] = float(np.einsum("i,i->", marginals[1], half_v2)) * dv
+        np.divide(fk[0].real, nx, out=prof)
+        ekin[i] = float(np.einsum("i,i->", prof, half_v2)) * dv
         epot[i] = 0.5 * float(np.sum(spec_weight * what_tab * np.abs(rho_k_full) ** 2))
         l2[i] = np.sqrt(spectral_sq(fk) * dv) / nx
         # the v-derivative by its comb on the v-spectrum of the x-spectrum;
@@ -510,20 +494,8 @@ def run(
     for i, (n, fk) in enumerate(stepper.evolve(state.data, stops, impulses)):
         observe(i, n * dt, fk)
 
-    # the last stop is step n_steps, and fk still holds its spectrum
-    final = PhaseSpaceField(nx=nx, nv=nv, vmax=vmax, data=np.fft.irfft(fk, n=nx, axis=0), time=n_steps * dt)
     t_r = {k: recurrence_time(nv, vmax, k) for k in range(1, max(k_obs, 1) + 1)}
     return ObservableLog(
         times=times, mass=mass, ekin=ekin, epot=epot, l2=l2, gradv_l2=gradv,
-        k_obs=k_obs, rho_modes=rho_modes, ftilde_points=ft_points, ftilde=ftv,
-        marginals=marginals, v=v, recurrence=t_r, final_state=final,
+        k_obs=k_obs, rho_modes=rho_modes, ftilde_points=ft_points, ftilde=ftv, recurrence=t_r,
     )
-
-
-def asymptotic_profile(log: ObservableLog) -> AsymptoticProfile:
-    """Late-time x-averaged profile estimate from the last two logged samples."""
-    if log.marginals.shape[0] < 2:
-        raise NumericError("need at least two logged samples to estimate the asymptotic profile")
-    f_inf = log.marginals[-1].copy()
-    sup_diff = float(np.max(np.abs(log.marginals[-1] - log.marginals[-2])))
-    return AsymptoticProfile(v=log.v.copy(), f_inf=f_inf, sup_diff=sup_diff)

@@ -1,4 +1,4 @@
-"""Config parsing, validation, round-trips, and the experiment runner."""
+"""Config parsing and validation, and the experiment runner."""
 
 import csv
 import os
@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import landau_lab
+from landau_lab import cli
 from landau_lab.cli import _ANALYTIC_BETA, _norm_rows, main, run_experiment
-from landau_lab.config import load_config, loads_config
+from landau_lab.config import ExperimentConfig, load_config, loads_config
 from landau_lab.errors import ConfigError
 from landau_lab.norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
 from landau_lab.sim import init_state, run, strang_step
@@ -130,14 +131,6 @@ def test_mode_items_take_at_most_a_phase():
         loads_config(MINIMAL + "\n[perturbation]\nmodes = 1:1e-3:0:gaussian:0.5\n")
 
 
-def test_config_round_trips():
-    text = MINIMAL + "\n[perturbation]\nmodes = 1:1e-3\n\n[grid]\nnv = 512\n"
-    cfg = loads_config(text)
-    again = loads_config(cfg.to_text())
-    assert again.values == cfg.values
-    assert loads_config(again.to_text()).values == again.values
-
-
 def test_replace_revalidates():
     cfg = loads_config(MINIMAL)
     cfg2 = cfg.replace("grid", "nv", "512")
@@ -181,7 +174,7 @@ def test_linear_experiment_writes_artifacts(tmp_path):
     assert (out / "decay.svg").exists()
     meta = (out / "run.meta").read_text()
     assert "status = ok" in meta
-    assert "rate_fit_k1" in meta and "recurrence_time" in meta
+    assert "rate_fit_k1" in meta
     assert "config.time.dt = 0.015625" in meta
     assert "config_hash = " in meta
 
@@ -474,6 +467,59 @@ def test_phase_space_artifacts_are_byte_identical_across_blas_thread_counts(tmp_
     one = _run_cli_process(config, tmp_path / "a", OPENBLAS_NUM_THREADS="1")
     two = _run_cli_process(config, tmp_path / "b", OPENBLAS_NUM_THREADS="2")
     assert one == two
+
+
+# ---------------------------------------------------------------------------
+# run.meta records, and hashes, the config sections the run read
+
+EXPERIMENT_CONFIGS = {
+    "linear_damping": LINEAR_FAST.format(out="out"),
+    "nonlinear_damping": NONLINEAR_SMALL,
+    "certify": CERTIFY_COULOMB.format(out="out"),  # sets lambda_strip: no resolved copy of the config
+    "echo": ECHO_SMALL,
+    "norms": NORMS_SMALL,
+}
+
+
+class RecordingValues(dict):
+    """Config values that record each section looked up."""
+
+    def __init__(self, values):
+        super().__init__(values)
+        self.read = set()
+
+    def __getitem__(self, section):
+        self.read.add(section)
+        return super().__getitem__(section)
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
+def test_run_meta_records_the_sections_the_experiment_reads(tmp_path, monkeypatch, name):
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    values = RecordingValues(loads_config(EXPERIMENT_CONFIGS[name]).values)
+    read_before_meta = []
+    write_meta = cli._write_meta
+
+    def recording_write_meta(*args, **kwargs):
+        read_before_meta.append(set(values.read))
+        write_meta(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "_write_meta", recording_write_meta)
+    assert run_experiment(ExperimentConfig(values=values)) == 0
+    assert read_before_meta == [set(cli._SECTIONS[name])]
+    meta = (tmp_path / "out" / "run.meta").read_text().splitlines()
+    assert {line.split(".")[1] for line in meta if line.startswith("config.")} == set(cli._SECTIONS[name])
+    # t_R is a property of the velocity grid, which linear_damping and certify do not use
+    assert any(line.startswith("recurrence_time = ") for line in meta) == (name not in ("linear_damping", "certify"))
+
+
+def test_an_unread_key_changes_neither_run_meta_nor_its_hash(tmp_path, monkeypatch):
+    metas = []
+    for root, lam in (("a", "0.4"), ("b", "0.3")):  # linear_damping reads no [norms] key
+        monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path / root))
+        assert run_experiment(loads_config(LINEAR_FAST.format(out="out") + f"\n[norms]\nlam = {lam}\n")) == 0
+        metas.append((tmp_path / root / "out" / "run.meta").read_bytes())
+    assert metas[0] == metas[1]
 
 
 def test_failed_rate_fit_is_reported_in_meta(tmp_path):

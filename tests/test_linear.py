@@ -17,7 +17,6 @@ from landau_lab.linear import (
     _root_newton,
     _strip_transform,
     fit_decay_rate,
-    linearized_ftilde,
     memory_kernel,
     monotone_criterion,
     root_scan,
@@ -469,43 +468,3 @@ def test_root_scan_sub_jeans_real_root():
     assert res.root is not None
     assert abs(res.root.imag) < 1e-10
     assert 0.0 < res.lambda_star < MAX.lam
-
-
-# ---------------------------------------------------------------------------
-# linearized transform
-
-
-@pytest.fixture(scope="module")
-def strong_history():
-    delta = 1e-3
-    return solve_volterra(MAX, STRONG, lambda t: 0.5 * delta * MAX.ft(t), 1, 4.0, 1 / 64)
-
-
-def h_i_tilde(k, eta):
-    return 0.5e-3 * complex(MAX.ft(eta)) if abs(k) == 1 else (complex(MAX.ft(eta)) if k == 0 else 0j)
-
-
-def test_linearized_ftilde_eta_zero_reproduces_history(strong_history):
-    for t in (0.5, 1.0, 2.0, 3.5):
-        val = linearized_ftilde(MAX, STRONG, strong_history, h_i_tilde, 1, 0.0, t)
-        i = int(round(t / strong_history.dt))
-        assert abs(val - strong_history.values[i]) < 1e-8
-
-
-def test_linearized_ftilde_mode_zero_frozen(strong_history):
-    for t in (0.0, 1.0, 3.0):
-        for eta in (0.0, 0.3, 1.0):
-            assert linearized_ftilde(MAX, STRONG, strong_history, h_i_tilde, 0, eta, t) == h_i_tilde(0, eta)
-
-
-def test_linearized_ftilde_free_transport():
-    delta = 1e-3
-    hist = solve_volterra(MAX, zero_interaction(), lambda t: 0.5 * delta * MAX.ft(t), 1, 4.0, 1 / 64)
-    for t, eta in ((1.0, 0.2), (2.0, -0.5)):
-        val = linearized_ftilde(MAX, zero_interaction(), hist, h_i_tilde, 1, eta, t)
-        assert val == pytest.approx(h_i_tilde(1, eta + t), rel=1e-12)
-
-
-def test_linearized_ftilde_beyond_horizon(strong_history):
-    with pytest.raises(NumericError):
-        linearized_ftilde(MAX, STRONG, strong_history, h_i_tilde, 1, 0.0, 10.0)

@@ -13,8 +13,6 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 KEEP = {
     "strang_step": "the benchmark's snapshots workload steps through it; tests pin reversibility with it",
     "ftilde_sample": "reference for run's ftilde range errors and the free-transport identity in tests",
-    "asymptotic_profile": "the planned f-infinity oracle: late-time profile against the linear prediction",
-    "linearized_ftilde": "the planned f-infinity oracle: late-time profile against the linear prediction",
     "coincidence_check": "an acceptance gate (gliding norm vs spatial norm for x-only inputs)",
     "gliding_norm": "the benchmark's gliding-identity check; the norms experiment calls its core on a shared transform",
     "analytic_norm": "the benchmark's raised-floor check; the norms experiment calls its core on a shared transform",
@@ -24,9 +22,6 @@ KEEP = {
 # Fields and public methods of exported classes that no package or benchmark
 # code reads (see `_member_readers`), each with the reader it is kept for.
 KEEP_MEMBERS = {
-    "AsymptoticProfile.f_inf": "the planned f-infinity oracle, like asymptotic_profile",
-    "AsymptoticProfile.sup_diff": "the planned f-infinity oracle, like asymptotic_profile",
-    "ObservableLog.final_state": "run's end state for library callers; tests pin the trajectory with it",
     "ObservableLog.recurrence": "per-mode recurrence horizons for library callers (README); an acceptance gate reads them",
     "RootScanResult.root": "the refined root, which tests pin",
     "CoincidenceResult.z": "the acceptance gate's verdict",

@@ -12,14 +12,13 @@ from landau_lab.sim import (
     Stepper,
     PerturbationMode,
     PerturbationSpec,
-    asymptotic_profile,
     ftilde_sample,
     init_state,
     recurrence_time,
     run,
     strang_step,
 )
-from landau_lab.sim import _cached_stepper, _force, _force_multiplier
+from landau_lab.sim import _cached_stepper, _force, _force_multiplier, _schedule
 
 MAX = maxwellian()
 STRONG = builtin_interaction("coulomb", 16.0 * np.pi**2)
@@ -28,6 +27,13 @@ SINGLE = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=1e-3),))
 
 def small_state(pert=SINGLE, nx=32, nv=256):
     return init_state(MAX, pert, nx=nx, nv=nv, vmax=8.0)
+
+
+def last_spectrum(st, interaction, dt, n_steps, impulses=None):
+    """The x-spectrum that a `Stepper` yields after n_steps from the state ``st``."""
+    stepper = Stepper(st.nx, st.nv, st.vmax, dt, interaction)
+    (_, fk), = stepper.evolve(st.data, [n_steps], impulses)
+    return fk
 
 
 # ---------------------------------------------------------------------------
@@ -142,9 +148,7 @@ def test_step_detects_nonfinite():
 
 def test_dt_halving_reduces_terminal_error():
     def terminal(dt):
-        log = run(MAX, STRONG, SINGLE, nx=32, nv=256, vmax=8.0, dt=dt, t_end=2.0,
-                  observe_stride=int(round(2.0 / dt)), k_obs=1)
-        return log.final_state.data
+        return np.fft.irfft(last_spectrum(small_state(), STRONG, dt, int(round(2.0 / dt))), n=32, axis=0)
 
     ref = terminal(1 / 512)
     e1 = np.max(np.abs(terminal(1 / 64) - ref))
@@ -153,26 +157,31 @@ def test_dt_halving_reduces_terminal_error():
 
 
 def test_run_matches_strang_step_loop_with_kick():
-    # the fused engine behind run() against plain full Strang steps
+    # the fused engine behind run(), with run's kick schedule, against plain full Strang steps
     dt = 1 / 32
     pert = PerturbationSpec(modes=SINGLE.modes, kicks=(KickEvent(time=0.5, mode=2, amplitude=1e-3, phase=0.3),))
-    log = run(MAX, STRONG, pert, nx=32, nv=256, vmax=8.0, dt=dt, t_end=1.0, observe_stride=4, k_obs=2)
+    kw = dict(nx=32, dt=dt, t_end=1.0, observe_stride=4, k_obs=2)
+    log = run(MAX, STRONG, pert, nv=256, vmax=8.0, **kw)
+    n_steps, impulses = _schedule(pert, **kw)
+    fused = np.fft.irfft(last_spectrum(small_state(pert), STRONG, dt, n_steps, impulses), n=32, axis=0)
     cur = small_state(pert)
     wave = 1e-3 * np.cos(2 * np.pi * 2 * np.arange(cur.nx) / cur.nx + 0.3)
     for n in range(32):
         cur = strang_step(cur, STRONG, dt, impulse=wave if n == 16 else None)
-    assert log.final_state.time == pytest.approx(cur.time)
-    assert np.max(np.abs(log.final_state.data - cur.data)) <= 1e-12 * np.max(np.abs(cur.data))
+    assert np.max(np.abs(fused - cur.data)) <= 1e-12 * np.max(np.abs(cur.data))
+    assert log.times[-1] == pytest.approx(cur.time)
+    rho_k = np.fft.rfft(cur.data.sum(axis=1) * cur.dv)[:3] / cur.nx
+    np.testing.assert_allclose(log.rho_modes[-1], rho_k, rtol=0, atol=1e-14)
 
 
 def test_final_state_does_not_depend_on_observe_stride():
     kw = dict(nx=32, nv=256, vmax=8.0, dt=1 / 32, t_end=1.0, k_obs=1)
     every = run(MAX, STRONG, SINGLE, observe_stride=1, **kw)
     last = run(MAX, STRONG, SINGLE, observe_stride=32, **kw)
-    assert np.array_equal(every.final_state.data, last.final_state.data)
+    for name in ("times", "mass", "ekin", "epot", "l2", "gradv_l2", "rho_modes"):
+        assert np.array_equal(getattr(every, name)[-1], getattr(last, name)[-1]), name
     assert np.array_equal(every.ekin[::32], last.ekin)
     assert np.array_equal(every.rho_modes[::32], last.rho_modes)
-    assert np.array_equal(every.marginals[-1], last.marginals[-1])
 
 
 def test_evolve_yields_each_stop_and_keeps_the_trajectory():
@@ -262,7 +271,7 @@ def test_run_observables_match_x_space_sums_at_every_stop():
 
 
 @pytest.mark.parametrize("stride", [1, 4, 64])
-def test_run_takes_one_inverse_x_transform_per_step_and_one_for_the_final_state(monkeypatch, stride):
+def test_run_takes_one_inverse_x_transform_per_step(monkeypatch, stride):
     irfft, axes = np.fft.irfft, []
 
     def counting_irfft(a, *args, **kwargs):
@@ -273,7 +282,7 @@ def test_run_takes_one_inverse_x_transform_per_step_and_one_for_the_final_state(
     monkeypatch.setattr(np.fft, "irfft", counting_irfft)
     log = run(MAX, STRONG, SINGLE, nx=32, nv=256, vmax=8.0, dt=1 / 32, t_end=2.0, observe_stride=stride, k_obs=1)
     assert len(log.times) == 64 // stride + 1
-    assert axes.count(0) == 64 + 1
+    assert axes.count(0) == 64
 
 
 @pytest.fixture(scope="module")
@@ -286,9 +295,11 @@ def test_mass_conserved(damped_log):
     assert np.max(np.abs(damped_log.mass / damped_log.mass[0] - 1.0)) <= 1e-12
 
 
-def test_field_stays_real_and_finite(damped_log):
-    assert damped_log.final_state.data.dtype == np.float64
-    assert np.isfinite(damped_log.final_state.data).all()
+def test_field_stays_real_and_finite():
+    # the damped_log trajectory, to its last step
+    f = np.fft.irfft(last_spectrum(small_state(), STRONG, 1 / 64, 384), n=32, axis=0)
+    assert f.dtype == np.float64
+    assert np.isfinite(f).all()
 
 
 def test_l2_drift_bounded(damped_log):
@@ -336,8 +347,8 @@ def test_ftilde_free_transport_identity():
         )
 
 
-def test_ftilde_range_validation(damped_log):
-    st = damped_log.final_state
+def test_ftilde_range_validation():
+    st = small_state()
     with pytest.raises(ValueError):
         ftilde_sample(st, 1, [st.nv / (4 * st.vmax) + 1.0])
     with pytest.raises(ValueError):
@@ -392,25 +403,25 @@ def test_run_validates_stride_and_kick_times():
 
 
 # ---------------------------------------------------------------------------
-# asymptotic profile
+# asymptotic profile: the x-average of f, read from the k = 0 row of the spectrum
+
+
+def x_averaged_profile(pert, nv, t_end):
+    st = small_state(pert, nv=nv)
+    return st.v, last_spectrum(st, STRONG, 1 / 32, int(round(t_end * 32)))[0].real / st.nx
 
 
 def test_asymptotic_profile_homogeneous_is_equilibrium():
-    log = run(MAX, STRONG, PerturbationSpec(), nx=32, nv=256, vmax=8.0, dt=1 / 32, t_end=1.0,
-              observe_stride=16, k_obs=1)
-    est = asymptotic_profile(log)
-    np.testing.assert_allclose(est.f_inf, MAX.pdf(est.v), rtol=0, atol=1e-15)
-    assert est.sup_diff < 1e-15
+    v, f_inf = x_averaged_profile(PerturbationSpec(), nv=256, t_end=1.0)
+    np.testing.assert_allclose(f_inf, MAX.pdf(v), rtol=0, atol=1e-15)
 
 
 def test_asymptotic_profile_linear_regime_preserves_average():
     delta = 1e-4
-    pert = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=delta),))
-    log = run(MAX, STRONG, pert, nx=32, nv=512, vmax=8.0, dt=1 / 32, t_end=12.0,
-              observe_stride=32, k_obs=1)
-    est = asymptotic_profile(log)
-    initial_marginal = MAX.pdf(est.v)  # cosine average vanishes
-    assert np.max(np.abs(est.f_inf - initial_marginal)) <= 100 * delta**2
+    v, f_inf = x_averaged_profile(PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=delta),)), nv=512,
+                                  t_end=12.0)
+    initial_marginal = MAX.pdf(v)  # cosine average vanishes
+    assert np.max(np.abs(f_inf - initial_marginal)) <= 100 * delta**2
 
 
 def test_filamentation_gradient_grows_while_modes_decay():
@@ -432,11 +443,9 @@ def test_asymptotic_profile_quadratic_memory_scaling():
     # the deposited profile change scales like the square of the perturbation
     diffs = []
     for delta in (1e-2, 5e-3, 2.5e-3):
-        pert = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=delta),))
-        log = run(MAX, STRONG, pert, nx=32, nv=512, vmax=8.0, dt=1 / 32, t_end=12.0,
-                  observe_stride=32, k_obs=1)
-        est = asymptotic_profile(log)
-        diffs.append(np.max(np.abs(est.f_inf - MAX.pdf(est.v))))
+        v, f_inf = x_averaged_profile(PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=delta),)), nv=512,
+                                      t_end=12.0)
+        diffs.append(np.max(np.abs(f_inf - MAX.pdf(v))))
     r1, r2 = diffs[0] / diffs[1], diffs[1] / diffs[2]
     assert 3.0 < r1 < 5.0
     assert 3.0 < r2 < 5.0
