@@ -30,7 +30,7 @@ from .linear import (fit_decay_rate, monotone_criterion, root_scan, scan_stabili
 from .models import verify_analyticity, verify_decay
 from .norms import AnalyticNormSpec, GlidingNormSpec, _analytic, _ftilde, _gliding, spatial_norm
 from .echoes import run_echo_experiment
-from .sim import PhaseSpaceField, Stepper, init_state, recurrence_time, run
+from .sim import PhaseSpaceField, Stepper, _kick_impulses, _rho_hat, init_state, recurrence_time, run
 from .svgplot import Series, render_plot
 
 __all__ = ["main", "run_experiment"]
@@ -90,7 +90,8 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
     window = _fit_window(cfg)
     meta: dict = {}
     all_series: list[Series] = []
-    rows: list[tuple] = []
+    # the modes.csv columns, one chunk per mode after an empty one (k_list may be empty)
+    times, ks, values = [np.empty(0)], [np.empty(0, dtype=int)], [np.empty(0, dtype=complex)]
     for k in cfg.get("linear", "k_list"):
         hist = solve_volterra(profile, interaction, lambda t, k=k: 0.5 * amp * profile.ft(k * t), k, t_end, dt)
         fit = fit_decay_rate(hist, window)
@@ -100,8 +101,10 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
         meta[f"rate_predicted_k{k}"] = f"{scan.rate:.12g}"
         meta[f"lambda_star_k{k}"] = f"{scan.lambda_star:.12g}"
         all_series.extend(_decay_series(hist, fit))
-        rows += [(t, k, v) for t, v in zip(hist.times, hist.values)]
-    write_modes_csv(out / "modes.csv", rows)
+        times.append(hist.times)
+        ks.append(np.full(len(hist.times), k))
+        values.append(hist.values)
+    write_modes_csv(out / "modes.csv", np.concatenate(times), np.concatenate(ks), np.concatenate(values))
     (out / "decay.svg").write_text(render_plot(
         all_series, title="mode decay and fitted rates", xlabel="t", ylabel="|rho|"))
     return meta, ["modes.csv", "decay.svg"], EXIT_OK
@@ -220,7 +223,7 @@ def _norm_rows(state: PhaseSpaceField, fk: np.ndarray, sec: dict) -> list[list[s
                            tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
     ft = _ftilde(fk, state.nx)
     g = _gliding(state, ft, spec)
-    raw = fk[: sec["k_max"] + 1].sum(axis=1) * (state.dv / state.nx)
+    raw = _rho_hat(fk[: sec["k_max"] + 1], state.nx, state.dv)
     floor = _SPATIAL_COEFF_FLOOR * float(np.max(np.abs(raw)))
     coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
     s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
@@ -240,13 +243,17 @@ def _experiment_norms(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str]
     for t in times:
         if t < 0.0 or abs(round(t / dt) * dt - t) > 1e-9:
             raise ConfigError(f"[norms] times entry {t:g} is not a nonnegative multiple of dt = {dt:g}")
-    # one trajectory; each snapshot is evaluated from its spectrum as it is
-    # reached, and inverted into one reused buffer for the |f| integral
-    start = init_state(profile, cfg.build_perturbation(), **grid)
+    # one trajectory, kicked as in `run`; each snapshot is evaluated from its
+    # spectrum as it is reached, and inverted into one reused buffer for the
+    # |f| integral
+    stops = [int(round(t / dt)) for t in times]
+    perturbation = cfg.build_perturbation()
+    impulses = _kick_impulses(perturbation, nx=grid["nx"], dt=dt, n_steps=stops[-1] if stops else 0)
+    start = init_state(profile, perturbation, **grid)
     stepper = Stepper(**grid, dt=dt, interaction=interaction)
     f = np.empty_like(start.data)
     rows = []
-    for t, (_, fk) in zip(times, stepper.evolve(start.data, [int(round(t / dt)) for t in times])):
+    for t, (_, fk) in zip(times, stepper.evolve(start.data, stops, impulses)):
         np.fft.irfft(fk, n=start.nx, axis=0, out=f)
         rows += _norm_rows(PhaseSpaceField(**grid, data=f, time=t), fk, sec)
     write_csv(out / "norms.csv", ["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"], rows)

@@ -18,7 +18,8 @@ import numpy as np
 from .errors import NumericError
 from .linear import ModeHistory
 from .models import Interaction, VelocityProfile
-from .sim import KickEvent, PerturbationMode, PerturbationSpec, Stepper, _schedule, init_state, recurrence_time
+from .sim import (KickEvent, PerturbationMode, PerturbationSpec, Stepper, _rho_hat, _schedule, init_state,
+                  recurrence_time)
 
 __all__ = [
     "EchoPrediction",
@@ -165,8 +166,8 @@ def run_echo_experiment(
     state = init_state(profile, pert, nx, nv, vmax)
     stepper = Stepper(nx, nv, vmax, dt, interaction)
     stops = range(0, n_steps + 1, observe_stride)
-    scale = stepper.dv / nx
-    values = np.array([fk[abs(k_resp)].sum() * scale for _, fk in stepper.evolve(state.data, stops, impulses)])
+    values = np.array([_rho_hat(fk[abs(k_resp)], nx, stepper.dv)
+                       for _, fk in stepper.evolve(state.data, stops, impulses)])
     h = ModeHistory(k=abs(k_resp), times=np.array(stops) * dt, values=values)
     guard = 4 * observe_stride * dt  # skip the kick's own transient
     post = h.times > tau_kick + guard

@@ -51,17 +51,34 @@ TWO_PI = 2.0 * np.pi
 
 
 def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write one header row and the given rows; every CSV artifact goes through here."""
+    """Write one header row and the given rows of fields: the small string tables (``echoes.csv``, ``norms.csv``)."""
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows(rows)
 
 
-def write_modes_csv(path, rows) -> None:
-    """Write complex mode samples ``(t, k, z)`` as the ``t,k,re,im,abs`` table."""
-    write_csv(path, ["t", "k", "re", "im", "abs"],
-              ([f"{t:.17g}", k, f"{z.real:.17g}", f"{z.imag:.17g}", f"{abs(z):.17g}"] for t, k, z in rows))
+def write_columns_csv(path, header: Sequence[str], fmt: str, columns: Sequence[np.ndarray]) -> None:
+    """Write equal-length columns as ``fmt % row`` lines under a comma-joined header, CRLF line ends.
+
+    Each column becomes Python scalars once (``tolist``).  The lines are
+    streamed, not joined into one body string, so no block of the file's
+    size is allocated and freed.
+    """
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(map(fmt.__mod__, zip(*(c.tolist() for c in columns))))
+
+
+def write_modes_csv(path, t: np.ndarray, k: np.ndarray, z: np.ndarray) -> None:
+    """Write complex mode samples as the ``t,k,re,im,abs`` table, one row per (t, k, z) column entry.
+
+    ``abs`` is hypot(re, im), the bits of the scalar ``abs(z)``; the
+    complex ``np.abs`` loop can differ from it in the last bit.
+    """
+    re, im = z.real, z.imag
+    write_columns_csv(path, ["t", "k", "re", "im", "abs"], "%.17g,%d,%.17g,%.17g,%.17g\r\n",
+                      (t, k, re, im, np.hypot(re, im)))
 
 
 @dataclass

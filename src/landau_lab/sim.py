@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import NumericError
 from .models import Interaction, VelocityProfile
-from .linear import ModeHistory, _block_split, write_csv, write_modes_csv
+from .linear import ModeHistory, _block_split, write_columns_csv, write_modes_csv
 
 __all__ = [
     "PhaseSpaceField",
@@ -367,18 +367,37 @@ class ObservableLog:
         return ModeHistory(k=k, times=self.times.copy(), values=vals.copy())
 
     def write_observables_csv(self, path) -> None:
-        columns = (self.times, self.mass, self.ekin, self.epot, self.l2, self.gradv_l2)
-        write_csv(path, ["t", "mass", "ekin", "epot", "l2", "gradv_l2"],
-                  ([f"{x:.17g}" for x in row] for row in zip(*columns)))
+        write_columns_csv(path, ["t", "mass", "ekin", "epot", "l2", "gradv_l2"], ",".join(["%.17g"] * 6) + "\r\n",
+                          (self.times, self.mass, self.ekin, self.epot, self.l2, self.gradv_l2))
 
     def write_modes_csv(self, path) -> None:
-        write_modes_csv(path, ((t, k, self.rho_modes[i, k])
-                               for i, t in enumerate(self.times) for k in range(self.k_obs + 1)))
+        n_k = self.k_obs + 1
+        write_modes_csv(path, np.repeat(self.times, n_k), np.tile(np.arange(n_k), len(self.times)),
+                        self.rho_modes.ravel())
 
     def write_ftilde_csv(self, path) -> None:
-        write_csv(path, ["t", "k", "eta", "re", "im"], (
-            [f"{t:.17g}", k, f"{eta:.17g}", f"{z.real:.17g}", f"{z.imag:.17g}"]
-            for i, t in enumerate(self.times) for (k, eta), z in zip(self.ftilde_points, self.ftilde[i])))
+        n, n_points = len(self.times), len(self.ftilde_points)
+        ks = np.array([k for k, _ in self.ftilde_points], dtype=int)
+        etas = np.array([eta for _, eta in self.ftilde_points], dtype=float)
+        z = self.ftilde.ravel()
+        write_columns_csv(path, ["t", "k", "eta", "re", "im"], "%.17g,%d,%.17g,%.17g,%.17g\r\n",
+                          (np.repeat(self.times, n_points), np.tile(ks, n), np.tile(etas, n), z.real, z.imag))
+
+
+def _kick_impulses(perturbation: PerturbationSpec, *, nx: int, dt: float, n_steps: int) -> dict[int, np.ndarray]:
+    """The kick impulses (x grid) of a run of ``n_steps`` steps, by step index.
+
+    A kick must fall on a step time before the last step ends.
+    """
+    x = np.arange(nx) / nx
+    impulses: dict[int, np.ndarray] = {}
+    for kick in perturbation.kicks:
+        s = int(round(kick.time / dt))
+        if abs(s * dt - kick.time) > 1e-9 * max(1.0, abs(kick.time)) or not 0 <= s < n_steps:
+            raise ValueError(f"kick time {kick.time:g} must sit on the step grid within [0, {n_steps * dt:g})")
+        wave = kick.amplitude * np.cos(2.0 * np.pi * kick.mode * x + kick.phase)
+        impulses[s] = impulses.get(s, 0.0) + wave
+    return impulses
 
 
 def _schedule(
@@ -397,15 +416,16 @@ def _schedule(
         raise ValueError(f"observe_stride = {observe_stride} must divide n_steps = {n_steps}")
     if k_obs > nx // 2:
         raise ValueError(f"k_obs = {k_obs} beyond the spatial Nyquist mode {nx // 2}")
-    x = np.arange(nx) / nx
-    impulses: dict[int, np.ndarray] = {}
-    for kick in perturbation.kicks:
-        s = int(round(kick.time / dt))
-        if abs(s * dt - kick.time) > 1e-9 * max(1.0, abs(kick.time)) or not 0 <= s < n_steps:
-            raise ValueError(f"kick time {kick.time:g} must sit on the step grid within [0, t_end)")
-        wave = kick.amplitude * np.cos(2.0 * np.pi * kick.mode * x + kick.phase)
-        impulses[s] = impulses.get(s, 0.0) + wave
-    return n_steps, impulses
+    return n_steps, _kick_impulses(perturbation, nx=nx, dt=dt, n_steps=n_steps)
+
+
+def _rho_hat(fk_rows: np.ndarray, nx: int, dv: float) -> np.ndarray:
+    """Density coefficients rho_hat(t, k) = sum_v fk[k, v] dv / nx of the given rows of an x-spectrum.
+
+    Every reader of rho_hat reduces the stepper's spectrum through here, so
+    their values agree bit for bit.
+    """
+    return fk_rows.sum(axis=-1) * (dv / nx)
 
 
 def run(
@@ -475,7 +495,7 @@ def run(
 
     def observe(i: int, t: float, fk: np.ndarray) -> None:
         times[i] = t
-        rho_k_full = fk.sum(axis=1) * (dv / nx)
+        rho_k_full = _rho_hat(fk, nx, dv)
         mass[i] = rho_k_full[0].real
         np.divide(fk[0].real, nx, out=prof)
         ekin[i] = float(np.einsum("i,i->", prof, half_v2)) * dv

@@ -152,7 +152,7 @@ def render_plot(
 
     for i, (s, x, y) in enumerate(cleaned):
         color = s.color or _PALETTE[i % len(_PALETTE)]
-        pts = " ".join(f"{xpix(a):.2f},{ypix(b):.2f}" for a, b in zip(x, y))
+        pts = " ".join(map("%.2f,%.2f".__mod__, zip(xpix(x).tolist(), ypix(y).tolist())))
         dash = ' stroke-dasharray="6,4"' if s.dashed else ""
         out.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"{dash}/>')
 

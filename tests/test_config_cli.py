@@ -552,6 +552,45 @@ def test_norms_rows_match_per_snapshot_strang_steps(tmp_path):
         assert abs(float(row[8]) - remainder) <= 1e-12 * abs(value)
 
 
+def test_norms_experiment_applies_the_perturbation_kicks(tmp_path):
+    # the kick at t = 0.5 is the impulse of step 8 at dt 1/16, as in `run`;
+    # past t = 1 the kicked field is no longer resolved in v for n_max = 12.
+    # Tolerance: the kick fills the x-Nyquist row (3e-3 of the field by
+    # t = 1 on 16 x 256), whose imaginary part the fused stepper carries
+    # between steps and a per-step loop drops, so the rows agree to ~1e-6;
+    # the kick itself moves every later value by 2.7 % or more
+    text = NORMS_SMALL.replace("modes = 1:2e-3", "modes = 1:2e-3\nkicks = 0.5:1:0.5").replace(
+        "times = 2,0,0.5,1", "times = 1,0,0.5,0.75")
+    cfg = loads_config(text.replace("dir = out", f"dir = {tmp_path / 'norms'}"))
+    assert run_experiment(cfg) == 0
+    with open(tmp_path / "norms" / "norms.csv", newline="") as fh:
+        got = list(csv.reader(fh))[1:]
+    sec, dt, interaction = cfg.values["norms"], cfg.get("time", "dt"), cfg.build_interaction()
+    cur = init_state(cfg.build_profile(), cfg.build_perturbation(),
+                     cfg.get("grid", "nx"), cfg.get("grid", "nv"), cfg.get("grid", "vmax"))
+    wave = 0.5 * np.cos(2 * np.pi * np.arange(cur.nx) / cur.nx)
+    expected = []
+    for t in sorted(sec["times"]):
+        while cur.time < t - 1e-12:
+            cur = strang_step(cur, interaction, dt, impulse=wave if round(cur.time / dt) == 8 else None)
+        expected += _norm_rows(cur, np.fft.rfft(cur.data, axis=0), sec)
+    assert len(got) == len(expected) == 12
+    for row, ref in zip(got, expected):
+        assert row[:7] == ref[:7]
+        value, remainder = float(ref[7]), float(ref[8])
+        assert float(row[7]) == pytest.approx(value, rel=1e-5)
+        assert abs(float(row[8]) - remainder) <= 1e-5 * abs(value)
+
+
+@pytest.mark.parametrize("kick", ["2:1:0.5", "0.53:1:0.5"])
+def test_a_norms_kick_after_the_last_snapshot_or_off_the_step_grid_is_a_config_error(tmp_path, monkeypatch, capsys,
+                                                                                     kick):
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    text = NORMS_SMALL.replace("modes = 1:2e-3", f"modes = 1:2e-3\nkicks = {kick}")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 2
+    assert f"kick time {float(kick.split(':')[0]):g} must sit on the step grid within [0, 2)" in capsys.readouterr().err
+
+
 def _norms_snapshot():
     """The NORMS_SMALL field at t = 1 and its [norms] section."""
     cfg = loads_config(NORMS_SMALL)

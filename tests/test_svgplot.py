@@ -3,8 +3,11 @@
 import re
 
 import numpy as np
+import pytest
 
-from landau_lab.svgplot import Series, render_plot
+from landau_lab import svgplot
+from landau_lab.svgplot import (_HEIGHT, _LOG_FLOOR, _MARGIN_B, _MARGIN_L, _MARGIN_R, _MARGIN_T, _WIDTH, Series,
+                                render_plot)
 
 
 def polyline_points(svg: str) -> list[np.ndarray]:
@@ -76,3 +79,55 @@ def test_single_point_and_flat_series_render():
     assert "polyline" in svg
     svg2 = render_plot([Series(label="flat", x=[0, 1], y=[3.0, 3.0])])
     assert "polyline" in svg2
+
+
+def scalar_polylines(series, vlines=()) -> list[str]:
+    """The polyline point lists one sample at a time: ``xpix``/``ypix`` of NumPy scalars, each to two decimals."""
+    x0, x1, y0, y1 = _MARGIN_L, _WIDTH - _MARGIN_R, _HEIGHT - _MARGIN_B, _MARGIN_T
+    arrays = [(np.asarray(s.x, dtype=float), np.asarray(s.y, dtype=float)) for s in series]
+    ok = [np.isfinite(x) & np.isfinite(y) & (y > 0.0) for x, y in arrays]
+    y_max = max(float(y[m].max()) for (_, y), m in zip(arrays, ok) if m.any())
+    kept = [(x[m & (y >= _LOG_FLOOR * y_max)], y[m & (y >= _LOG_FLOOR * y_max)]) for (x, y), m in zip(arrays, ok)]
+    kept = [(x, y) for x, y in kept if len(x)]
+    xs, ys = np.concatenate([x for x, _ in kept]), np.concatenate([y for _, y in kept])
+    x_lo, x_hi = min([float(xs.min())] + [v for v, _ in vlines]), max([float(xs.max())] + [v for v, _ in vlines])
+    if x_hi == x_lo:
+        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+    y_lo, y_hi = float(ys.min()), float(ys.max())
+    if y_hi == y_lo:
+        y_lo, y_hi = y_lo / 10.0, y_hi * 10.0
+    ly_lo, ly_hi = np.log10(y_lo), np.log10(y_hi)
+    return [" ".join(f"{x0 + (a - x_lo) / (x_hi - x_lo) * (x1 - x0):.2f},"
+                     f"{y0 - (np.log10(b) - ly_lo) / (ly_hi - ly_lo) * (y0 - y1):.2f}" for a, b in zip(x, y))
+            for x, y in kept]
+
+
+@pytest.mark.parametrize("series, vlines", [
+    ([Series(label="edge", x=[-0.0, 1e-300, 0.5, 1.0, np.nan, 2.0, np.inf, 3.0],
+             y=[5e-324, 1e-320, 2.5e-322, np.inf, 1.0, -1.0, 3e-321, 7e-323])], ()),
+    ([Series(label="big", x=[-1e300, 0.0, 1e300], y=[1.7e308, 5e299, 3e296])], ()),
+    ([Series(label="a", x=np.linspace(0.0, 42.0, 2051), y=np.exp(-0.3 * np.linspace(0.0, 42.0, 2051))),
+      Series(label="b", x=np.linspace(0.0, 42.0, 673), y=np.abs(np.sin(np.linspace(0.0, 42.0, 673))) * 1e-3,
+             dashed=True)], [(-3.0, "before"), (50.0, "after")]),
+    ([Series(label="flat", x=[2.0, 2.0], y=[3.0, 3.0]), Series(label="dropped", x=[1.0], y=[0.0])], ()),
+], ids=["subnormal", "extreme", "curves", "degenerate"])
+def test_polyline_points_match_the_scalar_formatting(series, vlines):
+    assert ["".join(p) for p in re.findall(r'<polyline points="([^"]+)"', render_plot(series, vlines=vlines))] \
+        == scalar_polylines(series, vlines)
+
+
+def test_render_takes_as_many_log10_calls_for_2000_points_as_for_20(monkeypatch):
+    log10, calls = np.log10, []
+
+    def counting_log10(*args, **kwargs):
+        calls.append(1)
+        return log10(*args, **kwargs)
+
+    monkeypatch.setattr(np, "log10", counting_log10)
+    counts = []
+    for n in (20, 2000):
+        t = np.linspace(0.0, 10.0, n)
+        calls.clear()
+        svgplot.render_plot([Series(label="decay", x=t, y=np.exp(-0.7 * t))])
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
