@@ -8,7 +8,10 @@ the second kind with memory kernel
 driven by the free-streaming transform of the initial perturbation.  The
 decay of a mode is set by the worst of two rates: the decay of the source,
 and the width of the strip on which the Fourier-Laplace transform of K0
-stays away from 1.  Two strip objects are kept deliberately distinct:
+stays away from 1.  With s = |k| t that transform is L(k, xi) = what(k)
+Psi(xi), Psi(xi) = -4 pi^2 int_0^inf exp(2 pi xi s) ft(sgn(k) s) s ds: every
+mode scales one transform of the profile.  Two strip objects are kept
+deliberately distinct:
 
 * the margin scan `scan_stability_margin` integrates |ft| (a majorant), and
 * `root_scan` uses the true transform of K0 (no modulus) to locate the
@@ -16,9 +19,9 @@ stays away from 1.  Two strip objects are kept deliberately distinct:
 
 Conflating the two changes results for profiles whose transform is not
 real and nonnegative.  Every Laplace-side integral, and the small-gain
-integral of `smallness_criterion`, runs on the nodes of one builder,
+integral of `smallness_criterion`, runs on the nodes in s of one builder,
 `_gl_panels`: composite 20-node Gauss-Legendre on equal panels.  Both strip
-scans go through one product-grid transform, `_strip_transform`, whose Im
+scans make one product-grid transform of Psi, `_strip_transform`, whose Im
 phases are products of two short factor tables (`_block_split`).
 """
 
@@ -131,32 +134,29 @@ def _gl_panels(t_max: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
 
 
-def _horizon(profile: VelocityProfile, k: int, re_max: float) -> float:
-    """Integration horizon under the exponential weight exp(2 pi |k| re t)."""
-    ak = abs(k)
+def _horizon(profile: VelocityProfile, re_max: float) -> float:
+    """Integration horizon in s under the exponential weight exp(2 pi re s)."""
     d = _DECADES + max(0.0, np.log(profile.c0))
     # the narrowest mixture component's Gaussian envelope wins for every re_max
     theta_min = min(th for _, _, th in profile.components)
-    a = 2.0 * np.pi**2 * theta_min * ak**2
-    b = TWO_PI * ak * max(re_max, 0.0)
+    a = 2.0 * np.pi**2 * theta_min
+    b = TWO_PI * max(re_max, 0.0)
     return max(1.0, (b + np.sqrt(b * b + 4.0 * a * d)) / (2.0 * a))
 
 
-def _laplace_nodes(profile, interaction, k, re_max: float, im_max: float, *, modulus: bool):
-    """Composite GL nodes t resolving both the kernel scale and the oscillation
-    up to Re zeta = re_max and |Im zeta| = im_max, and the weighted kernel base
-    wt * K0(t, k) on them.
+def _laplace_nodes(profile, re_max: float, im_max: float, *, modulus: bool, sign: int = 1):
+    """Composite GL nodes s resolving both the kernel scale and the oscillation
+    up to Re xi = re_max and |Im xi| = im_max, and the weighted base
+    ws * (-4 pi^2) ft(sign s) s of Psi on them.
 
-    With ``modulus=True`` the kernel's ft factor is replaced by its modulus.
+    With ``modulus=True`` the ft factor is replaced by its modulus.
     """
-    t_max = _horizon(profile, k, re_max)
+    s_max = _horizon(profile, re_max)
     # ~2 panels per oscillation wavelength keeps 20-node GL at machine accuracy
-    h = min(0.5 / abs(k), 1.0, 4.0 / (TWO_PI * abs(k) * (im_max + 1e-12)))
-    t, wt = _gl_panels(t_max, max(4, int(np.ceil(t_max / h))))
-    ftv = profile.ft(k * t)
-    if modulus:
-        ftv = np.abs(ftv)
-    return t, wt * (-4.0 * np.pi**2) * float(interaction.what(np.array(k))) * ftv * k**2 * t
+    h = min(0.5, 4.0 / (TWO_PI * (im_max + 1e-12)))
+    s, ws = _gl_panels(s_max, max(4, int(np.ceil(s_max / h))))
+    ftv = profile.ft(sign * s)
+    return s, ws * (-4.0 * np.pi**2) * (np.abs(ftv) if modulus else ftv) * s
 
 
 def _block_split(n: int) -> tuple[int, int]:
@@ -166,19 +166,20 @@ def _block_split(n: int) -> tuple[int, int]:
     return m, -(-n // m)
 
 
-def _strip_transform(profile, interaction, k, res, ims, *, modulus: bool) -> np.ndarray:
-    """int_0^inf exp(2 pi |k| (re + i im) t) K0(t, k) dt on the product grid res x ims.
+def _strip_transform(profile, res, ims, *, modulus: bool, sign: int = 1) -> np.ndarray:
+    """Psi(re + i im) of ft(sign s) on the product grid res x ims; mode k's
+    transform is what(k) times it with sign = sgn(k).
 
     All grid points share the nodes of (max re, max |im|).  ``ims`` must be
     an arithmetic progression with step d, to 1e-12 of its largest magnitude
     (else `ValueError`).  Writing j = m p + q (`_block_split`), the phase of
-    Im point j is exp(i c ims[m p] t) exp(i c d q t), c = 2 pi |k|, so block
-    p of the (len(res), len(ims)) result is one matrix product of the
-    growth-weighted kernel times its start row with the m-column step table.
+    Im point j is exp(2 pi i ims[m p] s) exp(2 pi i d q s), so block p of
+    the (len(res), len(ims)) result is one matrix product of the
+    growth-weighted base times its start row with the m-column step table.
     That takes (m + blocks) x nodes phases instead of len(ims) x nodes, forms
     no (len(ims), nodes) table, and keeps a grid that does not start at 0
-    as exact as one that does.  With ``modulus=True`` the kernel's ft factor
-    is replaced by its modulus.
+    as exact as one that does.  With ``modulus=True`` the ft factor is
+    replaced by its modulus.
     """
     ims = np.asarray(ims, dtype=float)
     n = len(ims)
@@ -186,20 +187,19 @@ def _strip_transform(profile, interaction, k, res, ims, *, modulus: bool) -> np.
     im_max = float(np.max(np.abs(ims)))
     if np.max(np.abs(ims - (ims[0] + d * np.arange(n)))) > 1e-12 * im_max:
         raise ValueError("the Im grid of a strip transform must be an arithmetic progression")
-    t, base = _laplace_nodes(profile, interaction, k, float(np.max(res)), im_max, modulus=modulus)
-    c = TWO_PI * abs(k)
-    growth = c * np.multiply.outer(res, t)
+    s, base = _laplace_nodes(profile, float(np.max(res)), im_max, modulus=modulus, sign=sign)
+    growth = TWO_PI * np.multiply.outer(res, s)
     if np.max(growth) > 600.0:
-        raise NumericError("Laplace exponent overflow; shrink the strip or t_max")
+        raise NumericError("Laplace exponent overflow; shrink the strip or s_max")
     m, n_blocks = _block_split(n)
     weighted = np.exp(growth) * base
-    arg = c * np.multiply.outer(t, d * np.arange(m))
+    arg = TWO_PI * np.multiply.outer(s, d * np.arange(m))
     steps = np.empty(arg.shape, dtype=complex)
     np.cos(arg, out=steps.real)
     np.sin(arg, out=steps.imag)
     out = np.empty((len(res), n_blocks * m), dtype=complex)
     for p in range(n_blocks):
-        np.matmul(weighted * np.exp(1j * c * ims[p * m] * t), steps, out=out[:, p * m:(p + 1) * m])
+        np.matmul(weighted * np.exp(1j * TWO_PI * ims[p * m] * s), steps, out=out[:, p * m:(p + 1) * m])
     return out[:, :n]
 
 
@@ -218,8 +218,8 @@ _STRIP_IM_POINTS = 161
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Sampled evidence for the strip stability margin (not a proof); each mode's
-    `_STRIP_*` grid shares the quadrature nodes of its largest Re and Im."""
+    """Sampled evidence for the strip stability margin (not a proof); every mode
+    scales one `_STRIP_*` grid of Psi on the quadrature nodes of its largest Re and Im."""
 
     kappa_est: float
     lambda_strip: float
@@ -258,7 +258,8 @@ def scan_stability_margin(
 ) -> StabilityReport:
     """Sample min over modes and over the strip of |L(k, xi) - 1|.
 
-    Modes above ``k_max`` are certified by the closed-over bound
+    One transform Psi of |ft| serves as L(k, xi) = what(k) Psi(xi) for every
+    1 <= k <= k_max.  Modes above ``k_max`` are certified by the closed-over bound
     |L(k, xi)| <= cw * c0 / (|k|**(1+gamma) * (lam - lambda_strip)**2),
     provided it stays below 1 - kappa at k_max + 1.
     """
@@ -269,18 +270,13 @@ def scan_stability_margin(
     res = np.linspace(0.0, lambda_strip, _STRIP_RE_POINTS, endpoint=False)
     ims = np.linspace(0.0, _STRIP_IM_MAX, _STRIP_IM_POINTS)
 
-    kappa_est = np.inf
-    worst_k, worst_xi = 1, 0j
-    edge_max = 0.0
-    for k in range(1, k_max + 1):
-        vals = _strip_transform(profile, interaction, k, res, ims, modulus=True)
-        gaps = np.abs(vals - 1.0)
-        i = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-        if gaps[i] < kappa_est:
-            kappa_est = float(gaps[i])
-            worst_k = k
-            worst_xi = complex(res[i[0]], ims[i[1]])
-        edge_max = max(edge_max, float(np.max(np.abs(vals[:, -1]))))
+    psi = _strip_transform(profile, res, ims, modulus=True)
+    vals = np.asarray(interaction.what(np.arange(1, k_max + 1)), dtype=float)[:, None, None] * psi
+    gaps = np.abs(vals - 1.0)
+    # the first minimum in (k, Re, Im) order: the lowest mode that attains it
+    k_i, i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+    kappa_est = float(gaps[k_i, i, j])
+    edge_max = float(np.max(np.abs(vals[:, :, -1])))
 
     warnings = []
     tail_bound = interaction.cw * profile.c0 / ((k_max + 1) ** (1.0 + interaction.gamma) * (profile.lam - lambda_strip) ** 2)
@@ -294,8 +290,8 @@ def scan_stability_margin(
         lambda_strip=float(lambda_strip),
         kappa_requested=float(kappa),
         k_max=k_max,
-        worst_k=worst_k,
-        worst_xi=worst_xi,
+        worst_k=int(k_i) + 1,
+        worst_xi=complex(res[i], ims[j]),
         tail_bound=float(tail_bound),
         warnings=tuple(warnings),
         passed=passed,
@@ -325,7 +321,7 @@ def monotone_criterion(profile: VelocityProfile, interaction: Interaction) -> bo
 def smallness_criterion(profile: VelocityProfile, interaction: Interaction) -> float:
     """Left side of the small-gain condition
     4 pi^2 (max_k |what(k)|) (sup_dir int_0^inf |ft(r dir)| r dr); stable when < 1."""
-    t_max = _horizon(profile, 1, 0.0)
+    t_max = _horizon(profile, 0.0)
     r, wr = _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
     integral = max(float(np.sum(wr * np.abs(profile.ft(sgn * r)) * r)) for sgn in (1.0, -1.0))
     w_max = float(np.max(np.abs(interaction.what(np.arange(1, _SMALLNESS_K_MAX + 1)))))
@@ -446,13 +442,14 @@ class RootScanResult:
 
 
 def _root_newton(profile, interaction, k, seed: complex) -> complex:
-    """Newton iteration for J(zeta) = 1, with J'(zeta) = 2 pi |k| * moment-1 integral."""
+    """Newton iteration for J(zeta) = what(k) Psi(zeta) = 1; J' scales Psi's s-moment by 2 pi what(k)."""
+    w = float(interaction.what(np.array(k)))
     zeta = complex(seed)
     for _ in range(60):
-        t, base = _laplace_nodes(profile, interaction, k, zeta.real, abs(zeta.imag), modulus=False)
-        ex = np.exp(TWO_PI * abs(k) * zeta * t)
-        j = complex(np.sum(ex * base))
-        jp = complex(np.sum(ex * base * TWO_PI * abs(k) * t))
+        s, base = _laplace_nodes(profile, zeta.real, abs(zeta.imag), modulus=False, sign=np.sign(k))
+        terms = np.exp(TWO_PI * zeta * s) * base
+        j = w * complex(np.sum(terms))
+        jp = w * TWO_PI * complex(np.sum(terms * s))
         if abs(jp) == 0.0:
             raise NumericError("resolvent-root refinement hit a critical point")
         step = (j - 1.0) / jp
@@ -474,9 +471,9 @@ def root_scan(
     mode decay is then limited only by the source).  Otherwise the best grid
     point is refined to the actual resolvent root; a root at nonpositive
     width means there is no decay gap at all and `StabilityGapError` is
-    raised.  All widths share the quadrature nodes of the cap width, whose
-    horizon covers every narrower width; the refinement builds its own nodes
-    per iterate.
+    raised.  J = what(k) Psi with Psi of ft(sgn(k) s); all widths share the
+    quadrature nodes of the cap width, whose horizon covers every narrower
+    width; the refinement builds its own nodes per iterate.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
@@ -486,7 +483,8 @@ def root_scan(
     widths = np.linspace(0.0, width_cap, _ROOT_N_WIDTHS)
     ims = np.linspace(0.0, _ROOT_IM_MAX, _ROOT_IM_POINTS)
 
-    g = np.abs(_strip_transform(profile, interaction, k, widths, ims, modulus=False) - 1.0)
+    w = float(interaction.what(np.array(k)))
+    g = np.abs(w * _strip_transform(profile, widths, ims, modulus=False, sign=np.sign(k)) - 1.0)
     i, j = np.unravel_index(int(np.argmin(g)), g.shape)
 
     root = None

@@ -122,10 +122,12 @@ def render_plot(
     for vx, _ in vlines:
         x_lo, x_hi = min(x_lo, vx), max(x_hi, vx)
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        pad = max(0.5, float(np.spacing(abs(x_lo))))  # one ulp where half a unit rounds away
+        x_lo, x_hi = x_lo - pad, x_hi + pad
+    sx = 1.0 if np.isfinite(x_hi - x_lo) else 0.5  # a span past the largest float: the halved axis
     y_lo, y_hi = float(ys.min()), float(ys.max())
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo / 10.0, y_hi * 10.0
+    if y_hi == y_lo:  # a decade each way, inside the positive floats
+        y_lo, y_hi = max(y_lo / 10.0, 5e-324), min(y_hi * 10.0, float(np.finfo(float).max))
     y_ticks = _log_ticks(y_lo, y_hi)
     ly_lo, ly_hi = np.log10(y_lo), np.log10(y_hi)
 
@@ -133,9 +135,9 @@ def render_plot(
         return y0 - (np.log10(v) - ly_lo) / (ly_hi - ly_lo) * (y0 - y1)
 
     def xpix(v):
-        return x0 + (v - x_lo) / (x_hi - x_lo) * (x1 - x0)
+        return x0 + (v * sx - x_lo * sx) / (x_hi * sx - x_lo * sx) * (x1 - x0)
 
-    for t in _linear_ticks(x_lo, x_hi):
+    for t in filter(np.isfinite, [tick / sx for tick in _linear_ticks(x_lo * sx, x_hi * sx)]):
         px = xpix(t)
         out.append(f'<line x1="{px:.2f}" y1="{y0}" x2="{px:.2f}" y2="{y1}" stroke="#eee"/>')
         out.append(f'<text x="{px:.2f}" y="{y0 + 18}" text-anchor="middle" font-size="11">{_fmt(t)}</text>')

@@ -41,19 +41,19 @@ NEWTON_THRESHOLD = 20.7494514853421
 
 
 def per_point_kernel_transform(profile, interaction, k, zetas, *, modulus):
-    """int_0^inf exp(2 pi |k| zeta t) K0(t, k) dt with one complex exponential per (zeta, node).
+    """L(k, zeta) = what(k) Psi(zeta) with one complex exponential per (zeta, node).
 
     Same nodes as `_strip_transform` (those of max Re and max |Im|), summed
     point by point in double precision: the grid-search reference of the scans.
     """
     zetas = np.asarray(zetas, dtype=complex)
-    t, base = _laplace_nodes(profile, interaction, k, float(np.max(zetas.real)), float(np.max(np.abs(zetas.imag))),
-                             modulus=modulus)
-    return np.exp(2.0 * np.pi * abs(k) * np.multiply.outer(zetas, t)) @ base
+    s, base = _laplace_nodes(profile, float(np.max(zetas.real)), float(np.max(np.abs(zetas.imag))),
+                             modulus=modulus, sign=np.sign(k))
+    return float(interaction.what(np.array(k))) * (np.exp(2.0 * np.pi * np.multiply.outer(zetas, s)) @ base)
 
 
-def long_double_kernel_transform(profile, interaction, k, res, ims, *, modulus):
-    """The (len(res), len(ims)) transform of `_strip_transform` on the same nodes,
+def long_double_kernel_transform(profile, res, ims, *, modulus, sign):
+    """The (len(res), len(ims)) transform Psi of `_strip_transform` on the same nodes,
     with every phase, growth factor and sum in np.longdouble.
 
     On x86-64 that is extended precision, whose epsilon is 1/2048 of
@@ -61,17 +61,18 @@ def long_double_kernel_transform(profile, interaction, k, res, ims, *, modulus):
     """
     res = np.asarray(res, dtype=np.longdouble)
     ims = np.asarray(ims, dtype=np.longdouble)
-    t, base = _laplace_nodes(profile, interaction, k, float(np.max(res)), float(np.max(np.abs(ims))), modulus=modulus)
-    t, base = t.astype(np.longdouble), base.astype(np.clongdouble)
-    c = 8 * np.arctan(np.longdouble(1)) * abs(k)
-    arg = c * np.multiply.outer(ims, t)
-    return np.einsum("rt,it->ri", np.exp(c * np.multiply.outer(res, t)) * base, np.cos(arg) + 1j * np.sin(arg))
+    s, base = _laplace_nodes(profile, float(np.max(res)), float(np.max(np.abs(ims))), modulus=modulus, sign=sign)
+    s, base = s.astype(np.longdouble), base.astype(np.clongdouble)
+    c = 8 * np.arctan(np.longdouble(1))
+    arg = c * np.multiply.outer(ims, s)
+    return np.einsum("rs,is->ri", np.exp(c * np.multiply.outer(res, s)) * base, np.cos(arg) + 1j * np.sin(arg))
 
 
-def strip_functional(profile, interaction, k, xi):
-    """The majorant strip functional at one point xi, the scan's L(k, xi):
-    -4 pi^2 what(k) int_0^inf e^{2 pi |k| conj(xi) t} |ft(kt)| k^2 t dt."""
-    return complex(_strip_transform(profile, interaction, k, [xi.real], [-xi.imag], modulus=True)[0, 0])
+def strip_functional(profile, interaction, k, xi, *, modulus=True):
+    """The strip functional at one point xi, the scan's L(k, xi) (by default the majorant):
+    what(k) Psi(conj xi) = -4 pi^2 what(k) int_0^inf e^{2 pi |k| conj(xi) t} |ft(kt)| k^2 t dt."""
+    psi = _strip_transform(profile, [xi.real], [-xi.imag], modulus=modulus, sign=np.sign(k))
+    return float(interaction.what(np.array(k))) * complex(psi[0, 0])
 
 
 def per_width_root_scan(profile, interaction, k):
@@ -169,38 +170,39 @@ def test_majorant_functional_differs_from_true_transform_when_not_even():
 def test_strip_transform_matches_per_point_sum(profile, modulus):
     res = np.linspace(0.0, 0.45, 6)
     ims = np.linspace(-6.0, 6.0, 49)  # negative Im values included
-    for k in (1, 3):
-        got = _strip_transform(profile, STRONG, k, res, ims, modulus=modulus)
-        ref = long_double_kernel_transform(profile, STRONG, k, res, ims, modulus=modulus)
+    for sign in (1, -1):
+        got = _strip_transform(profile, res, ims, modulus=modulus, sign=sign)
+        ref = long_double_kernel_transform(profile, res, ims, modulus=modulus, sign=sign)
         assert got.shape == (len(res), len(ims))
         np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
 
 
 def test_strip_transform_zero_interaction_is_exactly_zero():
     for modulus in (True, False):
-        vals = _strip_transform(MAX, zero_interaction(), 1, [0.0, 0.3], np.linspace(-2.0, 5.0, 3), modulus=modulus)
-        assert np.all(vals == 0.0)
+        for k in (1, -2):
+            for xi in (0j, 0.3 - 2.0j, 0.3 + 5.0j):
+                assert strip_functional(MAX, zero_interaction(), k, xi, modulus=modulus) == 0.0
 
 
 def test_strip_transform_rejects_a_non_arithmetic_im_grid():
     with pytest.raises(ValueError, match="arithmetic progression"):
-        _strip_transform(MAX, COULOMB, 1, [0.0, 0.3], [-2.0, 0.0, 5.0], modulus=True)
+        _strip_transform(MAX, [0.0, 0.3], [-2.0, 0.0, 5.0], modulus=True)
 
 
-@pytest.mark.parametrize("k", [1, 4])
-def test_strip_transform_forms_no_full_phase_table(k):
-    # certify's grid: one (161, nodes) complex phase table is the bound to stay under
-    newton = builtin_interaction("newton", 20.0)
+@pytest.mark.parametrize("widen", [1, 4])
+def test_strip_transform_forms_no_full_phase_table(widen):
+    # certify's grid, and one with a 4x wider Im window (4x the nodes): one
+    # (161, nodes) complex phase table is the bound to stay under
     res = np.linspace(0.0, 0.5, linear._STRIP_RE_POINTS, endpoint=False)
-    ims = np.linspace(0.0, linear._STRIP_IM_MAX, linear._STRIP_IM_POINTS)
-    t, _ = _laplace_nodes(MAX, newton, k, float(res[-1]), float(ims[-1]), modulus=True)
+    ims = np.linspace(0.0, widen * linear._STRIP_IM_MAX, linear._STRIP_IM_POINTS)
+    s, _ = _laplace_nodes(MAX, float(res[-1]), float(ims[-1]), modulus=True)
     tracemalloc.start()
     try:
-        _strip_transform(MAX, newton, k, res, ims, modulus=True)
+        _strip_transform(MAX, res, ims, modulus=True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < len(ims) * len(t) * np.dtype(complex).itemsize
+    assert peak < len(ims) * len(s) * np.dtype(complex).itemsize
 
 
 def test_laplace_exponent_overflow_is_a_numeric_error():
@@ -229,14 +231,25 @@ def test_functional_gaussian_value_at_origin():
 
 
 def test_functional_matches_adaptive_quadrature():
+    # L(k, xi) = what(k) Psi(xi): one profile transform, scaled per mode, against
+    # each mode's own t-integral, for both signs of k, |ft| and ft, and a
+    # profile whose transform is not real.  Psi is taken on the nodes of the
+    # margin scan's Im window, the only window on which the program integrates
+    # |ft|; the drifting bump's |ft| dips near s = 0.27, and a single-point
+    # window at Im 1.7 leaves that integral 6e-6 off.
     xi = 0.3 + 1.7j
-    for k in (1, 2):
-        def integrand(t):
-            return np.exp(2 * np.pi * k * np.conj(xi) * t) * abs(MAX.ft(k * t)) * k**2 * t
+    for profile in (MAX, bump_on_tail(weight=0.2, drift=2.0)):
+        for modulus in (True, False):
+            for k in (1, 2, 3, 4, -2):
+                def integrand(t):
+                    ftv = profile.ft(k * t)
+                    return np.exp(2 * np.pi * abs(k) * np.conj(xi) * t) * (abs(ftv) if modulus else ftv) * k**2 * t
 
-        oracle = quad(integrand, 0, 10, complex_func=True, limit=400)[0]
-        oracle *= -FOUR_PI2 * float(COULOMB.what(k))
-        assert strip_functional(MAX, COULOMB, k, xi) == pytest.approx(oracle, rel=1e-9)
+                oracle = quad(integrand, 0, 10, complex_func=True, limit=400)[0]
+                oracle *= -FOUR_PI2 * float(COULOMB.what(k))
+                psi = _strip_transform(profile, [xi.real], [-xi.imag, linear._STRIP_IM_MAX], modulus=modulus,
+                                       sign=np.sign(k))
+                assert float(COULOMB.what(k)) * complex(psi[0, 0]) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_functional_modulus_bounded_by_real_axis():
@@ -277,6 +290,39 @@ def test_margin_scan_matches_per_point_reference(factor):
     kappa, worst_k, worst_xi = per_point_margin_scan(MAX, newton, 0.5)
     assert (rep.worst_k, rep.worst_xi) == (worst_k, worst_xi)
     assert rep.kappa_est == pytest.approx(kappa, rel=0, abs=1e-13)
+
+
+def counting_ft(profile):
+    """The profile with its ft wrapped to record the size of every call."""
+    sizes = []
+
+    def ft(eta):
+        sizes.append(int(np.size(eta)))
+        return profile.ft(eta)
+
+    return replace(profile, ft=ft), sizes
+
+
+def test_scans_evaluate_ft_on_one_node_set(monkeypatch):
+    # every mode scales one Psi: one ft call on the strip's nodes, whatever k_max
+    newton = builtin_interaction("newton", 20.0)
+    s, _ = _laplace_nodes(MAX, 0.5 * 7 / 8, linear._STRIP_IM_MAX, modulus=True)
+    for k_max in (4, 8):
+        profile, sizes = counting_ft(MAX)
+        scan_stability_margin(profile, newton, 0.5, 0.05, k_max=k_max)
+        assert sizes == [len(s)]
+    # root_scan: one ft call on the cap width's nodes before Newton starts
+    profile, sizes = counting_ft(MAX)
+    calls_before_newton = []
+
+    def recording_newton(*args):
+        calls_before_newton.append(len(sizes))
+        return _root_newton(*args)
+
+    monkeypatch.setattr(linear, "_root_newton", recording_newton)
+    assert root_scan(profile, STRONG, 2).root is not None
+    s, _ = _laplace_nodes(MAX, MAX.lam, linear._ROOT_IM_MAX, modulus=False)
+    assert calls_before_newton == [1] and sizes[0] == len(s)
 
 
 def test_margin_validates_strip():

@@ -131,3 +131,22 @@ def test_render_takes_as_many_log10_calls_for_2000_points_as_for_20(monkeypatch)
         svgplot.render_plot([Series(label="decay", x=t, y=np.exp(-0.7 * t))])
         counts.append(len(calls))
     assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("x, y", [
+    ([0.0, 1.0], [1e308, 1e308]),
+    ([-1e308, 1e308], [1.0, 2.0]),
+    ([0.0, 1.0], [5e-324, 5e-324]),
+    ([1e17, 1e17], [1.0, 2.0]),
+], ids=["flat-y-near-overflow", "x-span-past-max-float", "flat-y-subnormal", "flat-x-past-2**53"])
+def test_extreme_values_render_on_the_frame(x, y):
+    # the decade pad of a flat y, the x span and the half-unit pad of a flat x
+    # each leave the floats here unless the axis guards them
+    svg = render_plot([Series(label="s", x=x, y=y)])
+    coords = [float(v) for v in re.findall(r' (?:x|y|x1|y1|x2|y2)="([^"]+)"', svg)]
+    coords += [float(v) for p in re.findall(r'<polyline points="([^"]+)"', svg) for v in re.split("[ ,]", p)]
+    assert coords and all(np.isfinite(coords))
+    pts = polyline_points(svg)[0]
+    assert np.all((_MARGIN_L <= pts[:, 0]) & (pts[:, 0] <= _WIDTH - _MARGIN_R))
+    assert np.all((_MARGIN_T <= pts[:, 1]) & (pts[:, 1] <= _HEIGHT - _MARGIN_B))
+    assert "inf" not in svg and "nan" not in svg
