@@ -152,10 +152,17 @@ def run_echo_experiment(
     prediction = predict_echo_time(k_resp, k_initial, tau_kick)
     block = observe_stride * dt  # keep the step count divisible by the stride
     t_end = np.ceil((prediction.t_echo + 2.0) / block) * block
-    horizon = recurrence_time(nv, vmax, 1)  # recurrence of the |k| = 1 content
+    # a pulse at mode k reaches velocity frequency |k| t a time t after it is
+    # launched, and the grid recurs once that reaches t_R(1); so the echo
+    # needs t_echo <= 0.8 t_R / |k_initial| and t_echo - tau <= 0.8 t_R / |kick_mode|.
+    # The two pulses meet at the echo at one frequency,
+    # |k_initial| t_echo = |kick_mode| (t_echo - tau), so one check covers both.
+    horizon = recurrence_time(nv, vmax, k_initial)
     if prediction.t_echo > 0.8 * horizon:
         raise NumericError(
-            f"predicted echo at t = {prediction.t_echo:g} beyond 0.8 t_R = {0.8 * horizon:g}; enlarge nv"
+            f"predicted echo at t = {prediction.t_echo:g} beyond 0.8 t_R / |k_initial| = {0.8 * horizon:g}, "
+            f"{prediction.t_echo - tau_kick:g} after the kick, beyond 0.8 t_R / |kick_mode| = "
+            f"{0.8 * recurrence_time(nv, vmax, kick_mode):g}; enlarge nv"
         )
     pert = PerturbationSpec(
         modes=(PerturbationMode(k=k_initial, amplitude=amp_initial),),

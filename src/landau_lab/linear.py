@@ -23,11 +23,18 @@ integral of `smallness_criterion`, runs on the nodes in s of one builder,
 `_gl_panels`: composite 20-node Gauss-Legendre on equal panels.  Both strip
 scans make one product-grid transform of Psi, `_strip_transform`, whose Im
 phases are products of two short factor tables (`_block_split`).
+
+Psi, its value at 0 and the small-gain integral depend on the profile
+alone, so each is computed once per profile per process and kept, read-only,
+in a bounded memo keyed by the profile (profiles compare by their mixture,
+see `models`).  A sweep over the interaction, or a second mode of
+`root_scan`, reuses them; a single CLI call in a fresh process does not.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -144,19 +151,25 @@ def _horizon(profile: VelocityProfile, re_max: float) -> float:
     return max(1.0, (b + np.sqrt(b * b + 4.0 * a * d)) / (2.0 * a))
 
 
-def _laplace_nodes(profile, re_max: float, im_max: float, *, modulus: bool, sign: int = 1):
+def _psi_nodes(profile, re_max: float, im_max: float, sign: int = 1):
     """Composite GL nodes s resolving both the kernel scale and the oscillation
-    up to Re xi = re_max and |Im xi| = im_max, and the weighted base
-    ws * (-4 pi^2) ft(sign s) s of Psi on them.
-
-    With ``modulus=True`` the ft factor is replaced by its modulus.
-    """
+    up to Re xi = re_max and |Im xi| = im_max, the scaled weights
+    ws * (-4 pi^2) and ft(sign s) on them: Psi's base is their product times s."""
     s_max = _horizon(profile, re_max)
     # ~2 panels per oscillation wavelength keeps 20-node GL at machine accuracy
     h = min(0.5, 4.0 / (TWO_PI * (im_max + 1e-12)))
     s, ws = _gl_panels(s_max, max(4, int(np.ceil(s_max / h))))
-    ftv = profile.ft(sign * s)
-    return s, ws * (-4.0 * np.pi**2) * (np.abs(ftv) if modulus else ftv) * s
+    return s, ws * (-4.0 * np.pi**2), profile.ft(sign * s)
+
+
+def _laplace_nodes(profile, re_max: float, im_max: float, *, modulus: bool, sign: int = 1):
+    """The nodes s of `_psi_nodes` and the weighted base ws * (-4 pi^2) ft(sign s) s
+    of Psi on them.
+
+    With ``modulus=True`` the ft factor is replaced by its modulus.
+    """
+    s, cw, ftv = _psi_nodes(profile, re_max, im_max, sign)
+    return s, cw * (np.abs(ftv) if modulus else ftv) * s
 
 
 def _block_split(n: int) -> tuple[int, int]:
@@ -182,12 +195,16 @@ def _strip_transform(profile, res, ims, *, modulus: bool, sign: int = 1) -> np.n
     replaced by its modulus.
     """
     ims = np.asarray(ims, dtype=float)
+    s, base = _laplace_nodes(profile, float(np.max(res)), float(np.max(np.abs(ims))), modulus=modulus, sign=sign)
+    return _grid_transform(s, base, res, ims)
+
+
+def _grid_transform(s, base, res, ims: np.ndarray) -> np.ndarray:
+    """The product-grid sum of `_strip_transform` on given nodes s and base."""
     n = len(ims)
     d = (ims[-1] - ims[0]) / (n - 1) if n > 1 else 0.0
-    im_max = float(np.max(np.abs(ims)))
-    if np.max(np.abs(ims - (ims[0] + d * np.arange(n)))) > 1e-12 * im_max:
+    if np.max(np.abs(ims - (ims[0] + d * np.arange(n)))) > 1e-12 * float(np.max(np.abs(ims))):
         raise ValueError("the Im grid of a strip transform must be an arithmetic progression")
-    s, base = _laplace_nodes(profile, float(np.max(res)), im_max, modulus=modulus, sign=sign)
     growth = TWO_PI * np.multiply.outer(res, s)
     if np.max(growth) > 600.0:
         raise NumericError("Laplace exponent overflow; shrink the strip or s_max")
@@ -219,7 +236,12 @@ _STRIP_IM_POINTS = 161
 @dataclass(frozen=True)
 class StabilityReport:
     """Sampled evidence for the strip stability margin (not a proof); every mode
-    scales one `_STRIP_*` grid of Psi on the quadrature nodes of its largest Re and Im."""
+    scales one `_STRIP_*` grid of Psi on the quadrature nodes of its largest Re and Im.
+
+    ``unstable_modes`` counts the modes 1 <= k <= k_max with what(k) Psi(0) > 1,
+    each of which has a growing real root (Penrose 1960); None when the
+    profile is not even, where that test does not apply (reported unchecked).
+    """
 
     kappa_est: float
     lambda_strip: float
@@ -228,6 +250,7 @@ class StabilityReport:
     worst_k: int
     worst_xi: complex
     tail_bound: float
+    unstable_modes: int | None
     warnings: tuple[str, ...]
     passed: bool
 
@@ -244,9 +267,41 @@ class StabilityReport:
             f"worst_k = {self.worst_k}",
             f"worst_xi = {self.worst_xi.real:.12g}{self.worst_xi.imag:+.12g}j",
             f"tail_bound_beyond_k_max = {self.tail_bound:.12g}",
+            f"unstable_modes = {'unchecked' if self.unstable_modes is None else self.unstable_modes}",
             f"warnings = {';'.join(self.warnings) if self.warnings else 'none'}",
         ]
         return "\n".join(lines) + "\n"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _strip_grid(lambda_strip: float) -> tuple[np.ndarray, np.ndarray]:
+    """The margin scan's Re and Im samples."""
+    return (np.linspace(0.0, lambda_strip, _STRIP_RE_POINTS, endpoint=False),
+            np.linspace(0.0, _STRIP_IM_MAX, _STRIP_IM_POINTS))
+
+
+def _is_even(profile: VelocityProfile) -> bool:
+    """Whether the mixture is symmetric under v -> -v."""
+    comps = profile.components
+    return sorted(comps) == sorted((w, -u, theta) for w, u, theta in comps)
+
+
+@functools.lru_cache(maxsize=16)
+def _margin_psi(profile: VelocityProfile, lambda_strip: float) -> tuple[np.ndarray, float | None]:
+    """Psi of |ft| on the margin scan's grid (read-only), and for an even profile
+    the true Psi(0), summed from the same ft values on the same nodes.
+
+    For an even profile Psi is real on (-inf, 0] and tends to 0 there, so
+    what(k) Psi(0) > 1 puts a root of 1 - L at some Re xi < 0.
+    """
+    res, ims = _strip_grid(lambda_strip)
+    s, cw, ftv = _psi_nodes(profile, float(np.max(res)), _STRIP_IM_MAX)
+    psi = _read_only(_grid_transform(s, cw * np.abs(ftv) * s, res, ims))
+    return psi, float(np.sum(cw * ftv * s).real) if _is_even(profile) else None
 
 
 def scan_stability_margin(
@@ -261,17 +316,19 @@ def scan_stability_margin(
     One transform Psi of |ft| serves as L(k, xi) = what(k) Psi(xi) for every
     1 <= k <= k_max.  Modes above ``k_max`` are certified by the closed-over bound
     |L(k, xi)| <= cw * c0 / (|k|**(1+gamma) * (lam - lambda_strip)**2),
-    provided it stays below 1 - kappa at k_max + 1.
+    provided it stays below 1 - kappa at k_max + 1.  For an even profile a
+    mode with what(k) Psi(0) > 1 is unstable and fails the scan.  Psi and
+    Psi(0) are computed once per (profile, lambda_strip) per process.
     """
     if not 0.0 < lambda_strip < profile.lam:
         raise ValueError(f"lambda_strip must lie in (0, {profile.lam:g}), got {lambda_strip:g}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    res = np.linspace(0.0, lambda_strip, _STRIP_RE_POINTS, endpoint=False)
-    ims = np.linspace(0.0, _STRIP_IM_MAX, _STRIP_IM_POINTS)
-
-    psi = _strip_transform(profile, res, ims, modulus=True)
-    vals = np.asarray(interaction.what(np.arange(1, k_max + 1)), dtype=float)[:, None, None] * psi
+    res, ims = _strip_grid(lambda_strip)
+    psi, psi0 = _margin_psi(profile, float(lambda_strip))
+    what = np.asarray(interaction.what(np.arange(1, k_max + 1)), dtype=float)
+    unstable_modes = None if psi0 is None else int(np.count_nonzero(what * psi0 > 1.0))
+    vals = what[:, None, None] * psi
     gaps = np.abs(vals - 1.0)
     # the first minimum in (k, Re, Im) order: the lowest mode that attains it
     k_i, i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
@@ -284,7 +341,7 @@ def scan_stability_margin(
         warnings.append(f"modes beyond k_max uncertified (tail bound {tail_bound:.3g} >= 1 - kappa)")
     if not edge_max < 1.0 - kappa:
         warnings.append(f"functional still {edge_max:.3g} at the Im window edge; enlarge im_max")
-    passed = bool(kappa_est >= kappa and not warnings)
+    passed = bool(kappa_est >= kappa and not warnings and not unstable_modes)
     return StabilityReport(
         kappa_est=kappa_est,
         lambda_strip=float(lambda_strip),
@@ -293,6 +350,7 @@ def scan_stability_margin(
         worst_k=int(k_i) + 1,
         worst_xi=complex(res[i], ims[j]),
         tail_bound=float(tail_bound),
+        unstable_modes=unstable_modes,
         warnings=tuple(warnings),
         passed=passed,
     )
@@ -320,12 +378,18 @@ def monotone_criterion(profile: VelocityProfile, interaction: Interaction) -> bo
 
 def smallness_criterion(profile: VelocityProfile, interaction: Interaction) -> float:
     """Left side of the small-gain condition
-    4 pi^2 (max_k |what(k)|) (sup_dir int_0^inf |ft(r dir)| r dr); stable when < 1."""
+    4 pi^2 (max_k |what(k)|) (sup_dir int_0^inf |ft(r dir)| r dr); stable when < 1.
+
+    The integral is computed once per profile per process."""
+    w_max = float(np.max(np.abs(interaction.what(np.arange(1, _SMALLNESS_K_MAX + 1)))))
+    return 4.0 * np.pi**2 * w_max * _small_gain_integral(profile)
+
+
+@functools.lru_cache(maxsize=16)
+def _small_gain_integral(profile: VelocityProfile) -> float:
     t_max = _horizon(profile, 0.0)
     r, wr = _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
-    integral = max(float(np.sum(wr * np.abs(profile.ft(sgn * r)) * r)) for sgn in (1.0, -1.0))
-    w_max = float(np.max(np.abs(interaction.what(np.arange(1, _SMALLNESS_K_MAX + 1)))))
-    return 4.0 * np.pi**2 * w_max * integral
+    return max(float(np.sum(wr * np.abs(profile.ft(sgn * r)) * r)) for sgn in (1.0, -1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +505,18 @@ class RootScanResult:
     root: complex | None
 
 
+def _root_grid(width_cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """`root_scan`'s strip widths and Im samples."""
+    return np.linspace(0.0, width_cap, _ROOT_N_WIDTHS), np.linspace(0.0, _ROOT_IM_MAX, _ROOT_IM_POINTS)
+
+
+@functools.lru_cache(maxsize=16)
+def _root_psi(profile: VelocityProfile, sign: int) -> np.ndarray:
+    """Psi of ft(sign s) on `root_scan`'s grid (read-only)."""
+    widths, ims = _root_grid(profile.lam)
+    return _read_only(_strip_transform(profile, widths, ims, modulus=False, sign=sign))
+
+
 def _root_newton(profile, interaction, k, seed: complex) -> complex:
     """Newton iteration for J(zeta) = what(k) Psi(zeta) = 1; J' scales Psi's s-moment by 2 pi what(k)."""
     w = float(interaction.what(np.array(k)))
@@ -473,18 +549,18 @@ def root_scan(
     width means there is no decay gap at all and `StabilityGapError` is
     raised.  J = what(k) Psi with Psi of ft(sgn(k) s); all widths share the
     quadrature nodes of the cap width, whose horizon covers every narrower
-    width; the refinement builds its own nodes per iterate.
+    width, and the grid of Psi is computed once per (profile, sgn(k)) per
+    process; the refinement builds its own nodes per iterate.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
     width_cap = profile.lam
     if width_cap <= 0:
         raise ValueError("width cap must be positive")
-    widths = np.linspace(0.0, width_cap, _ROOT_N_WIDTHS)
-    ims = np.linspace(0.0, _ROOT_IM_MAX, _ROOT_IM_POINTS)
+    widths, ims = _root_grid(width_cap)
 
     w = float(interaction.what(np.array(k)))
-    g = np.abs(w * _strip_transform(profile, widths, ims, modulus=False, sign=np.sign(k)) - 1.0)
+    g = np.abs(w * _root_psi(profile, int(np.sign(k))) - 1.0)
     i, j = np.unravel_index(int(np.argmin(g)), g.shape)
 
     root = None

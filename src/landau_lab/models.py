@@ -7,14 +7,20 @@ Conventions used throughout the package:
   what(k) for integer k, with what(0) := 0 (the mean mode exerts no force).
 
 Every profile is a finite Gaussian mixture, so its transform and
-derivatives are available in closed form.
+derivatives are available in closed form.  A profile therefore is its
+mixture: profiles compare and hash by name, stored constants and
+components, never by their callables, and each built-in profile is built
+once per process.  Whatever depends on the profile alone (here
+`verify_analyticity`, in `linear` the transforms Psi and the small-gain
+integral) is computed once per profile per process and then read from a
+bounded memo.
 """
 
 from __future__ import annotations
 
 import functools
 import inspect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,17 +51,18 @@ class VelocityProfile:
     Every profile is a finite Gaussian mixture: ``components`` holds its
     (weight, mean, variance) triples, and ``pdf`` (f0(v), total mass 1),
     ``dpdf`` (f0'(v)) and ``ft`` (the velocity Fourier transform) are their
-    closed forms.  ``lam`` and ``c0`` are the stored analyticity width and
-    constant: |ft(eta)| * exp(2*pi*lam*|eta|) is expected to stay below
-    ``c0`` (re-checked by `verify_analyticity`).
+    closed forms, so they take no part in comparison or hashing.  ``lam``
+    and ``c0`` are the stored analyticity width and constant:
+    |ft(eta)| * exp(2*pi*lam*|eta|) is expected to stay below ``c0``
+    (re-checked by `verify_analyticity`).
     """
 
     name: str
-    pdf: Callable[[np.ndarray], np.ndarray]
-    ft: Callable[[np.ndarray], np.ndarray]
+    pdf: Callable[[np.ndarray], np.ndarray] = field(compare=False)
+    ft: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     lam: float
     c0: float
-    dpdf: Callable[[np.ndarray], np.ndarray]
+    dpdf: Callable[[np.ndarray], np.ndarray] = field(compare=False)
     components: Components
 
     def __post_init__(self):
@@ -198,7 +205,15 @@ _PROFILE_FAMILIES = {
 
 
 def builtin_profile(name: str, params: Sequence[float] = ()) -> VelocityProfile:
-    """Construct a built-in profile from a name and positional parameter list."""
+    """Construct a built-in profile from a name and positional parameter list.
+
+    Equal arguments return the same profile object within a process.
+    """
+    return _builtin_profile(name, tuple(params))
+
+
+@functools.lru_cache(maxsize=16)
+def _builtin_profile(name: str, params: tuple[float, ...]) -> VelocityProfile:
     try:
         family = _PROFILE_FAMILIES[name]
     except KeyError:
@@ -267,7 +282,7 @@ class AnalyticityReport:
     series_ratio: float
 
 
-@functools.lru_cache
+@functools.lru_cache(maxsize=4)
 def _hermite_l1_norms(n_max: int) -> np.ndarray:
     """m_n = E|He_n(Z)| for standard normal Z, n = 0..n_max (dense trapezoid).
 
@@ -323,8 +338,14 @@ def verify_analyticity(profile: VelocityProfile) -> AnalyticityReport:
     """Re-check |ft(eta)| exp(2 pi lam |eta|) <= c0 on a sampled |eta| <= 4.
 
     The derivative series is the mixture's closed-form bound, truncated at
-    order 40 and completed by its tail estimate.
+    order 40 and completed by its tail estimate.  The report is computed
+    once per profile per process.
     """
+    return _analyticity(profile)
+
+
+@functools.lru_cache(maxsize=16)
+def _analyticity(profile: VelocityProfile) -> AnalyticityReport:
     eta = np.linspace(-_ANALYTICITY_ETA_MAX, _ANALYTICITY_ETA_MAX, _ANALYTICITY_SAMPLES)
     ratio = np.abs(profile.ft(eta)) * np.exp(2.0 * np.pi * profile.lam * np.abs(eta)) / profile.c0
     worst = float(np.max(ratio))

@@ -249,6 +249,89 @@ def test_certify_pass_and_fail(tmp_path):
     assert "certification_failed" in (out2 / "run.meta").read_text()
 
 
+# bench/configs/certify.ini: the Maxwellian under Newton, Jeans-unstable above 4 pi^2 = 39.48
+CERTIFY_NEWTON = """\
+[experiment]
+name = certify
+
+[profile]
+name = maxwellian
+params = 1.0
+
+[interaction]
+kind = newton
+strength = {strength}
+
+[certify]
+lambda_strip = 0.5
+kappa = 0.05
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("strength", ["41", "42", "50", "58"])
+def test_certify_fails_a_jeans_unstable_plasma(tmp_path, strength):
+    # what(1) Psi(0) = strength / 4 pi^2 > 1 puts a growing real root on mode 1;
+    # the sampled strip alone does not see it (at 42, 50 and 58 its margin passed)
+    out = tmp_path / "o"
+    assert main(["certify", str(write_cfg(tmp_path, CERTIFY_NEWTON.format(strength=strength, out=out)))]) == 4
+    report = (out / "stability_report.txt").read_text()
+    assert "certified = false\n" in report and "passed = false\n" in report
+    assert "unstable_modes = 1\n" in report
+    assert "status = certification_failed" in (out / "run.meta").read_text()
+
+
+def test_echo_past_the_initial_modes_recurrence_exits_3(tmp_path):
+    # k_initial = 2 recurs at t_R / 2 = 8 on this grid: the echo at t = 9 is refused
+    out = tmp_path / "o"
+    text = ECHO_SMALL.replace("tau_kick = 2", "tau_kick = 3\nk_initial = 2\nkick_mode = -3").replace(
+        "dir = out", f"dir = {out}")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 3
+    meta = (out / "run.meta").read_text()
+    assert "status = failed:numeric" in meta and "enlarge nv" in meta
+
+
+@pytest.mark.parametrize("text", [CERTIFY_NEWTON.format(strength=20, out="{out}"), CERTIFY_COULOMB],
+                         ids=["newton-20", "coulomb"])
+def test_certify_stable_plasma_reports_no_unstable_mode(tmp_path, text):
+    out = tmp_path / "o"
+    assert main(["certify", str(write_cfg(tmp_path, text.format(out=out)))]) == 0
+    report = (out / "stability_report.txt").read_text()
+    assert "certified = true\n" in report and "unstable_modes = 0\n" in report
+
+
+SWEEP_STRENGTHS = ("20", "42", "50")
+
+
+@pytest.fixture(scope="module")
+def fresh_certify_runs(tmp_path_factory):
+    """`landau-lab certify` of each sweep point, each in a fresh interpreter, under
+    the output directory the sweep gives it; returns the output root."""
+    root = tmp_path_factory.mktemp("fresh")
+    for s in SWEEP_STRENGTHS:
+        config = write_cfg(tmp_path_factory.mktemp(f"cfg{s}"), CERTIFY_NEWTON.format(strength=s, out=f"out/strength={s}"))
+        proc = subprocess.run([sys.executable, "-m", "landau_lab.cli", "certify", str(config)],
+                              env=_child_env(LANDAU_LAB_OUTPUT_ROOT=str(root)), capture_output=True, text=True)
+        assert proc.returncode == (0 if s == "20" else 4), proc.stderr
+    return root
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_certify_sweep_matches_fresh_process_runs(tmp_path, monkeypatch, fresh_certify_runs, jobs):
+    # a sweep reuses each profile's analysis from point to point (and from
+    # earlier tests in this process); its artifacts must be those of cold runs
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    path = write_cfg(tmp_path, CERTIFY_NEWTON.format(strength=20, out="out"))
+    assert main(["sweep", str(path), "--param", "strength=" + ",".join(SWEEP_STRENGTHS), "--jobs", jobs]) == 4
+    for s in SWEEP_STRENGTHS:
+        sub = Path("out") / f"strength={s}"
+        files = sorted(p.name for p in (tmp_path / sub).iterdir())
+        assert files == ["run.meta", "stability_report.txt"]
+        assert all((tmp_path / sub / f).read_bytes() == (fresh_certify_runs / sub / f).read_bytes() for f in files)
+
+
 CERTIFY_SCREENED_DEFAULT_STRIP = """\
 [experiment]
 name = certify

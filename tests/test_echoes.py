@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from landau_lab.echoes import detect_peaks, predict_echo_time, run_echo_experiment
+from landau_lab.errors import NumericError
 from landau_lab.linear import ModeHistory
 from landau_lab.models import builtin_interaction, maxwellian
 from landau_lab.sim import KickEvent, PerturbationMode, PerturbationSpec, run
@@ -100,6 +101,26 @@ def test_echo_report_without_match(echo_control):
 
 
 SMALL_ECHO = dict(k_initial=1, kick_mode=-2, tau_kick=2.0, nx=16, nv=256, vmax=8.0, dt=1 / 32, observe_stride=2)
+
+
+@pytest.mark.parametrize("k_initial, kick_mode, tau_kick", [(2, -3, 3.0), (-2, 5, 4.5)],
+                         ids=["initial-mode-horizon", "kick-mode-horizon"])
+def test_echo_past_either_pulses_recurrence_is_refused(k_initial, kick_mode, tau_kick):
+    # t_R = 16 on 256 velocities in [-8, 8).  Both echoes land before 0.8 t_R,
+    # the one horizon checked before, but past 0.8 t_R / |k_initial| (t = 9 > 6.4;
+    # t = 7.5 > 6.4) and past 0.8 t_R / |kick_mode| after the kick (6 > 4.27; 3 > 2.56)
+    t_echo = predict_echo_time(k_initial + kick_mode, k_initial, tau_kick).t_echo
+    assert t_echo < 0.8 * 16.0
+    params = dict(SMALL_ECHO, k_initial=k_initial, kick_mode=kick_mode, tau_kick=tau_kick)
+    with pytest.raises(NumericError, match="enlarge nv"):
+        run_echo_experiment(maxwellian(), builtin_interaction("coulomb", 1.0), **params)
+
+
+def test_echo_inside_both_pulses_horizons_runs():
+    # k_initial = 2, kick -3 at tau = 2: echo at t = 6 <= 6.4, 4 after the kick <= 4.27
+    params = dict(SMALL_ECHO, k_initial=2, kick_mode=-3, tau_kick=2.0)
+    rep = run_echo_experiment(maxwellian(), builtin_interaction("coulomb", 1.0), **params)
+    assert rep.prediction.t_echo == 6.0
 
 
 def test_echo_takes_one_inverse_x_transform_per_step_and_none_per_stop(monkeypatch):

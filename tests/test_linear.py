@@ -25,6 +25,7 @@ from landau_lab.linear import (
     solve_volterra,
 )
 from landau_lab.models import (
+    bi_maxwellian,
     builtin_interaction,
     bump_on_tail,
     maxwellian,
@@ -283,6 +284,29 @@ def test_margin_super_jeans_fails():
     assert rep.kappa_est < 0.05
 
 
+def test_margin_counts_a_two_stream_unstable_mode_under_coulomb():
+    # two counter-drifting Maxwellians: Psi(0) = int f0'(v) / v dv > 0, so a
+    # repulsive interaction with what(1) Psi(0) > 1 has a growing real root
+    # (Penrose); at 200 the sampled strip alone passes (kappa_est 0.092, no warning)
+    profile = bi_maxwellian(drift=2.0)
+    v = np.linspace(-14.0, 14.0, 28000)  # an even count: no sample at v = 0
+    penrose = float(np.sum(profile.dpdf(v) / v) * (v[1] - v[0]))
+    _, psi0 = linear._margin_psi(profile, 0.25)
+    assert psi0 == pytest.approx(penrose, rel=1e-6)
+    for strength, unstable in ((100.0, 0), (200.0, 1)):
+        interaction = builtin_interaction("coulomb", strength)
+        assert (float(interaction.what(1)) * psi0 > 1.0) == bool(unstable)
+        rep = scan_stability_margin(profile, interaction, 0.25, 0.05, k_max=8)
+        assert rep.unstable_modes == unstable
+        assert rep.kappa_est >= 0.05 and rep.warnings == () and rep.passed is not bool(unstable)
+
+
+def test_margin_leaves_a_non_even_profile_unchecked():
+    rep = scan_stability_margin(bump_on_tail(), COULOMB, 0.25, 0.05)
+    assert rep.unstable_modes is None and "unstable_modes = unchecked\n" in rep.to_text()
+    assert rep.passed
+
+
 @pytest.mark.parametrize("factor", [0.8, 0.9, 0.98, 1.02, 1.1, 1.2])
 def test_margin_scan_matches_per_point_reference(factor):
     newton = builtin_interaction("newton", factor * NEWTON_THRESHOLD)
@@ -303,15 +327,22 @@ def counting_ft(profile):
     return replace(profile, ft=ft), sizes
 
 
+def clear_profile_memos():
+    for memo in (linear._margin_psi, linear._root_psi, linear._small_gain_integral):
+        memo.cache_clear()
+
+
 def test_scans_evaluate_ft_on_one_node_set(monkeypatch):
     # every mode scales one Psi: one ft call on the strip's nodes, whatever k_max
     newton = builtin_interaction("newton", 20.0)
     s, _ = _laplace_nodes(MAX, 0.5 * 7 / 8, linear._STRIP_IM_MAX, modulus=True)
     for k_max in (4, 8):
+        clear_profile_memos()
         profile, sizes = counting_ft(MAX)
         scan_stability_margin(profile, newton, 0.5, 0.05, k_max=k_max)
         assert sizes == [len(s)]
     # root_scan: one ft call on the cap width's nodes before Newton starts
+    clear_profile_memos()
     profile, sizes = counting_ft(MAX)
     calls_before_newton = []
 
@@ -323,6 +354,33 @@ def test_scans_evaluate_ft_on_one_node_set(monkeypatch):
     assert root_scan(profile, STRONG, 2).root is not None
     s, _ = _laplace_nodes(MAX, MAX.lam, linear._ROOT_IM_MAX, modulus=False)
     assert calls_before_newton == [1] and sizes[0] == len(s)
+
+
+def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
+    # the memos are keyed by the profile's mixture, not by its ft callable
+    clear_profile_memos()
+    newton = builtin_interaction("newton", 20.0)
+    monkeypatch.setattr(linear, "_root_newton", lambda *args: pytest.fail("weak Coulomb needs no refinement"))
+
+    def scans(profile):
+        return (scan_stability_margin(profile, newton, 0.5, 0.05), smallness_criterion(profile, newton),
+                root_scan(profile, COULOMB, 1))
+
+    first = scans(MAX)
+    profile, sizes = counting_ft(MAX)
+    assert scans(profile) == first
+    assert sizes == []
+    # the other sign of k integrates ft(-s): a transform of its own
+    root_scan(profile, COULOMB, -1)
+    assert len(sizes) == 1
+
+
+def test_cached_transforms_are_read_only():
+    psi, _ = linear._margin_psi(MAX, 0.25)
+    with pytest.raises(ValueError, match="read-only"):
+        psi[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        linear._root_psi(MAX, 1)[0, 0] = 0.0
 
 
 def test_margin_validates_strip():

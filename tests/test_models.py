@@ -85,6 +85,34 @@ def test_builtin_profile_dispatch():
         bump_on_tail(weight=1.5)
 
 
+def test_a_profile_is_its_mixture():
+    # the callables are closed forms of the components: they take no part in
+    # equality or hashing, so memos keyed by the profile see through a wrapper
+    m = maxwellian()
+    wrapped = dataclasses.replace(m, ft=lambda eta: m.ft(eta), pdf=lambda v: m.pdf(v))
+    assert wrapped == m and hash(wrapped) == hash(m)
+    assert dataclasses.replace(m, lam=0.5) != m
+    assert dataclasses.replace(m, c0=5.0) != m
+    assert bump_on_tail(weight=0.0) != m  # the same mixture under another name
+
+
+def test_builtin_profile_is_built_once_per_arguments():
+    assert builtin_profile("maxwellian", [1.0]) is builtin_profile("maxwellian", (1.0,))
+    assert builtin_profile("bump_on_tail", [0.1]) is not builtin_profile("bump_on_tail", [0.2])
+
+
+def test_analyticity_report_is_reused_for_an_equal_profile():
+    calls = []
+    m = maxwellian(0.7)
+
+    def ft(eta):
+        calls.append(1)
+        return m.ft(eta)
+
+    first = verify_analyticity(m)
+    assert verify_analyticity(dataclasses.replace(m, ft=ft)) is first and calls == []
+
+
 # ---------------------------------------------------------------------------
 # interactions
 

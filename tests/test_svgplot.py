@@ -150,3 +150,18 @@ def test_extreme_values_render_on_the_frame(x, y):
     assert np.all((_MARGIN_L <= pts[:, 0]) & (pts[:, 0] <= _WIDTH - _MARGIN_R))
     assert np.all((_MARGIN_T <= pts[:, 1]) & (pts[:, 1] <= _HEIGHT - _MARGIN_B))
     assert "inf" not in svg and "nan" not in svg
+
+
+def tick_label_xs(svg: str) -> list[float]:
+    """x positions of the x-axis tick labels (the labels under the frame)."""
+    return [float(x) for x in re.findall(rf'<text x="([^"]+)" y="{_HEIGHT - _MARGIN_B + 18}"', svg)]
+
+
+@pytest.mark.parametrize("x", [[0.0, 4.6], [0.0, 5.0], [0.0, 9.9], [-3.3, 0.7], [0.1, 0.30000000000000004]])
+def test_x_ticks_stay_inside_the_frame(x):
+    # an axis top past the middle of its last step drew a tick beyond the
+    # frame (tick 5 at x = 756.78 for [0, 4.6]); a top on a tick keeps it
+    xs = tick_label_xs(render_plot([Series(label="a", x=x, y=[1.0, 2.0])]))
+    assert xs and all(_MARGIN_L - 1e-9 <= v <= _WIDTH - _MARGIN_R + 1e-9 for v in xs)
+    if x[1] in (5.0, 0.30000000000000004):
+        assert max(xs) == pytest.approx(_WIDTH - _MARGIN_R, abs=0.01)
