@@ -9,11 +9,10 @@ Conventions used throughout the package:
 Every profile is a finite Gaussian mixture, so its transform and
 derivatives are available in closed form.  A profile therefore is its
 mixture: profiles compare and hash by name, stored constants and
-components, never by their callables, and each built-in profile is built
-once per process.  Whatever depends on the profile alone (here
-`verify_analyticity`, in `linear` the transforms Psi and the small-gain
-integral) is computed once per profile per process and then read from a
-bounded memo.
+components, never by their callables.  Whatever depends on the profile
+alone (here `verify_analyticity`, in `linear` the transforms Psi and the
+small-gain integral) is computed once per profile per process and then read
+from a bounded memo.
 """
 
 from __future__ import annotations
@@ -205,15 +204,7 @@ _PROFILE_FAMILIES = {
 
 
 def builtin_profile(name: str, params: Sequence[float] = ()) -> VelocityProfile:
-    """Construct a built-in profile from a name and positional parameter list.
-
-    Equal arguments return the same profile object within a process.
-    """
-    return _builtin_profile(name, tuple(params))
-
-
-@functools.lru_cache(maxsize=16)
-def _builtin_profile(name: str, params: tuple[float, ...]) -> VelocityProfile:
+    """Construct a built-in profile from a name and positional parameter list."""
     try:
         family = _PROFILE_FAMILIES[name]
     except KeyError:
@@ -341,6 +332,8 @@ def verify_analyticity(profile: VelocityProfile) -> AnalyticityReport:
     order 40 and completed by its tail estimate.  The report is computed
     once per profile per process.
     """
+    # a plain function over the memo: an lru_cache object is not a function
+    # to `inspect.isfunction`, which profilers that wrap public names rely on
     return _analyticity(profile)
 
 

@@ -54,9 +54,7 @@ def _linear_ticks(lo: float, hi: float) -> list[float]:
         return [lo]
     step = _nice_step(hi - lo)
     first = np.ceil(lo / step) * step
-    # arange runs to hi + step/2 so that a top on a tick keeps it through rounding;
-    # a tick past hi beyond that rounding would sit outside the frame
-    ticks = [t for t in np.arange(first, hi + 0.5 * step, step) if t <= hi + 1e-9 * step]
+    ticks = list(np.arange(first, hi + 1e-9 * step, step))
     return [0.0 if abs(t) < 1e-12 * step else float(t) for t in ticks]
 
 

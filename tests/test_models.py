@@ -96,11 +96,6 @@ def test_a_profile_is_its_mixture():
     assert bump_on_tail(weight=0.0) != m  # the same mixture under another name
 
 
-def test_builtin_profile_is_built_once_per_arguments():
-    assert builtin_profile("maxwellian", [1.0]) is builtin_profile("maxwellian", (1.0,))
-    assert builtin_profile("bump_on_tail", [0.1]) is not builtin_profile("bump_on_tail", [0.2])
-
-
 def test_analyticity_report_is_reused_for_an_equal_profile():
     calls = []
     m = maxwellian(0.7)
