@@ -208,10 +208,10 @@ _SPATIAL_COEFF_FLOOR = 1e-13
 _ANALYTIC_BETA = 0.1
 
 
-def _norm_rows(state: PhaseSpaceField, fk: np.ndarray, sec: dict) -> list[list[str]]:
+def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
     """The gliding, spatial and analytic rows of ``norms.csv`` for one snapshot.
 
-    Every norm reads ``fk``, the snapshot's unnormalized x-spectrum, except
+    Every norm reads the snapshot's x-spectrum, ``state.spectrum``, except
     the |f| integral of the analytic norm, which reads ``state.data``.
     """
     t = state.time
@@ -221,9 +221,9 @@ def _norm_rows(state: PhaseSpaceField, fk: np.ndarray, sec: dict) -> list[list[s
     params = [f"{sec['lam']:.17g}", f"{sec['mu']:.17g}", f"{sec['gamma']:.17g}"]
     spec = GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=p,
                            tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
-    ft = _ftilde(fk, state.nx)
+    ft = _ftilde(state.spectrum, state.nx)
     g = _gliding(state, ft, spec)
-    raw = _rho_hat(fk[: sec["k_max"] + 1], state.nx, state.dv)
+    raw = _rho_hat(state.spectrum[: sec["k_max"] + 1], state.nx, state.dv)
     floor = _SPATIAL_COEFF_FLOOR * float(np.max(np.abs(raw)))
     coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
     s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
@@ -243,19 +243,17 @@ def _experiment_norms(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str]
     for t in times:
         if t < 0.0 or abs(round(t / dt) * dt - t) > 1e-9:
             raise ConfigError(f"[norms] times entry {t:g} is not a nonnegative multiple of dt = {dt:g}")
-    # one trajectory, kicked as in `run`; each snapshot is evaluated from its
-    # spectrum as it is reached, and inverted into one reused buffer for the
-    # |f| integral
+    # one trajectory, kicked as in `run`; each snapshot is a field built from
+    # the stop's spectrum, evaluated as it is reached, and inverted only for
+    # the |f| integral
     stops = [int(round(t / dt)) for t in times]
     perturbation = cfg.build_perturbation()
     impulses = _kick_impulses(perturbation, nx=grid["nx"], dt=dt, n_steps=stops[-1] if stops else 0)
     start = init_state(profile, perturbation, **grid)
     stepper = Stepper(**grid, dt=dt, interaction=interaction)
-    f = np.empty_like(start.data)
     rows = []
-    for t, (_, fk) in zip(times, stepper.evolve(start.data, stops, impulses)):
-        np.fft.irfft(fk, n=start.nx, axis=0, out=f)
-        rows += _norm_rows(PhaseSpaceField(**grid, data=f, time=t), fk, sec)
+    for t, (_, fk) in zip(times, stepper.evolve(start, stops, impulses)):
+        rows += _norm_rows(PhaseSpaceField(**grid, spectrum=fk, time=t), sec)
     write_csv(out / "norms.csv", ["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"], rows)
     return {}, ["norms.csv"], EXIT_OK
 

@@ -174,7 +174,7 @@ def run_echo_experiment(
     stepper = Stepper(nx, nv, vmax, dt, interaction)
     stops = range(0, n_steps + 1, observe_stride)
     values = np.array([_rho_hat(fk[abs(k_resp)], nx, stepper.dv)
-                       for _, fk in stepper.evolve(state.data, stops, impulses)])
+                       for _, fk in stepper.evolve(state, stops, impulses)])
     h = ModeHistory(k=abs(k_resp), times=np.array(stops) * dt, values=values)
     guard = 4 * observe_stride * dt  # skip the kick's own transient
     post = h.times > tau_kick + guard

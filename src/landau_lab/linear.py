@@ -547,7 +547,10 @@ def root_scan(
     mode decay is then limited only by the source).  Otherwise the best grid
     point is refined to the actual resolvent root; a root at nonpositive
     width means there is no decay gap at all and `StabilityGapError` is
-    raised.  J = what(k) Psi with Psi of ft(sgn(k) s); all widths share the
+    raised.  So does an even profile with what(k) Psi(0) > 1 (as in
+    `scan_stability_margin`): Psi is real on (-inf, 0] and tends to 0 there,
+    so 1 - L has a root with Re zeta < 0, which the scan of Re zeta >= 0
+    cannot see.  J = what(k) Psi with Psi of ft(sgn(k) s); all widths share the
     quadrature nodes of the cap width, whose horizon covers every narrower
     width, and the grid of Psi is computed once per (profile, sgn(k)) per
     process; the refinement builds its own nodes per iterate.
@@ -560,7 +563,15 @@ def root_scan(
     widths, ims = _root_grid(width_cap)
 
     w = float(interaction.what(np.array(k)))
-    g = np.abs(w * _root_psi(profile, int(np.sign(k))) - 1.0)
+    psi = _root_psi(profile, int(np.sign(k)))
+    # widths[0] = ims[0] = 0: psi[0, 0] is Psi(0), real for an even profile
+    l0 = w * psi[0, 0].real
+    if l0 > 1.0 and _is_even(profile):
+        raise StabilityGapError(
+            f"what(k) Psi(0) = {l0:.4g} > 1 for an even profile: a root of 1 - L "
+            f"at Re zeta < 0, unstable, no decay gap (k={k})"
+        )
+    g = np.abs(w * psi - 1.0)
     i, j = np.unravel_index(int(np.argmin(g)), g.shape)
 
     root = None

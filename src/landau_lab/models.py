@@ -246,11 +246,20 @@ def builtin_interaction(kind: str, strength: float = 1.0, screening: float | Non
     return Interaction(kind=kind, what=what, gamma=1.0, cw=strength / four_pi2)
 
 
+def _zero_what(k):
+    return np.zeros(np.shape(np.asarray(k, dtype=float)))
+
+
+_ZERO_INTERACTION = Interaction(kind="custom", what=_zero_what, gamma=1.0, cw=0.0)
+
+
 def zero_interaction() -> Interaction:
-    """Interaction with what(k) = 0: the free-transport limit."""
-    def what(k):
-        return np.zeros(np.shape(np.asarray(k, dtype=float)))
-    return Interaction(kind="custom", what=what, gamma=1.0, cw=0.0)
+    """Interaction with what(k) = 0: the free-transport limit.
+
+    Every call returns the same instance, so caches keyed by the interaction
+    (such as `strang_step`'s steppers) see one key.
+    """
+    return _ZERO_INTERACTION
 
 
 # ---------------------------------------------------------------------------

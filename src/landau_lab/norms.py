@@ -119,16 +119,18 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     with analytic velocity profiles the true tail sits far below any such
     floor.
 
-    Each populated mode k builds its derivative ladder, spectrum * mult^n
-    for n = 0 .. n_max, by repeated multiplication in one buffer reused
-    across modes, and takes one inverse transform of the whole ladder; the
-    Lp norms of its rows are the mode's n-terms.
+    Each populated mode k >= 0 builds its derivative ladder, spectrum *
+    mult^n for n = 0 .. n_max, by repeated multiplication in one buffer
+    reused across modes, and takes one inverse transform of the whole
+    ladder; the Lp norms of its rows are the mode's n-terms.  For a real
+    field mode -k's rows are the complex conjugates of mode k's, so each
+    k > 0 counts twice.
 
     Raises `DivergenceError` when the n-terms grow (lam beyond the field's
     analyticity width) and `ValueError` when the n_max-th derivative of a
     populated mode is not resolved by the grid.
     """
-    return _gliding(field, _ftilde(np.fft.rfft(field.data, axis=0), field.nx), spec)
+    return _gliding(field, _ftilde(field.spectrum, field.nx), spec)
 
 
 def _gliding(field: PhaseSpaceField, ft: np.ndarray, spec: GlidingNormSpec) -> NormValue:
@@ -149,15 +151,13 @@ def _gliding(field: PhaseSpaceField, ft: np.ndarray, spec: GlidingNormSpec) -> N
         coef[0] = 1.0
     terms = np.zeros(spec.n_max + 1)
     ladder = np.empty((spec.n_max + 1, field.nv), dtype=complex)
-    for k in range(-spec.k_max, spec.k_max + 1):
-        spectrum = spectra[abs(k)]
-        if k < 0:
-            # conj row in v-space mirrors the spectrum: conj and reverse eta
-            spectrum = np.conj(spectrum[np.r_[0, len(spectrum) - 1:0:-1]])
+    for k in range(spec.k_max + 1):
+        spectrum = spectra[k]
         if not np.any(spectrum):
             continue
         mult = 2j * np.pi * (eta + spec.tau * k)
-        weight_k = np.exp(2.0 * np.pi * spec.mu * abs(k)) * (1.0 + abs(k)) ** spec.gamma
+        # mode -k's ladder rows are the conjugates of mode k's, of equal Lp size
+        weight_k = (2.0 if k else 1.0) * np.exp(2.0 * np.pi * spec.mu * k) * (1.0 + k) ** spec.gamma
         ladder[0] = spectrum
         for n in range(1, spec.n_max + 1):
             np.multiply(ladder[n - 1], mult, out=ladder[n])
@@ -229,7 +229,7 @@ def analytic_norm(field: PhaseSpaceField, spec: AnalyticNormSpec) -> float:
     space; an exponent beyond the double-precision range triggers the
     overflow guard instead of returning inf.
     """
-    return _analytic(field, _ftilde(np.fft.rfft(field.data, axis=0), field.nx), spec)
+    return _analytic(field, _ftilde(field.spectrum, field.nx), spec)
 
 
 def _analytic(field: PhaseSpaceField, ft: np.ndarray, spec: AnalyticNormSpec) -> float:

@@ -9,13 +9,19 @@ scheme is exactly reversible.
 
 One engine, `Stepper`, does all stepping.  It fuses the trailing
 half-transport of each step with the leading half of the next (Cheng &
-Knorr 1976), so a step costs one x-FFT pair and one v-FFT pair.  A stop
-yields the x-spectrum and nothing else; it branches off the carried
-spectrum without replacing it, so the trajectory does not depend on where
-the stops fall.  Every observer reads the spectrum.  Only two callers
-invert it to x-space, at one inverse x-FFT each: `strang_step` for the state
-it returns, and the norms experiment for the |f| integral of the analytic
-norm.
+Knorr 1976), so a step costs one x-FFT pair and one v-FFT pair; a stepper
+whose force vanishes on the grid skips the kick, which is then the
+identity, on every step without an impulse, so a free step is one phase
+product and no FFT.  A stop yields the x-spectrum and nothing else; it
+branches off the carried spectrum without replacing it, so the trajectory
+does not depend on where the stops fall.
+
+The x-spectrum is also the state a `PhaseSpaceField` carries: a field
+built from values or from their spectrum computes the other form only
+when it is read.  Every observer and norm reads the spectrum, so
+`strang_step` is one engine step whose result inverts nothing until its
+values are read, and only the |f| integral of the analytic norm inverts a
+snapshot to x-space.
 
 The velocity domain [-vmax, vmax] is periodically continued for the
 transforms, gated by the requirement that the equilibrium tail at the cut
@@ -34,7 +40,7 @@ import numpy as np
 
 from .errors import NumericError
 from .models import Interaction, VelocityProfile
-from .linear import ModeHistory, _block_split, write_columns_csv, write_modes_csv
+from .linear import ModeHistory, _block_split, _read_only, write_columns_csv, write_modes_csv
 
 __all__ = [
     "PhaseSpaceField",
@@ -51,25 +57,50 @@ __all__ = [
 ]
 
 
-@dataclass
 class PhaseSpaceField:
-    """Distribution values f(x_i, v_j) on a uniform nx-by-nv grid.
+    """Distribution f(x_i, v_j) on a uniform nx-by-nv grid, held as values or as their x-spectrum.
 
     x lives on the unit torus (x_i = i / nx), v on [-vmax, vmax) with
-    spacing 2 vmax / nv.  A field is a snapshot: `Stepper.evolve` reads
-    ``data`` once and steps its own x-spectrum, so stepping never changes it.
+    spacing 2 vmax / nv.  A field is built from exactly one of ``data``, the
+    (nx, nv) values, and ``spectrum``, their x-spectrum (``rfft`` along x,
+    nx/2 + 1 rows).  It keeps the given array as it is, without a copy, and
+    computes the other form on first use and keeps it read-only.  A field is
+    a snapshot: stepping never changes it, and the given array must not
+    change while the field is in use.
     """
 
-    nx: int
-    nv: int
-    vmax: float
-    data: np.ndarray
-    time: float = 0.0
+    def __init__(self, nx: int, nv: int, vmax: float, data: np.ndarray | None = None, time: float = 0.0, *,
+                 spectrum: np.ndarray | None = None):
+        if (data is None) == (spectrum is None):
+            raise ValueError("a field is built from exactly one of data and spectrum")
+        self.nx, self.nv, self.vmax, self.time = nx, nv, vmax, time
+        self._data = None if data is None else np.asarray(data, dtype=float)
+        self._spectrum = None if spectrum is None else np.asarray(spectrum, dtype=complex)
+        name, given, shape = (("data", self._data, (nx, nv)) if spectrum is None
+                              else ("spectrum", self._spectrum, (nx // 2 + 1, nv)))
+        if given.shape != shape:
+            raise ValueError(f"{name} shape {given.shape} != {shape} for (nx, nv) = {(nx, nv)}")
 
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.nx, self.nv):
-            raise ValueError(f"data shape {self.data.shape} != (nx, nv) = {(self.nx, self.nv)}")
+    @property
+    def data(self) -> np.ndarray:
+        """The values f(x_i, v_j)."""
+        if self._data is None:
+            self._data = _read_only(np.fft.irfft(self._spectrum, n=self.nx, axis=0))
+        return self._data
+
+    @property
+    def spectrum(self) -> np.ndarray:
+        """The unnormalized x-spectrum, ``rfft`` of the values along x."""
+        if self._spectrum is None:
+            self._spectrum = _read_only(np.fft.rfft(self._data, axis=0))
+        return self._spectrum
+
+    def _spectrum_into(self, out: np.ndarray) -> None:
+        """Write the x-spectrum into ``out`` without keeping a computed one."""
+        if self._spectrum is None:
+            np.fft.rfft(self._data, axis=0, out=out)
+        else:
+            np.copyto(out, self._spectrum)
 
     @property
     def v(self) -> np.ndarray:
@@ -187,6 +218,10 @@ class Stepper:
     kick, and a stop never replaces it, so the state at step n does not
     depend on which other stops are requested.
 
+    When the force multiplier is zero on the grid the kick of a step without
+    an impulse is the identity (shift 0, phase exactly 1), and the step skips
+    it: a free step is one transport product, with no FFT.
+
     The phase tables and scratch buffers belong to the stepper: it runs one
     `evolve` at a time.
     """
@@ -199,6 +234,7 @@ class Stepper:
         self.transport_half = np.exp(-2j * np.pi * np.outer(kx, v) * (0.5 * dt))
         self.transport_full = self.transport_half * self.transport_half
         self.force_mul = _force_multiplier(nx, interaction)
+        self._free = not np.any(self.force_mul)
         # The kick multiplies the v-spectrum by exp(i a j) for eta index
         # j = 0..nv/2 with a = -2 pi shift / (nv dv).  Writing j = m p + q,
         # that is exp(i a m p) exp(i a q): cos/sin of two narrow tables and
@@ -233,31 +269,34 @@ class Stepper:
 
     def evolve(
         self,
-        data: np.ndarray,
+        state: PhaseSpaceField,
         stops: Iterable[int],
         impulses: dict[int, np.ndarray] | None = None,
-        t0: float = 0.0,
     ) -> Iterator[tuple[int, np.ndarray]]:
-        """Step from ``data`` and yield ``(n, fk)`` at each step index n in ``stops``.
+        """Step from ``state`` and yield ``(n, fk)`` at each step index n in ``stops``.
 
         ``stops`` must be ascending.  ``fk`` is the unnormalized x-spectrum
-        (``rfft`` along x) of the state after n steps; its inverse x-FFT is
-        that state.  ``fk`` is the stepper's buffer, which the next stop or
-        the next `evolve` overwrites.  ``impulses[n]`` adds a velocity shift
-        (x grid) to the kick of step n.
+        (``rfft`` along x) of the state after n steps, at time
+        ``state.time + n dt``; its inverse x-FFT is that state.  ``fk`` is the
+        stepper's buffer, which the next stop or the next `evolve`
+        overwrites.  ``impulses[n]`` adds a velocity shift (x grid) to the
+        kick of step n.  A field built from values is transformed straight
+        into the stepper's buffer, and keeps no spectrum.
         """
         impulses = impulses or {}
         fk, obs_fk, f = self._fk, self._obs_fk, self._f
-        np.fft.rfft(data, axis=0, out=fk)
+        state._spectrum_into(fk)
         n = 0
         for stop in stops:
             if stop < n:
                 raise ValueError(f"stops must be ascending from 0, got {stop} after {n}")
             while n < stop:
                 fk *= self.transport_half if n == 0 else self.transport_full
-                np.fft.irfft(fk, n=self.nx, axis=0, out=f)
-                self._kick(impulses.get(n))
-                np.fft.rfft(f, axis=0, out=fk)
+                impulse = impulses.get(n)
+                if impulse is not None or not self._free:
+                    np.fft.irfft(fk, n=self.nx, axis=0, out=f)
+                    self._kick(impulse)
+                    np.fft.rfft(f, axis=0, out=fk)
                 n += 1
             if n == 0:
                 np.copyto(obs_fk, fk)
@@ -270,7 +309,7 @@ class Stepper:
             # row 0 holds the column sums over x, and a NaN or inf anywhere in
             # a column reaches its sum: this sees every non-finite state
             if not np.isfinite(obs_fk[0]).all():
-                raise NumericError(f"non-finite values detected at t = {t0 + n * self.dt:g}")
+                raise NumericError(f"non-finite values detected at t = {state.time + n * self.dt:g}")
             yield n, obs_fk
 
 
@@ -289,16 +328,19 @@ def strang_step(
 
     Negative dt steps backwards; a forward/backward pair returns the input
     to roundoff because each sub-flow is an exact spectral shift and the
-    kick leaves the density unchanged.  The `Stepper` for each (grid, dt,
-    interaction) is cached and reused, so concurrent calls from several
-    threads must not share one.
+    kick leaves the density unchanged.  The step is one `Stepper` step from
+    the input's x-spectrum, and the result is built from the new spectrum
+    (read-only), so a chain of calls costs one x-FFT pair per step and no
+    inverse x-FFT until a result's ``data`` is read.  The `Stepper` for each
+    (grid, dt, interaction) is cached and reused, so concurrent calls from
+    several threads must not share one.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     stepper = _cached_stepper(state.nx, state.nv, state.vmax, dt, interaction)
     impulses = None if impulse is None else {0: impulse}
-    _, fk = next(stepper.evolve(state.data, (1,), impulses, t0=state.time))
-    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, data=np.fft.irfft(fk, n=state.nx, axis=0),
+    _, fk = next(stepper.evolve(state, (1,), impulses))
+    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, spectrum=_read_only(fk.copy()),
                            time=state.time + dt)
 
 
@@ -331,7 +373,7 @@ def ftilde_sample(state: PhaseSpaceField, k: int, eta_list: Sequence[float]) -> 
     eta = np.asarray(eta_list, dtype=float)
     _check_ftilde_range(state.nx, state.nv, state.vmax, [k], eta)
     phases = np.exp(-2j * np.pi * np.outer(eta, state.v))
-    return _direct_ftilde(phases, np.fft.rfft(state.data, axis=0)[abs(k)], k, state.nx, state.dv)
+    return _direct_ftilde(phases, state.spectrum[abs(k)], k, state.nx, state.dv)
 
 
 @dataclass
@@ -511,7 +553,7 @@ def run(
             ftv[i, j] = _direct_ftilde(ft_phases[j], fk[abs(k)], k, nx, dv)
 
     stops = range(0, n_steps + 1, observe_stride)
-    for i, (n, fk) in enumerate(stepper.evolve(state.data, stops, impulses)):
+    for i, (n, fk) in enumerate(stepper.evolve(state, stops, impulses)):
         observe(i, n * dt, fk)
 
     t_r = {k: recurrence_time(nv, vmax, k) for k in range(1, max(k_obs, 1) + 1)}

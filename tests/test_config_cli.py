@@ -283,6 +283,16 @@ def test_certify_fails_a_jeans_unstable_plasma(tmp_path, strength):
     assert "status = certification_failed" in (out / "run.meta").read_text()
 
 
+def test_linear_damping_of_a_two_stream_unstable_plasma_exits_3(tmp_path):
+    # bi_maxwellian(2) under Coulomb 150 has what(1) Psi(0) = 1.06 > 1: no decay rate to predict
+    out = tmp_path / "o"
+    text = LINEAR_FAST.format(out=out).replace("name = maxwellian", "name = bi_maxwellian\nparams = 2").replace(
+        "strength = 157.91367041742973", "strength = 150")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 3
+    meta = (out / "run.meta").read_text()
+    assert "status = failed:numeric" in meta and "Psi(0)" in meta
+
+
 def test_echo_past_the_initial_modes_recurrence_exits_3(tmp_path):
     # k_initial = 2 recurs at t_R / 2 = 8 on this grid: the echo at t = 9 is refused
     out = tmp_path / "o"
@@ -626,7 +636,7 @@ def test_norms_rows_match_per_snapshot_strang_steps(tmp_path):
     for t in sorted(sec["times"]):
         while cur.time < t - 1e-12:
             cur = strang_step(cur, cfg.build_interaction(), dt)
-        expected += _norm_rows(cur, np.fft.rfft(cur.data, axis=0), sec)
+        expected += _norm_rows(cur, sec)
     assert len(got) == len(expected) == 12
     for row, ref in zip(got, expected):
         assert row[:7] == ref[:7]
@@ -656,7 +666,7 @@ def test_norms_experiment_applies_the_perturbation_kicks(tmp_path):
     for t in sorted(sec["times"]):
         while cur.time < t - 1e-12:
             cur = strang_step(cur, interaction, dt, impulse=wave if round(cur.time / dt) == 8 else None)
-        expected += _norm_rows(cur, np.fft.rfft(cur.data, axis=0), sec)
+        expected += _norm_rows(cur, sec)
     assert len(got) == len(expected) == 12
     for row, ref in zip(got, expected):
         assert row[:7] == ref[:7]
@@ -685,21 +695,29 @@ def _norms_snapshot():
 
 
 def test_norm_rows_take_one_x_transform_per_snapshot(monkeypatch):
+    # the snapshot is built from its spectrum, which every norm reads; the
+    # |f| integral inverts it once, and nothing transforms it forward
     state, sec = _norms_snapshot()
-    rfft, shapes = np.fft.rfft, []
+    calls = []
 
-    def counting_rfft(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return rfft(a, *args, **kwargs)
+    def counting(name):
+        fn = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
-    _norm_rows(state, np.fft.rfft(state.data, axis=0), sec)
-    assert [s for s in shapes if len(s) == 2] == [state.data.shape]
+        def wrapper(a, *args, **kwargs):
+            if np.ndim(a) == 2 and kwargs.get("axis", -1) == 0:
+                calls.append(name)
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counting(name))
+    _norm_rows(state, sec)
+    assert calls == ["irfft"]
 
 
 def test_norm_rows_equal_the_public_norms_bit_for_bit():
     state, sec = _norms_snapshot()
-    gliding, _, analytic = _norm_rows(state, np.fft.rfft(state.data, axis=0), sec)
+    gliding, _, analytic = _norm_rows(state, sec)
     g = gliding_norm(state, GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=1,
                                             tau=state.time, n_max=sec["n_max"], k_max=sec["k_max"]))
     a = analytic_norm(state, AnalyticNormSpec(lam=sec["lam"], mu=sec["mu"], beta=_ANALYTIC_BETA))
@@ -711,7 +729,7 @@ def test_norm_rows_at_mu_zero_equal_the_public_analytic_norm():
     # [norms] mu may be 0, and the analytic norm takes it as it is
     state, sec = _norms_snapshot()
     sec = dict(sec, mu=0.0)
-    analytic = _norm_rows(state, np.fft.rfft(state.data, axis=0), sec)[2]
+    analytic = _norm_rows(state, sec)[2]
     assert float(analytic[7]) == analytic_norm(state, AnalyticNormSpec(lam=sec["lam"], mu=0.0, beta=_ANALYTIC_BETA))
 
 

@@ -566,6 +566,24 @@ def test_root_scan_super_jeans_raises():
         root_scan(MAX, builtin_interaction("newton", FOUR_PI2 * 1.05), 1)
 
 
+@pytest.mark.parametrize("strength", [150.0, 200.0])
+def test_root_scan_refuses_a_two_stream_unstable_plasma(strength):
+    # what(1) Psi(0) > 1 for an even profile puts a root of 1 - L at
+    # Re zeta < 0, outside the scanned strip, where a damped root
+    # (0.563 + 4.375i at 150, 0.444 + 4.555i at 200) would be reported
+    profile, interaction = bi_maxwellian(drift=2.0), builtin_interaction("coulomb", strength)
+    assert scan_stability_margin(profile, interaction, 0.25, 0.05).unstable_modes == 1
+    with pytest.raises(StabilityGapError, match="Psi"):
+        root_scan(profile, interaction, 1)
+
+
+def test_root_scan_keeps_the_stable_two_stream_root():
+    # below the Penrose threshold the root is the slow real one, as before
+    res = root_scan(bi_maxwellian(drift=2.0), builtin_interaction("coulomb", 100.0), 1)
+    assert res.root == pytest.approx(0.1962313938162759, rel=1e-12)
+    assert res.rate == pytest.approx(1.232958210433796, rel=1e-12)
+
+
 def test_root_scan_sub_jeans_real_root():
     # attractive but below threshold: slow nonoscillatory decay, real root
     res = root_scan(MAX, builtin_interaction("newton", 20.0), 1)

@@ -20,7 +20,8 @@ from landau_lab.norms import (
     gliding_norm,
     spatial_norm,
 )
-from landau_lab.sim import PerturbationMode, PerturbationSpec, PhaseSpaceField, init_state, strang_step
+from landau_lab.sim import (PerturbationMode, PerturbationSpec, PhaseSpaceField, ftilde_sample, init_state,
+                            strang_step)
 
 MAX = maxwellian()
 
@@ -51,27 +52,31 @@ def hermite_term_oracle(v: np.ndarray, dv: float, lam: float, n_max: int, p: flo
     return total
 
 
-def per_term_gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
+def per_term_gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec, paired: bool = True) -> NormValue:
     """The gliding norm as one inverse transform and one Lp reduction per (k, n).
 
-    Same arithmetic as `gliding_norm`, term by term: the reference for its
-    batched ladder, which must agree bit for bit.
+    With ``paired`` this is `gliding_norm`'s arithmetic term by term, modes
+    k = 0 .. k_max with each k > 0 weighted twice: the reference for its
+    batched ladder, which must agree bit for bit.  Without it every mode
+    -k_max .. k_max is evaluated, mode -k from the conjugated and
+    eta-reversed spectrum of mode k.
     """
     dv = field.dv
-    rows = np.fft.rfft(field.data, axis=0) / field.nx
+    rows = field.spectrum / field.nx
     eta = np.fft.fftfreq(field.nv, d=dv)
     spectra = np.fft.fft(rows[: spec.k_max + 1], axis=1)
     clip = _GLIDING_FLOOR * float(np.max(np.abs(spectra)))
     spectra = np.where(np.abs(spectra) < clip, 0.0, spectra)
     terms = np.zeros(spec.n_max + 1)
-    for k in range(-spec.k_max, spec.k_max + 1):
+    for k in range(0 if paired else -spec.k_max, spec.k_max + 1):
         spectrum = spectra[abs(k)]
         if k < 0:
             spectrum = np.conj(spectrum[np.r_[0, len(spectrum) - 1:0:-1]])
         if not np.any(spectrum):
             continue
         mult = 2j * np.pi * (eta + spec.tau * k)
-        weight_k = np.exp(2.0 * np.pi * spec.mu * abs(k)) * (1.0 + abs(k)) ** spec.gamma
+        pair = 2.0 if paired and k else 1.0
+        weight_k = pair * np.exp(2.0 * np.pi * spec.mu * abs(k)) * (1.0 + abs(k)) ** spec.gamma
         cur = spectrum.astype(complex)
         log_fact = 0.0
         for n in range(spec.n_max + 1):
@@ -215,8 +220,8 @@ def test_gliding_norm_unresolved_derivative_flagged():
     cur = init_state(MAX, pert, nx=32, nv=128, vmax=8.0)
     for _ in range(int(3.6 * 20)):
         cur = strang_step(cur, zero_interaction(), 1 / 20)
-    # the check runs on each mode before its transform, modes in order -k_max .. k_max
-    with pytest.raises(ValueError, match="not resolved in v for mode k = -1"):
+    # the check runs on each mode before its transform, modes in order 0 .. k_max
+    with pytest.raises(ValueError, match="not resolved in v for mode k = 1"):
         gliding_norm(cur, GlidingNormSpec(lam=0.2, mu=0.0, p=1, tau=3.6, n_max=8, k_max=1))
 
 
@@ -230,6 +235,37 @@ def test_gliding_norm_bit_identical_to_per_term_loop(p, tau, n_max):
     got, ref = gliding_norm(cur, spec), per_term_gliding_norm(cur, spec)
     assert got.value == ref.value
     assert got.remainder == ref.remainder
+
+
+@pytest.mark.parametrize("p", [1, 2, np.inf])
+@pytest.mark.parametrize("tau", [0.0, 2.5])
+@pytest.mark.parametrize("n_max", [0, 24])
+def test_gliding_norm_pairs_agree_with_the_plus_minus_k_loop(p, tau, n_max):
+    # each k > 0 counted twice stands for modes k and -k, whose ladder rows
+    # are complex conjugates: equal sizes up to roundoff
+    cur = two_mode_transported_state()
+    spec = GlidingNormSpec(lam=0.3, mu=0.1, gamma=0.5, p=p, tau=tau, n_max=n_max, k_max=4)
+    got, ref = gliding_norm(cur, spec), per_term_gliding_norm(cur, spec, paired=False)
+    assert got.value == pytest.approx(ref.value, rel=1e-14, abs=0)
+    assert got.remainder == pytest.approx(ref.remainder, rel=1e-14, abs=0)
+
+
+def test_norms_of_a_spectrum_born_field_take_no_forward_x_transform(monkeypatch):
+    # a strang_step result carries its x-spectrum, which the norms and
+    # ftilde_sample read; only the |f| integral inverts it
+    cur = two_mode_transported_state()
+    rfft, forward = np.fft.rfft, []
+
+    def counting_rfft(a, *args, **kwargs):
+        if np.ndim(a) == 2 and kwargs.get("axis", -1) == 0:
+            forward.append(np.shape(a))
+        return rfft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counting_rfft)
+    gliding_norm(cur, GlidingNormSpec(lam=0.3, mu=0.1, tau=2.5, k_max=4))
+    analytic_norm(cur, AnalyticNormSpec(lam=0.3, mu=0.1, beta=0.1))
+    ftilde_sample(cur, 1, [0.0, 0.5])
+    assert forward == []
 
 
 @pytest.mark.parametrize("p", [1, 2, np.inf])

@@ -11,7 +11,8 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 # Exported names that no package code reads, each with the reader it is kept for.
 KEEP = {
-    "strang_step": "the benchmark's snapshots workload steps through it; tests pin reversibility with it",
+    "strang_step": "the benchmark's snapshots workload steps through it, one engine step per call from the "
+                   "field's spectrum; tests pin reversibility with it",
     "ftilde_sample": "reference for run's ftilde range errors and the free-transport identity in tests",
     "coincidence_check": "an acceptance gate (gliding norm vs spatial norm for x-only inputs)",
     "gliding_norm": "the benchmark's gliding-identity check; the norms experiment calls its core on a shared transform",

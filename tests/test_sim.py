@@ -11,6 +11,7 @@ from landau_lab.sim import (
     KickEvent,
     Stepper,
     PerturbationMode,
+    PhaseSpaceField,
     PerturbationSpec,
     ftilde_sample,
     init_state,
@@ -29,10 +30,22 @@ def small_state(pert=SINGLE, nx=32, nv=256):
     return init_state(MAX, pert, nx=nx, nv=nv, vmax=8.0)
 
 
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """(name, ndim, axis) of every numpy.fft transform called during the test."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        def recording(a, *args, _fn=getattr(np.fft, name), _name=name, **kwargs):
+            calls.append((_name, np.ndim(a), kwargs.get("axis", -1)))
+            return _fn(a, *args, **kwargs)
+        monkeypatch.setattr(np.fft, name, recording)
+    return calls
+
+
 def last_spectrum(st, interaction, dt, n_steps, impulses=None):
     """The x-spectrum that a `Stepper` yields after n_steps from the state ``st``."""
     stepper = Stepper(st.nx, st.nv, st.vmax, dt, interaction)
-    (_, fk), = stepper.evolve(st.data, [n_steps], impulses)
+    (_, fk), = stepper.evolve(st, [n_steps], impulses)
     return fk
 
 
@@ -129,6 +142,74 @@ def test_free_transport_is_exact_spectral_shift():
     assert np.max(np.abs(cur.data - expected)) < 1e-13 * st.data.max()
 
 
+def test_free_evolve_makes_no_fft_and_is_the_exact_shift(fft_calls):
+    # zero force: the kick is the identity and is skipped, so each step is
+    # one transport product; the carried x-Nyquist phase makes the stop's
+    # real part the exact sampled transport
+    st = small_state(PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=0.3),
+                                             PerturbationMode(k=16, amplitude=0.2))))
+    spec0 = st.spectrum.copy()
+    start = PhaseSpaceField(st.nx, st.nv, st.vmax, spectrum=spec0)
+    stepper = Stepper(st.nx, st.nv, st.vmax, 1 / 32, zero_interaction())
+    fft_calls.clear()
+    seen = [(n, fk.copy()) for n, fk in stepper.evolve(start, [0, 1, 40, 100])]
+    assert fft_calls == []
+    kx = np.arange(st.nx // 2 + 1)
+    for n, fk in seen:
+        expected = spec0 * np.exp(-2j * np.pi * np.outer(kx, st.v) * (n / 32))
+        expected[-1].imag = 0.0
+        assert np.max(np.abs(fk - expected)) <= 1e-14 * np.max(np.abs(spec0))
+    assert np.max(np.abs(seen[-1][1][-1])) > 1e-3 * np.max(np.abs(spec0))  # the Nyquist row is live
+
+
+def test_strang_step_chain_costs_one_x_fft_pair_per_step(fft_calls):
+    cur = strang_step(small_state(), STRONG, 1 / 32)
+    fft_calls.clear()
+    n = 6
+    for _ in range(n):
+        cur = strang_step(cur, STRONG, 1 / 32)
+    x_calls = [name for name, ndim, axis in fft_calls if ndim == 2 and axis == 0]
+    assert sorted(x_calls) == ["irfft"] * n + ["rfft"] * n
+    # the result is born from its spectrum: its values are inverted once, when read
+    fft_calls.clear()
+    data = cur.data
+    assert cur.data is data
+    assert fft_calls == [("irfft", 2, 0)]
+
+
+def test_derived_forms_are_read_only():
+    one = strang_step(small_state(), STRONG, 1 / 32)
+    for form in (one.data, one.spectrum, small_state().spectrum):
+        with pytest.raises(ValueError, match="read-only"):
+            form[0, 0] = 1.0
+    given = small_state()
+    given.data[0, 0] += 0.0  # a given form is kept as it is, writable
+
+
+def test_field_takes_exactly_one_form_of_the_right_shape():
+    st = small_state()
+    with pytest.raises(ValueError, match="exactly one"):
+        PhaseSpaceField(st.nx, st.nv, st.vmax)
+    with pytest.raises(ValueError, match="exactly one"):
+        PhaseSpaceField(st.nx, st.nv, st.vmax, data=st.data, spectrum=st.spectrum)
+    with pytest.raises(ValueError, match="spectrum shape"):
+        PhaseSpaceField(st.nx, st.nv, st.vmax, spectrum=st.data)
+    with pytest.raises(ValueError, match="data shape"):
+        PhaseSpaceField(st.nx, st.nv, st.vmax, data=st.spectrum.real)
+    both = PhaseSpaceField(st.nx, st.nv, st.vmax, spectrum=st.spectrum, time=0.5)
+    np.testing.assert_allclose(both.data, st.data, rtol=0, atol=1e-15 * np.max(st.data))
+
+
+def test_free_strang_steps_share_one_cached_stepper():
+    assert zero_interaction() is zero_interaction()
+    before = _cached_stepper.cache_info()
+    cur = small_state()
+    for _ in range(10):
+        cur = strang_step(cur, zero_interaction(), 1 / 48)  # a dt no other test uses
+    after = _cached_stepper.cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 9)
+
+
 def test_forward_backward_reversibility():
     st = small_state()
     cur = st
@@ -187,14 +268,14 @@ def test_final_state_does_not_depend_on_observe_stride():
 def test_evolve_yields_each_stop_and_keeps_the_trajectory():
     st = small_state()
     stepper = Stepper(st.nx, st.nv, st.vmax, 1 / 32, STRONG)
-    seen = [(n, fk.copy()) for n, fk in stepper.evolve(st.data, [0, 3, 3, 8])]
+    seen = [(n, fk.copy()) for n, fk in stepper.evolve(st, [0, 3, 3, 8])]
     assert [n for n, _ in seen] == [0, 3, 3, 8]
     np.testing.assert_array_equal(seen[0][1], np.fft.rfft(st.data, axis=0))
     np.testing.assert_array_equal(seen[1][1], seen[2][1])
-    _, alone = next(stepper.evolve(st.data, [8]))
+    _, alone = next(stepper.evolve(st, [8]))
     np.testing.assert_array_equal(alone, seen[3][1])
     with pytest.raises(ValueError, match="ascending"):
-        list(stepper.evolve(st.data, [2, 1]))
+        list(stepper.evolve(st, [2, 1]))
 
 
 @pytest.mark.parametrize("stops", [[0], [3]], ids=["stop_0", "stop_3"])
@@ -205,7 +286,7 @@ def test_evolve_detects_nonfinite_without_an_x_state_request(stops):
     st.data[5, 100] = np.nan
     stepper = Stepper(st.nx, st.nv, st.vmax, 1 / 32, STRONG)
     with pytest.raises(NumericError, match="non-finite"):
-        next(stepper.evolve(st.data, stops))
+        next(stepper.evolve(st, stops))
 
 
 def test_strang_step_reuses_cached_steppers():
@@ -260,7 +341,7 @@ def test_run_observables_match_x_space_sums_at_every_stop():
     impulses = {16: 0.05 * np.cos(2 * np.pi * 2 * np.arange(st.nx) / st.nx + 0.3)}
     stepper = Stepper(st.nx, st.nv, st.vmax, dt, STRONG)
     ref = [x_space_observables(np.fft.irfft(fk, n=st.nx, axis=0), st.nx, st.dv, k_obs, STRONG)
-           for _, fk in stepper.evolve(st.data, range(0, 65, stride), impulses)]
+           for _, fk in stepper.evolve(st, range(0, 65, stride), impulses)]
     mass, ekin, epot, l2, gradv, modes = (np.array(col) for col in zip(*ref))
     assert len(mass) == len(log.times) == 17
     for name, got, want in (("mass", log.mass, mass), ("ekin", log.ekin, ekin), ("epot", log.epot, epot),
