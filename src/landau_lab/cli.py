@@ -26,11 +26,11 @@ from . import __version__
 from .config import _SCHEMA, ExperimentConfig, load_config
 from .errors import ConfigError, LandauLabError
 from .linear import (fit_decay_rate, monotone_criterion, root_scan, scan_stability_margin, smallness_criterion,
-                     solve_volterra, write_csv, write_modes_csv)
+                     solve_volterra, write_columns_csv, write_modes_csv)
 from .models import verify_analyticity, verify_decay
-from .norms import AnalyticNormSpec, GlidingNormSpec, _analytic, _ftilde, _gliding, spatial_norm
-from .echoes import run_echo_experiment
-from .sim import PhaseSpaceField, Stepper, _kick_impulses, _rho_hat, init_state, recurrence_time, run
+from .norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
+from .echoes import EchoReport, run_echo_experiment
+from .sim import PhaseSpaceField, _rho_hat, _trajectory, recurrence_time, run
 from .svgplot import Series, render_plot
 
 __all__ = ["main", "run_experiment"]
@@ -174,6 +174,15 @@ def _experiment_certify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[st
     return meta, ["stability_report.txt"], EXIT_OK if ok else EXIT_CERTIFY
 
 
+def _write_echoes_csv(path, rep: EchoReport) -> None:
+    """``echoes.csv``: one row, whose detection fields are empty when no peak matched."""
+    pred, peak = rep.prediction, rep.match
+    found = () if peak is None else (peak.time, peak.amplitude, rep.rel_error)
+    fmt = "%d,%d,%.17g,%.17g" + (",%.17g" * 3 if found else ",,,") + "\r\n"
+    write_columns_csv(path, ["k", "ell", "tau_kick", "t_predicted", "t_detected", "amplitude", "rel_error"], fmt,
+                      [np.array([x]) for x in (pred.k, pred.ell, rep.tau_kick, pred.t_echo, *found)])
+
+
 def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], int]:
     profile, interaction = cfg.build_profile(), cfg.build_interaction()
     rep = run_echo_experiment(
@@ -184,8 +193,7 @@ def _experiment_echo(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str],
         **cfg.values["grid"],
         dt=cfg.get("time", "dt"), observe_stride=cfg.get("time", "observe_stride"),
     )
-    write_csv(out / "echoes.csv", ["k", "ell", "tau_kick", "t_predicted", "t_detected", "amplitude", "rel_error"],
-              rep.to_csv_rows())
+    _write_echoes_csv(out / "echoes.csv", rep)
     vlines = [(rep.prediction.t_echo, "predicted")] + [(p.time, "detected") for p in rep.peaks]
     (out / "echo_timeline.svg").write_text(render_plot(
         [Series(label=f"|rho| k={rep.log.k}", x=rep.log.times, y=np.abs(rep.log.values))],
@@ -211,8 +219,9 @@ _ANALYTIC_BETA = 0.1
 def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
     """The gliding, spatial and analytic rows of ``norms.csv`` for one snapshot.
 
-    Every norm reads the snapshot's x-spectrum, ``state.spectrum``, except
-    the |f| integral of the analytic norm, which reads ``state.data``.
+    Every norm reads the snapshot's x-spectrum, ``state.spectrum`` (the
+    gliding and analytic norms through the field's one double transform),
+    except the |f| integral of the analytic norm, which reads ``state.data``.
     """
     t = state.time
     tau = t if sec["tau"] is None else sec["tau"]
@@ -221,13 +230,12 @@ def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
     params = [f"{sec['lam']:.17g}", f"{sec['mu']:.17g}", f"{sec['gamma']:.17g}"]
     spec = GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=p,
                            tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
-    ft = _ftilde(state.spectrum, state.nx)
-    g = _gliding(state, ft, spec)
+    g = gliding_norm(state, spec)
     raw = _rho_hat(state.spectrum[: sec["k_max"] + 1], state.nx, state.dv)
     floor = _SPATIAL_COEFF_FLOOR * float(np.max(np.abs(raw)))
     coeffs = {k: z for k, z in enumerate(raw) if abs(z) >= floor}
     s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
-    a = _analytic(state, ft, AnalyticNormSpec(lam=sec["lam"], mu=sec["mu"], beta=_ANALYTIC_BETA))
+    a = analytic_norm(state, AnalyticNormSpec(lam=sec["lam"], mu=sec["mu"], beta=_ANALYTIC_BETA))
     return [
         head + ["gliding", *params, sec["p"], f"{tau:.17g}", f"{g.value:.17g}", f"{g.remainder:.17g}"],
         head + ["spatial", *params, "", f"{tau:.17g}", f"{s:.17g}", "0"],
@@ -236,25 +244,16 @@ def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
 
 
 def _experiment_norms(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], int]:
-    profile, interaction = cfg.build_profile(), cfg.build_interaction()
-    sec = cfg.values["norms"]
-    times = sorted(sec["times"])
-    dt, grid = cfg.get("time", "dt"), cfg.values["grid"]
-    for t in times:
-        if t < 0.0 or abs(round(t / dt) * dt - t) > 1e-9:
-            raise ConfigError(f"[norms] times entry {t:g} is not a nonnegative multiple of dt = {dt:g}")
-    # one trajectory, kicked as in `run`; each snapshot is a field built from
-    # the stop's spectrum, evaluated as it is reached, and inverted only for
-    # the |f| integral
-    stops = [int(round(t / dt)) for t in times]
-    perturbation = cfg.build_perturbation()
-    impulses = _kick_impulses(perturbation, nx=grid["nx"], dt=dt, n_steps=stops[-1] if stops else 0)
-    start = init_state(profile, perturbation, **grid)
-    stepper = Stepper(**grid, dt=dt, interaction=interaction)
+    sec, grid = cfg.values["norms"], cfg.values["grid"]
+    # one trajectory, as in `run`; each snapshot is a field built from the
+    # stop's spectrum, evaluated as it is reached, and inverted only for the
+    # |f| integral
     rows = []
-    for t, (_, fk) in zip(times, stepper.evolve(start, stops, impulses)):
+    for t, fk in _trajectory(cfg.build_profile(), cfg.build_interaction(), cfg.build_perturbation(), **grid,
+                             dt=cfg.get("time", "dt"), times=sorted(sec["times"])):
         rows += _norm_rows(PhaseSpaceField(**grid, spectrum=fk, time=t), sec)
-    write_csv(out / "norms.csv", ["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"], rows)
+    write_columns_csv(out / "norms.csv", ["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"],
+                      ",".join(["%s"] * 9) + "\r\n", np.array(rows, dtype=str).T)
     return {}, ["norms.csv"], EXIT_OK
 
 

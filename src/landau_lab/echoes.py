@@ -4,9 +4,10 @@ A perturbation at spatial mode ell launched at t = 0 phase-mixes away; an
 impulsive kick at mode (k - ell) at time tau revives a macroscopic response
 at mode k at the predictable later time t = tau (k - ell) / k, when the
 gliding velocity-frequency content of the stored perturbation re-crosses
-zero.  The two-pulse run steps with `sim.Stepper` and reads the response
-mode straight from each stop's x-spectrum: no observable log, no inverse
-x-FFT per observation.
+zero.  The two-pulse run steps along `sim._trajectory`, the schedule that
+`sim.run` and the norms experiment share, and reads the response mode
+straight from each stop's x-spectrum: no observable log, no inverse x-FFT
+per observation.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ import numpy as np
 from .errors import NumericError
 from .linear import ModeHistory
 from .models import Interaction, VelocityProfile
-from .sim import (KickEvent, PerturbationMode, PerturbationSpec, Stepper, _rho_hat, _schedule, init_state,
-                  recurrence_time)
+from .sim import KickEvent, PerturbationMode, PerturbationSpec, _rho_hat, _trajectory, recurrence_time
 
 __all__ = [
     "EchoPrediction",
@@ -103,15 +103,6 @@ class EchoReport:
     rel_error: float
     log: ModeHistory
 
-    def to_csv_rows(self) -> list[list]:
-        pred, peak = self.prediction, self.match
-        return [[
-            pred.k, pred.ell, f"{self.tau_kick:.17g}", f"{pred.t_echo:.17g}",
-            "" if peak is None else f"{peak.time:.17g}",
-            "" if peak is None else f"{peak.amplitude:.17g}",
-            "" if peak is None else f"{self.rel_error:.17g}",
-        ]]
-
 
 # peak detection of the two-pulse run: a peak stands above 1e-8 and at least
 # one time unit from any larger one
@@ -138,20 +129,19 @@ def run_echo_experiment(
 
     The quadratic coupling mixes modes additively, so the response is
     k = k_initial + kick_mode (the conjugate mirror |k| is observed; the
-    real field makes them equal in modulus).  The run ends at the predicted
-    echo time plus 2, rounded up to whole observation strides.  Each
-    observation reads rho_hat(t, |k|) = sum_v fk[|k|, v] dv / nx from the
-    stepper's x-spectrum, the only quantity the report uses.  Detection
-    looks for post-kick local maxima of |rho_hat(t, k)| above 1e-8, at least
-    1 apart in t, and pairs them with the timing law applied to the initial
-    mode as source.
+    real field makes them equal in modulus, and |k| < |kick_mode|).  The
+    zero-amplitude control keeps its (zero) kick, so both runs check its
+    mode and time.  The run ends at the predicted echo time plus 2, rounded
+    up to whole observation strides.  Each observation reads rho_hat(t, |k|)
+    = sum_v fk[|k|, v] dv / nx from the stepper's x-spectrum, the only
+    quantity the report uses.  Detection looks for post-kick local maxima of
+    |rho_hat(t, k)| above 1e-8, at least 1 apart in t, and pairs them with
+    the timing law applied to the initial mode as source.
     """
     k_resp = k_initial + kick_mode
     if k_resp == 0:
         raise ValueError("k_initial + kick_mode must be nonzero to observe an echo")
     prediction = predict_echo_time(k_resp, k_initial, tau_kick)
-    block = observe_stride * dt  # keep the step count divisible by the stride
-    t_end = np.ceil((prediction.t_echo + 2.0) / block) * block
     # a pulse at mode k reaches velocity frequency |k| t a time t after it is
     # launched, and the grid recurs once that reaches t_R(1); so the echo
     # needs t_echo <= 0.8 t_R / |k_initial| and t_echo - tau <= 0.8 t_R / |kick_mode|.
@@ -166,16 +156,13 @@ def run_echo_experiment(
         )
     pert = PerturbationSpec(
         modes=(PerturbationMode(k=k_initial, amplitude=amp_initial),),
-        kicks=(KickEvent(time=tau_kick, mode=kick_mode, amplitude=amp_kick),) if amp_kick != 0.0 else (),
+        kicks=(KickEvent(time=tau_kick, mode=kick_mode, amplitude=amp_kick),),
     )
-    k_obs = max(abs(k_resp), abs(k_initial), abs(kick_mode))
-    n_steps, impulses = _schedule(pert, nx=nx, dt=dt, t_end=float(t_end), observe_stride=observe_stride, k_obs=k_obs)
-    state = init_state(profile, pert, nx, nv, vmax)
-    stepper = Stepper(nx, nv, vmax, dt, interaction)
-    stops = range(0, n_steps + 1, observe_stride)
-    values = np.array([_rho_hat(fk[abs(k_resp)], nx, stepper.dv)
-                       for _, fk in stepper.evolve(state, stops, impulses)])
-    h = ModeHistory(k=abs(k_resp), times=np.array(stops) * dt, values=values)
+    n_obs = int(np.ceil((prediction.t_echo + 2.0) / (observe_stride * dt)))
+    times = np.arange(n_obs + 1) * observe_stride * dt
+    trajectory = _trajectory(profile, interaction, pert, nx=nx, nv=nv, vmax=vmax, dt=dt, times=times)
+    values = np.array([_rho_hat(fk[abs(k_resp)], nx, 2.0 * vmax / nv) for _, fk in trajectory])
+    h = ModeHistory(k=abs(k_resp), times=times, values=values)
     guard = 4 * observe_stride * dt  # skip the kick's own transient
     post = h.times > tau_kick + guard
     peaks = detect_peaks(ModeHistory(k=abs(k_resp), times=h.times[post], values=h.values[post]),

@@ -33,7 +33,6 @@ see `models`).  A sweep over the interaction, or a second mode of
 
 from __future__ import annotations
 
-import csv
 import functools
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -58,14 +57,6 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-
-
-def write_csv(path, header: Sequence[str], rows) -> None:
-    """Write one header row and the given rows of fields: the small string tables (``echoes.csv``, ``norms.csv``)."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows(rows)
 
 
 def write_columns_csv(path, header: Sequence[str], fmt: str, columns: Sequence[np.ndarray]) -> None:

@@ -11,8 +11,9 @@ Three families:
 * `analytic_norm`: sup of the weighted double transform plus an
   exponentially weighted L1 integral.
 
-The gliding and analytic cores read one double transform, which `_ftilde`
-builds from the field's x-spectrum.
+The gliding and analytic norms read the field's double transform, which a
+`PhaseSpaceField` computes once from its x-spectrum and keeps, so the two
+norms of one snapshot share it.
 
 Norm evaluations are diagnostics: the simulator never conditions behavior
 on them, so truncation choices cannot contaminate physics runs.  Every
@@ -103,11 +104,6 @@ def _tail_estimate(terms: np.ndarray) -> float:
     return float(last * r / (1.0 - r))
 
 
-def _ftilde(fk: np.ndarray, nx: int) -> np.ndarray:
-    """Double transform f~(k, eta) / dv, k = 0 .. nx/2 on the eta comb, from the x-spectrum ``fk`` (``rfft``)."""
-    return np.fft.fft(fk / nx, axis=1)
-
-
 def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     """Truncated hybrid norm of a phase-space field.
 
@@ -130,17 +126,12 @@ def gliding_norm(field: PhaseSpaceField, spec: GlidingNormSpec) -> NormValue:
     analyticity width) and `ValueError` when the n_max-th derivative of a
     populated mode is not resolved by the grid.
     """
-    return _gliding(field, _ftilde(field.spectrum, field.nx), spec)
-
-
-def _gliding(field: PhaseSpaceField, ft: np.ndarray, spec: GlidingNormSpec) -> NormValue:
-    """`gliding_norm` of ``field`` from its double transform ``ft``, built by `_ftilde`."""
     if spec.k_max > field.nx // 2:
         raise ValueError(f"k_max = {spec.k_max} beyond the spatial Nyquist mode {field.nx // 2}")
     dv = field.dv
     eta = np.fft.fftfreq(field.nv, d=dv)
     edge = np.abs(eta) >= 0.9 * np.max(np.abs(eta))
-    spectra = ft[: spec.k_max + 1]
+    spectra = field.double_transform[: spec.k_max + 1]
     clip = _GLIDING_FLOOR * float(np.max(np.abs(spectra)))
     spectra = np.where(np.abs(spectra) < clip, 0.0, spectra)
     if spec.lam > 0:
@@ -229,14 +220,10 @@ def analytic_norm(field: PhaseSpaceField, spec: AnalyticNormSpec) -> float:
     space; an exponent beyond the double-precision range triggers the
     overflow guard instead of returning inf.
     """
-    return _analytic(field, _ftilde(field.spectrum, field.nx), spec)
-
-
-def _analytic(field: PhaseSpaceField, ft: np.ndarray, spec: AnalyticNormSpec) -> float:
-    """`analytic_norm` of ``field`` from its double transform ``ft``, built by `_ftilde`."""
     if 2.0 * np.pi * spec.beta * field.vmax > 700.0:
         raise NumericError("beta * vmax exceeds the exponent budget for the integral term")
     eta = np.fft.fftfreq(field.nv, d=field.dv)
+    ft = field.double_transform
     ft_abs = np.abs(ft) * field.dv
     ft_abs = np.where(ft_abs < spec.spectral_floor * float(np.max(ft_abs)), 0.0, ft_abs)
     k = np.arange(ft.shape[0])

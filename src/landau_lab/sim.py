@@ -14,14 +14,17 @@ whose force vanishes on the grid skips the kick, which is then the
 identity, on every step without an impulse, so a free step is one phase
 product and no FFT.  A stop yields the x-spectrum and nothing else; it
 branches off the carried spectrum without replacing it, so the trajectory
-does not depend on where the stops fall.
+does not depend on where the stops fall.  `run`, the echo experiment and the
+norms experiment step along one schedule, `_trajectory`, which checks their
+stop times, kicks and modes against the grid.
 
 The x-spectrum is also the state a `PhaseSpaceField` carries: a field
 built from values or from their spectrum computes the other form only
 when it is read.  Every observer and norm reads the spectrum, so
 `strang_step` is one engine step whose result inverts nothing until its
 values are read, and only the |f| integral of the analytic norm inverts a
-snapshot to x-space.
+snapshot to x-space.  A field also keeps its double transform, which the
+gliding and analytic norms share.
 
 The velocity domain [-vmax, vmax] is periodically continued for the
 transforms, gated by the requirement that the equilibrium tail at the cut
@@ -64,9 +67,9 @@ class PhaseSpaceField:
     spacing 2 vmax / nv.  A field is built from exactly one of ``data``, the
     (nx, nv) values, and ``spectrum``, their x-spectrum (``rfft`` along x,
     nx/2 + 1 rows).  It keeps the given array as it is, without a copy, and
-    computes the other form on first use and keeps it read-only.  A field is
-    a snapshot: stepping never changes it, and the given array must not
-    change while the field is in use.
+    computes the other form, and the double transform, on first use and
+    keeps them read-only.  A field is a snapshot: stepping never changes it,
+    and the given array must not change while the field is in use.
     """
 
     def __init__(self, nx: int, nv: int, vmax: float, data: np.ndarray | None = None, time: float = 0.0, *,
@@ -94,6 +97,11 @@ class PhaseSpaceField:
         if self._spectrum is None:
             self._spectrum = _read_only(np.fft.rfft(self._data, axis=0))
         return self._spectrum
+
+    @functools.cached_property
+    def double_transform(self) -> np.ndarray:
+        """f~(k, eta) / dv for k = 0 .. nx/2 on the eta comb: ``fft`` along v of the x-spectrum / nx."""
+        return _read_only(np.fft.fft(self.spectrum / self.nx, axis=1))
 
     def _spectrum_into(self, out: np.ndarray) -> None:
         """Write the x-spectrum into ``out`` without keeping a computed one."""
@@ -333,7 +341,9 @@ def strang_step(
     (read-only), so a chain of calls costs one x-FFT pair per step and no
     inverse x-FFT until a result's ``data`` is read.  The `Stepper` for each
     (grid, dt, interaction) is cached and reused, so concurrent calls from
-    several threads must not share one.
+    several threads must not share one.  The cache is keyed by the
+    `Interaction` object, and `models.builtin_interaction` returns a new one
+    per call: a loop that rebuilds it builds a `Stepper` per step.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
@@ -426,41 +436,6 @@ class ObservableLog:
                           (np.repeat(self.times, n_points), np.tile(ks, n), np.tile(etas, n), z.real, z.imag))
 
 
-def _kick_impulses(perturbation: PerturbationSpec, *, nx: int, dt: float, n_steps: int) -> dict[int, np.ndarray]:
-    """The kick impulses (x grid) of a run of ``n_steps`` steps, by step index.
-
-    A kick must fall on a step time before the last step ends.
-    """
-    x = np.arange(nx) / nx
-    impulses: dict[int, np.ndarray] = {}
-    for kick in perturbation.kicks:
-        s = int(round(kick.time / dt))
-        if abs(s * dt - kick.time) > 1e-9 * max(1.0, abs(kick.time)) or not 0 <= s < n_steps:
-            raise ValueError(f"kick time {kick.time:g} must sit on the step grid within [0, {n_steps * dt:g})")
-        wave = kick.amplitude * np.cos(2.0 * np.pi * kick.mode * x + kick.phase)
-        impulses[s] = impulses.get(s, 0.0) + wave
-    return impulses
-
-
-def _schedule(
-    perturbation: PerturbationSpec, *, nx: int, dt: float, t_end: float, observe_stride: int, k_obs: int,
-) -> tuple[int, dict[int, np.ndarray]]:
-    """Validate the step grid, observation stride, k_obs and kick times of a run.
-
-    Returns the step count and the kick impulses (x grid) by step index.
-    """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    n_steps = int(round(t_end / dt))
-    if n_steps < 1 or abs(n_steps * dt - t_end) > 1e-9 * max(1.0, t_end):
-        raise ValueError(f"t_end = {t_end:g} is not a multiple of dt = {dt:g}")
-    if observe_stride < 1 or n_steps % observe_stride != 0:
-        raise ValueError(f"observe_stride = {observe_stride} must divide n_steps = {n_steps}")
-    if k_obs > nx // 2:
-        raise ValueError(f"k_obs = {k_obs} beyond the spatial Nyquist mode {nx // 2}")
-    return n_steps, _kick_impulses(perturbation, nx=nx, dt=dt, n_steps=n_steps)
-
-
 def _rho_hat(fk_rows: np.ndarray, nx: int, dv: float) -> np.ndarray:
     """Density coefficients rho_hat(t, k) = sum_v fk[k, v] dv / nx of the given rows of an x-spectrum.
 
@@ -468,6 +443,48 @@ def _rho_hat(fk_rows: np.ndarray, nx: int, dv: float) -> np.ndarray:
     their values agree bit for bit.
     """
     return fk_rows.sum(axis=-1) * (dv / nx)
+
+
+def _grid_step(t: float, dt: float) -> int:
+    """The step index of time t, or -1 when t is off the step grid (relative tolerance 1e-9)."""
+    n = int(round(t / dt))
+    return n if abs(n * dt - t) <= 1e-9 * max(1.0, abs(t)) else -1
+
+
+def _trajectory(
+    profile: VelocityProfile, interaction: Interaction, perturbation: PerturbationSpec, *,
+    nx: int, nv: int, vmax: float, dt: float, times: Sequence[float],
+) -> Iterator[tuple[float, np.ndarray]]:
+    """The one step schedule of `run`, the echo experiment and the norms experiment.
+
+    Each of ``times`` (ascending) must sit on the step grid, each kick on a
+    step before the last time, and each perturbation and kick mode at or
+    below the x-Nyquist mode nx/2, as a higher one would alias.  Yields
+    ``(t, fk)`` at each time, ``fk`` being the x-spectrum, a buffer that the
+    next stop overwrites.
+    """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    stops = [_grid_step(t, dt) for t in times]
+    for t, n in zip(times, stops):
+        if n < 0:
+            raise ValueError(f"time {t:g} is not a nonnegative multiple of dt = {dt:g}")
+    for k in [m.k for m in perturbation.modes] + [kick.mode for kick in perturbation.kicks]:
+        if abs(k) > nx // 2:
+            raise ValueError(f"mode {k} lies beyond the spatial Nyquist mode {nx // 2} and would alias")
+    n_last = max(stops, default=0)
+    x = np.arange(nx) / nx
+    impulses: dict[int, np.ndarray] = {}
+    for kick in perturbation.kicks:
+        s = _grid_step(kick.time, dt)
+        if not 0 <= s < n_last:
+            raise ValueError(f"kick time {kick.time:g} must sit on the step grid within [0, {n_last * dt:g})")
+        wave = kick.amplitude * np.cos(2.0 * np.pi * kick.mode * x + kick.phase)
+        impulses[s] = impulses.get(s, 0.0) + wave
+    state = init_state(profile, perturbation, nx, nv, vmax)
+    stepper = Stepper(nx, nv, vmax, dt, interaction)
+    for t, (_, fk) in zip(times, stepper.evolve(state, stops, impulses)):
+        yield t, fk
 
 
 def run(
@@ -491,18 +508,23 @@ def run(
     from the stop's x-spectrum (Parseval over x, and over v for the
     velocity gradient), so observing costs no inverse x-FFT.
     """
-    n_steps, impulses = _schedule(perturbation, nx=nx, dt=dt, t_end=t_end,
-                                  observe_stride=observe_stride, k_obs=k_obs)
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n_steps = _grid_step(t_end, dt)
+    if n_steps < 1:
+        raise ValueError(f"t_end = {t_end:g} is not a multiple of dt = {dt:g}")
+    if observe_stride < 1 or n_steps % observe_stride != 0:
+        raise ValueError(f"observe_stride = {observe_stride} must divide n_steps = {n_steps}")
+    if k_obs > nx // 2:
+        raise ValueError(f"k_obs = {k_obs} beyond the spatial Nyquist mode {nx // 2}")
     ft_points = tuple((int(k), float(eta)) for k, eta in ftilde_points)
     ft_etas = np.array([eta for _, eta in ft_points])
     _check_ftilde_range(nx, nv, vmax, [k for k, _ in ft_points], ft_etas)
 
-    state = init_state(profile, perturbation, nx, nv, vmax)
-    stepper = Stepper(nx, nv, vmax, dt, interaction)
-    v = state.v
-
-    n_obs = n_steps // observe_stride + 1
-    times = np.empty(n_obs)
+    times = np.arange(0, n_steps + 1, observe_stride) * dt
+    n_obs = len(times)
+    dv = 2.0 * vmax / nv
+    v = -vmax + np.arange(nv) * dv
     mass = np.empty(n_obs)
     ekin = np.empty(n_obs)
     epot = np.empty(n_obs)
@@ -518,11 +540,10 @@ def run(
     what_tab = np.asarray(interaction.what(np.arange(nx // 2 + 1)), dtype=float)
     spec_weight = np.full(nx // 2 + 1, 2.0)
     spec_weight[0] = spec_weight[-1] = 1.0
-    deriv = 2.0 * np.pi * np.fft.fftfreq(nv, d=state.dv)
+    deriv = 2.0 * np.pi * np.fft.fftfreq(nv, d=dv)
     deriv[nv // 2] = 0.0
     g = np.empty((nx // 2 + 1, nv), dtype=complex)
     half_v2 = 0.5 * v**2
-    dv = state.dv
     ft_phases = np.exp(-2j * np.pi * np.outer(ft_etas, v))
 
     def spectral_sq(a: np.ndarray) -> float:
@@ -535,8 +556,7 @@ def run(
         re_im = a.view(float)
         return float(np.einsum("k,k->", spec_weight, np.einsum("kj,kj->k", re_im, re_im)))
 
-    def observe(i: int, t: float, fk: np.ndarray) -> None:
-        times[i] = t
+    def observe(i: int, fk: np.ndarray) -> None:
         rho_k_full = _rho_hat(fk, nx, dv)
         mass[i] = rho_k_full[0].real
         np.divide(fk[0].real, nx, out=prof)
@@ -552,9 +572,9 @@ def run(
         for j, (k, _) in enumerate(ft_points):
             ftv[i, j] = _direct_ftilde(ft_phases[j], fk[abs(k)], k, nx, dv)
 
-    stops = range(0, n_steps + 1, observe_stride)
-    for i, (n, fk) in enumerate(stepper.evolve(state, stops, impulses)):
-        observe(i, n * dt, fk)
+    trajectory = _trajectory(profile, interaction, perturbation, nx=nx, nv=nv, vmax=vmax, dt=dt, times=times)
+    for i, (_, fk) in enumerate(trajectory):
+        observe(i, fk)
 
     t_r = {k: recurrence_time(nv, vmax, k) for k in range(1, max(k_obs, 1) + 1)}
     return ObservableLog(

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from landau_lab import cli
+from landau_lab.config import loads_config
 from landau_lab.sim import ObservableLog
 
 TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
@@ -43,3 +44,45 @@ def test_tracer_installs_wraps_the_writers_and_uninstalls(tmp_path):
     assert [s.name for s in t.spans] == [f"sim.ObservableLog.{name}" for name in tracer.WRITERS]
     assert {name: vars(ObservableLog)[name] for name in tracer.WRITERS} == originals
     assert cli.run_experiment is run_experiment and np.fft.rfft is rfft
+
+
+NORMS_TINY = """\
+[experiment]
+name = norms
+
+[interaction]
+strength = 157.91367041742973
+
+[grid]
+nx = 16
+nv = 256
+
+[time]
+dt = 0.0625
+
+[perturbation]
+modes = 1:2e-3
+
+[norms]
+lam = 0.2
+n_max = 12
+k_max = 2
+times = 0,0.5,1
+
+[output]
+dir = norms
+"""
+
+
+def test_a_traced_norms_run_spans_the_public_norms_of_every_snapshot(tmp_path, monkeypatch):
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    cfg = loads_config(NORMS_TINY)
+    t = _load_tracer().Tracer()
+    try:
+        t.install()
+        assert cli.run_experiment(cfg) == 0
+    finally:
+        t.uninstall()
+    names = [s.name for s in t.spans]
+    assert names.count("norms.gliding_norm") == names.count("norms.analytic_norm") == 3
+    assert names.count("norms.spatial_norm") == 3

@@ -629,13 +629,13 @@ def test_norms_rows_match_per_snapshot_strang_steps(tmp_path):
     assert run_experiment(cfg) == 0
     with open(tmp_path / "norms" / "norms.csv", newline="") as fh:
         got = list(csv.reader(fh))[1:]
-    sec, dt = cfg.values["norms"], cfg.get("time", "dt")
+    sec, dt, interaction = cfg.values["norms"], cfg.get("time", "dt"), cfg.build_interaction()
     cur = init_state(cfg.build_profile(), cfg.build_perturbation(),
                      cfg.get("grid", "nx"), cfg.get("grid", "nv"), cfg.get("grid", "vmax"))
     expected = []
     for t in sorted(sec["times"]):
         while cur.time < t - 1e-12:
-            cur = strang_step(cur, cfg.build_interaction(), dt)
+            cur = strang_step(cur, interaction, dt)
         expected += _norm_rows(cur, sec)
     assert len(got) == len(expected) == 12
     for row, ref in zip(got, expected):
@@ -684,13 +684,46 @@ def test_a_norms_kick_after_the_last_snapshot_or_off_the_step_grid_is_a_config_e
     assert f"kick time {float(kick.split(':')[0]):g} must sit on the step grid within [0, 2)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("times", ["2,0,0.53,1", "2,-0.5,1"], ids=["off-grid", "negative"])
+def test_a_norms_time_off_the_step_grid_is_a_config_error(tmp_path, monkeypatch, capsys, times):
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    text = NORMS_SMALL.replace("times = 2,0,0.5,1", f"times = {times}")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 2
+    bad = [t for t in times.split(",") if t in ("0.53", "-0.5")][0]
+    assert f"time {float(bad):g} is not a nonnegative multiple of dt = 0.0625" in capsys.readouterr().err
+    assert "status = failed:config" in (tmp_path / "out" / "run.meta").read_text()
+
+
+@pytest.mark.parametrize("text, change, mode", [
+    (NONLINEAR_SMALL, ("modes = 1:2e-3", "modes = 13:1e-3\nkicks = 0.5:20:1e-3"), 13),
+    (NONLINEAR_SMALL, ("modes = 1:2e-3", "modes = 1:2e-3\nkicks = 0.5:-9:1e-3"), -9),
+    (NORMS_SMALL, ("modes = 1:2e-3", "modes = 13:1e-3"), 13),
+    (NORMS_SMALL, ("modes = 1:2e-3", "modes = 1:2e-3\nkicks = 0.5:9:1e-3"), 9),
+    (ECHO_SMALL, ("tau_kick = 2", "tau_kick = 2\nkick_mode = -9"), -9),
+    (ECHO_SMALL, ("tau_kick = 2", "tau_kick = 2\nkick_mode = -9\namp_kick = 0"), -9),
+], ids=["nonlinear-mode", "nonlinear-kick", "norms-mode", "norms-kick", "echo-kick", "echo-control-kick"])
+def test_a_mode_beyond_the_x_nyquist_mode_is_a_config_error(tmp_path, monkeypatch, capsys, text, change, mode):
+    # on 16 x 256 mode 13 would alias onto k = 3, and a mode-9 kick onto k = 7
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run", str(write_cfg(tmp_path, text.replace(*change)))]) == 2
+    assert f"mode {mode} lies beyond the spatial Nyquist mode 8" in capsys.readouterr().err
+    assert "status = failed:config" in (tmp_path / "out" / "run.meta").read_text()
+
+
+def test_the_x_nyquist_mode_itself_is_on_the_grid(tmp_path, monkeypatch):
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    text = NONLINEAR_SMALL.replace("modes = 1:2e-3", "modes = 1:2e-3; 8:1e-4\nkicks = 0.5:-8:1e-4")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 0
+
+
 def _norms_snapshot():
     """The NORMS_SMALL field at t = 1 and its [norms] section."""
     cfg = loads_config(NORMS_SMALL)
+    interaction = cfg.build_interaction()
     cur = init_state(cfg.build_profile(), cfg.build_perturbation(),
                      cfg.get("grid", "nx"), cfg.get("grid", "nv"), cfg.get("grid", "vmax"))
     while cur.time < 1.0 - 1e-12:
-        cur = strang_step(cur, cfg.build_interaction(), cfg.get("time", "dt"))
+        cur = strang_step(cur, interaction, cfg.get("time", "dt"))
     return cur, cfg.values["norms"]
 
 

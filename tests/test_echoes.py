@@ -1,8 +1,11 @@
 """Echo timing law, peak detection, two-pulse behavior."""
 
+import csv
+
 import numpy as np
 import pytest
 
+from landau_lab.cli import _write_echoes_csv
 from landau_lab.echoes import detect_peaks, predict_echo_time, run_echo_experiment
 from landau_lab.errors import NumericError
 from landau_lab.linear import ModeHistory
@@ -82,21 +85,28 @@ def test_echo_amplitude_grows_with_kick_time(echo_sweep):
         assert amp == pytest.approx(np.pi * tau * 1e-3 * 0.5e-3, rel=0.15)
 
 
-def test_echo_report_metadata(echo_sweep):
+def written_rows(rep, tmp_path) -> list[list[str]]:
+    """The data rows of the ``echoes.csv`` that the echo experiment writes for ``rep``."""
+    _write_echoes_csv(tmp_path / "echoes.csv", rep)
+    with open(tmp_path / "echoes.csv", newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def test_echo_report_metadata(echo_sweep, tmp_path):
     rep = echo_sweep[4.0]
     assert rep.prediction.k == -1
     assert (rep.prediction.k, rep.prediction.ell) == (-1, 1)
     assert rep.match in rep.peaks
     assert rep.rel_error == abs(rep.match.time - rep.prediction.t_echo) / rep.prediction.t_echo
-    rows = rep.to_csv_rows()
-    assert len(rows) == 1 and rows[0][0] == -1 and rows[0][1] == 1
+    rows = written_rows(rep, tmp_path)
+    assert len(rows) == 1 and rows[0][0] == "-1" and rows[0][1] == "1"
     assert rows[0][4:] == [f"{rep.match.time:.17g}", f"{rep.match.amplitude:.17g}", f"{rep.rel_error:.17g}"]
 
 
-def test_echo_report_without_match(echo_control):
+def test_echo_report_without_match(echo_control, tmp_path):
     assert echo_control.peaks == [] and echo_control.match is None
     assert np.isnan(echo_control.rel_error)
-    rows = echo_control.to_csv_rows()
+    rows = written_rows(echo_control, tmp_path)
     assert len(rows) == 1 and rows[0][4:] == ["", "", ""]
 
 

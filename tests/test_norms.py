@@ -401,3 +401,20 @@ def test_coincidence_tau_zero_reduces_to_spatial():
     assert res.f == pytest.approx(spatial_norm(coeffs, weight=0.11, gamma=1.5), rel=1e-14)
     assert res.rel_diff <= 1e-14
 
+
+
+def test_a_field_computes_its_double_transform_once_for_both_norms(monkeypatch):
+    pert = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=0.3), PerturbationMode(k=2, amplitude=0.1)))
+    field = init_state(MAX, pert, nx=16, nv=256, vmax=8.0)
+    fft, shapes = np.fft.fft, []
+
+    def counting_fft(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return fft(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fft", counting_fft)
+    gliding_norm(field, GlidingNormSpec(lam=0.2, mu=0.05, n_max=8, k_max=2))
+    analytic_norm(field, AnalyticNormSpec(lam=0.2, mu=0.05, beta=0.1))
+    assert shapes == [(9, 256)]
+    assert not field.double_transform.flags.writeable
+    assert np.array_equal(field.double_transform, fft(field.spectrum / field.nx, axis=1))

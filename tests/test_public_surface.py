@@ -15,8 +15,6 @@ KEEP = {
                    "field's spectrum; tests pin reversibility with it",
     "ftilde_sample": "reference for run's ftilde range errors and the free-transport identity in tests",
     "coincidence_check": "an acceptance gate (gliding norm vs spatial norm for x-only inputs)",
-    "gliding_norm": "the benchmark's gliding-identity check; the norms experiment calls its core on a shared transform",
-    "analytic_norm": "the benchmark's raised-floor check; the norms experiment calls its core on a shared transform",
 }
 
 

@@ -19,7 +19,7 @@ from landau_lab.sim import (
     run,
     strang_step,
 )
-from landau_lab.sim import _cached_stepper, _force, _force_multiplier, _schedule
+from landau_lab.sim import _cached_stepper, _force, _force_multiplier, _trajectory
 
 MAX = maxwellian()
 STRONG = builtin_interaction("coulomb", 16.0 * np.pi**2)
@@ -241,10 +241,9 @@ def test_run_matches_strang_step_loop_with_kick():
     # the fused engine behind run(), with run's kick schedule, against plain full Strang steps
     dt = 1 / 32
     pert = PerturbationSpec(modes=SINGLE.modes, kicks=(KickEvent(time=0.5, mode=2, amplitude=1e-3, phase=0.3),))
-    kw = dict(nx=32, dt=dt, t_end=1.0, observe_stride=4, k_obs=2)
-    log = run(MAX, STRONG, pert, nv=256, vmax=8.0, **kw)
-    n_steps, impulses = _schedule(pert, **kw)
-    fused = np.fft.irfft(last_spectrum(small_state(pert), STRONG, dt, n_steps, impulses), n=32, axis=0)
+    log = run(MAX, STRONG, pert, nx=32, nv=256, vmax=8.0, dt=dt, t_end=1.0, observe_stride=4, k_obs=2)
+    (_, fk), = _trajectory(MAX, STRONG, pert, nx=32, nv=256, vmax=8.0, dt=dt, times=[1.0])
+    fused = np.fft.irfft(fk, n=32, axis=0)
     cur = small_state(pert)
     wave = 1e-3 * np.cos(2 * np.pi * 2 * np.arange(cur.nx) / cur.nx + 0.3)
     for n in range(32):

@@ -7,13 +7,16 @@ writers must give the same bytes on edge values.
 """
 
 import csv
+import dataclasses
 
 import numpy as np
+import pytest
 
-from landau_lab.cli import run_experiment
+from landau_lab.cli import _norm_rows, _write_echoes_csv, run_experiment
 from landau_lab.config import loads_config
+from landau_lab.echoes import EchoPrediction, Peak
 from landau_lab.linear import solve_volterra
-from landau_lab.sim import ObservableLog
+from landau_lab.sim import ObservableLog, PhaseSpaceField, _trajectory
 
 EDGE = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0 / 3.0, 2.5e-17,
                  123456789.123, 1.0, -2.0])
@@ -115,3 +118,79 @@ def test_linear_modes_csv_is_the_oracle_table_of_its_histories(tmp_path):
         rows += [(t, k, v) for t, v in zip(hist.times, hist.values)]
     oracle_csv(tmp_path / "ref.csv", ["t", "k", "re", "im", "abs"], oracle_modes_rows(rows))
     assert (tmp_path / "out" / "modes.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def oracle_echo_rows(rep):
+    pred, peak = rep.prediction, rep.match
+    return [[
+        pred.k, pred.ell, f"{rep.tau_kick:.17g}", f"{pred.t_echo:.17g}",
+        "" if peak is None else f"{peak.time:.17g}",
+        "" if peak is None else f"{peak.amplitude:.17g}",
+        "" if peak is None else f"{rep.rel_error:.17g}",
+    ]]
+
+
+def _edge_echo_reports(rep):
+    """``rep`` with every float field of its row run through the edge values, with and without a match."""
+    floats = [float(x) for x in EDGE]
+    for s in range(len(floats)):
+        a, b, c, d, e = (floats[(s + i) % len(floats)] for i in range(5))
+        pred = EchoPrediction(k=(-1) ** s * (s + 1), ell=s - 3, t_echo=b)
+        yield dataclasses.replace(rep, tau_kick=a, prediction=pred, match=Peak(time=c, amplitude=d), rel_error=e)
+        yield dataclasses.replace(rep, tau_kick=a, prediction=pred, match=None, rel_error=float("nan"))
+
+
+@pytest.mark.parametrize("which", ["matched", "control", "edge"])
+def test_echoes_csv_matches_the_row_oracle(tmp_path, echo_sweep, echo_control, which):
+    reports = {"matched": [echo_sweep[4.0]], "control": [echo_control],
+               "edge": list(_edge_echo_reports(echo_sweep[4.0]))}[which]
+    header = ["k", "ell", "tau_kick", "t_predicted", "t_detected", "amplitude", "rel_error"]
+    for rep in reports:
+        _write_echoes_csv(tmp_path / "echoes.csv", rep)
+        oracle_csv(tmp_path / "echoes_ref.csv", header, oracle_echo_rows(rep))
+        assert (tmp_path / "echoes.csv").read_bytes() == (tmp_path / "echoes_ref.csv").read_bytes()
+    if which == "control":
+        assert (tmp_path / "echoes.csv").read_bytes().endswith(b",,,\r\n")
+
+
+NORMS_SMALL = """\
+[experiment]
+name = norms
+
+[interaction]
+strength = 157.91367041742973
+
+[grid]
+nx = 16
+nv = 256
+
+[time]
+dt = 0.0625
+
+[perturbation]
+modes = 1:2e-3
+
+[norms]
+lam = 0.2
+n_max = 12
+k_max = 2
+times = {times}
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("times", ["1,0,0.5", ""], ids=["three-snapshots", "no-snapshot"])
+def test_norms_csv_is_the_oracle_table_of_its_rows(tmp_path, times):
+    cfg = loads_config(NORMS_SMALL.format(times=times, out=tmp_path / "out"))
+    assert run_experiment(cfg) == 0
+    sec, grid = cfg.values["norms"], cfg.values["grid"]
+    rows = []
+    for t, fk in _trajectory(cfg.build_profile(), cfg.build_interaction(), cfg.build_perturbation(), **grid,
+                             dt=cfg.get("time", "dt"), times=sorted(sec["times"])):
+        rows += _norm_rows(PhaseSpaceField(**grid, spectrum=fk, time=t), sec)
+    oracle_csv(tmp_path / "ref.csv", ["t", "family", "lambda", "mu", "gamma", "p", "tau", "value", "remainder"], rows)
+    got = (tmp_path / "out" / "norms.csv").read_bytes()
+    assert got == (tmp_path / "ref.csv").read_bytes()
+    assert got.count(b"\r\n") == 3 * len(sec["times"]) + 1
