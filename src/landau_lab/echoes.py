@@ -138,6 +138,8 @@ def run_echo_experiment(
     |rho_hat(t, k)| above 1e-8, at least 1 apart in t, and pairs them with
     the timing law applied to the initial mode as source.
     """
+    if dt <= 0 or observe_stride < 1:
+        raise ValueError(f"need dt > 0 and observe_stride >= 1, got dt = {dt:g}, observe_stride = {observe_stride}")
     k_resp = k_initial + kick_mode
     if k_resp == 0:
         raise ValueError("k_initial + kick_mode must be nonzero to observe an echo")

@@ -10,19 +10,16 @@ decay of a mode is set by the worst of two rates: the decay of the source,
 and the width of the strip on which the Fourier-Laplace transform of K0
 stays away from 1.  With s = |k| t that transform is L(k, xi) = what(k)
 Psi(xi), Psi(xi) = -4 pi^2 int_0^inf exp(2 pi xi s) ft(sgn(k) s) s ds: every
-mode scales one transform of the profile.  Two strip objects are kept
-deliberately distinct:
-
-* the margin scan `scan_stability_margin` integrates |ft| (a majorant), and
-* `root_scan` uses the true transform of K0 (no modulus) to locate the
-  resolvent root that sets the actual decay rate.
-
-Conflating the two changes results for profiles whose transform is not
-real and nonnegative.  Every Laplace-side integral, and the small-gain
-integral of `smallness_criterion`, runs on the nodes in s of one builder,
-`_gl_panels`: composite 20-node Gauss-Legendre on equal panels.  Both strip
-scans make one product-grid transform of Psi, `_strip_transform`, whose Im
-phases are products of two short factor tables (`_block_split`).
+mode scales one transform of the profile.  Every profile is a Gaussian
+mixture, so `_psi` gives Psi and Psi' in closed form on all of C through the
+Faddeeva function (`_faddeeva`, Weideman's rational approximation).  Both
+strip scans use this true transform, the functional of Mouhot and Villani's
+condition (L): the margin scan `scan_stability_margin` measures its
+distance from 1, and `root_scan` locates the resolvent root that sets the
+actual decay rate.  The modulus |ft| serves only where it is a true
+majorant: the tail bound for modes above k_max and the small-gain integral
+of `smallness_criterion`, the one quadrature left (composite 20-node
+Gauss-Legendre, `_gl_panels`).
 
 Psi, its value at 0 and the small-gain integral depend on the profile
 alone, so each is computed once per profile per process and kept, read-only,
@@ -116,107 +113,72 @@ def memory_kernel(profile: VelocityProfile, interaction: Interaction, k: int, t)
     return -4.0 * np.pi**2 * w * profile.ft(k * t) * k**2 * t
 
 
-# 20-node Gauss-Legendre rule on [-1, 1], used panel by panel
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
-# the integrand envelope at the horizon is exp(-50) below its scale, which
-# keeps the relative truncation error of the transform under ~1e-10 for the
-# profiles used here
-_DECADES = 50.0
+# Weideman's rational approximation of the Faddeeva function (SIAM J. Numer.
+# Anal. 31, 1994) with N = 40 terms, within ~2e-14 relative of the exact
+# function on the arguments the scans reach: the scale L, the nodes
+# t_j = L tan(pi j / 4N), |j| < 2N, and the polynomial coefficients
+# a_k = sum_j exp(-t_j^2) (L^2 + t_j^2) cos(pi j k / 2N) / 4N, k = N..1 (the
+# real part of the paper's FFT, summed directly so that importing the
+# package does not load numpy.fft)
+_W_N = 40
+_W_L = np.sqrt(_W_N / np.sqrt(2.0))
+_W_J = np.arange(1 - 2 * _W_N, 2 * _W_N)
+_W_T = _W_L * np.tan(_W_J * np.pi / (4 * _W_N))
+_W_A = np.sum(np.exp(-_W_T**2) * (_W_L**2 + _W_T**2)
+              * np.cos(np.multiply.outer(np.arange(_W_N, 0, -1), _W_J) * np.pi / (2 * _W_N)), axis=1) / (4 * _W_N)
 
 
-def _gl_panels(t_max: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes and weights of the 20-node rule on n_panels equal panels of [0, t_max]."""
-    edges = np.linspace(0.0, t_max, n_panels + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
+def _faddeeva(z) -> np.ndarray:
+    """The Faddeeva function w(z) = exp(-z^2) erfc(-i z), elementwise.
 
-
-def _horizon(profile: VelocityProfile, re_max: float) -> float:
-    """Integration horizon in s under the exponential weight exp(2 pi re s)."""
-    d = _DECADES + max(0.0, np.log(profile.c0))
-    # the narrowest mixture component's Gaussian envelope wins for every re_max
-    theta_min = min(th for _, _, th in profile.components)
-    a = 2.0 * np.pi**2 * theta_min
-    b = TWO_PI * max(re_max, 0.0)
-    return max(1.0, (b + np.sqrt(b * b + 4.0 * a * d)) / (2.0 * a))
-
-
-def _psi_nodes(profile, re_max: float, im_max: float, sign: int = 1):
-    """Composite GL nodes s resolving both the kernel scale and the oscillation
-    up to Re xi = re_max and |Im xi| = im_max, the scaled weights
-    ws * (-4 pi^2) and ft(sign s) on them: Psi's base is their product times s."""
-    s_max = _horizon(profile, re_max)
-    # ~2 panels per oscillation wavelength keeps 20-node GL at machine accuracy
-    h = min(0.5, 4.0 / (TWO_PI * (im_max + 1e-12)))
-    s, ws = _gl_panels(s_max, max(4, int(np.ceil(s_max / h))))
-    return s, ws * (-4.0 * np.pi**2), profile.ft(sign * s)
-
-
-def _laplace_nodes(profile, re_max: float, im_max: float, *, modulus: bool, sign: int = 1):
-    """The nodes s of `_psi_nodes` and the weighted base ws * (-4 pi^2) ft(sign s) s
-    of Psi on them.
-
-    With ``modulus=True`` the ft factor is replaced by its modulus.
+    Weideman's approximation holds on Im z >= 0; below the real axis
+    w(z) = 2 exp(-z^2) - w(-z), and that exponential is evaluated on those
+    points only, so it cannot overflow on a point that does not use it.
     """
-    s, cw, ftv = _psi_nodes(profile, re_max, im_max, sign)
-    return s, cw * (np.abs(ftv) if modulus else ftv) * s
+    z = np.asarray(z, dtype=complex)
+    lower = z.imag < 0
+    zu = np.where(lower, -z, z)
+    d = _W_L - 1j * zu
+    w = np.asarray(2.0 * np.polyval(_W_A, (_W_L + 1j * zu) / d) / d**2 + 1.0 / (np.sqrt(np.pi) * d))
+    w[lower] = 2.0 * np.exp(-z[lower] ** 2) - w[lower]
+    return w
 
 
-def _block_split(n: int) -> tuple[int, int]:
-    """Block length m, a power of two near sqrt(n), and block count for
-    writing an index 0 <= j < n as j = m p + q with 0 <= q < m."""
-    m = 1 << ((n - 1).bit_length() + 1) // 2
-    return m, -(-n // m)
+def _psi(profile: VelocityProfile, xi, sign: int) -> tuple[np.ndarray, np.ndarray]:
+    """Psi(xi) = -4 pi^2 int_0^inf exp(2 pi xi s) ft(sign s) s ds and Psi'(xi), elementwise.
 
-
-def _strip_transform(profile, res, ims, *, modulus: bool, sign: int = 1) -> np.ndarray:
-    """Psi(re + i im) of ft(sign s) on the product grid res x ims; mode k's
-    transform is what(k) times it with sign = sgn(k).
-
-    All grid points share the nodes of (max re, max |im|).  ``ims`` must be
-    an arithmetic progression with step d, to 1e-12 of its largest magnitude
-    (else `ValueError`).  Writing j = m p + q (`_block_split`), the phase of
-    Im point j is exp(2 pi i ims[m p] s) exp(2 pi i d q s), so block p of
-    the (len(res), len(ims)) result is one matrix product of the
-    growth-weighted base times its start row with the m-column step table.
-    That takes (m + blocks) x nodes phases instead of len(ims) x nodes, forms
-    no (len(ims), nodes) table, and keeps a grid that does not start at 0
-    as exact as one that does.  With ``modulus=True`` the ft factor is
-    replaced by its modulus.
+    Closed form on all of C, per mixture component (w, u, theta): with
+    a = 2 pi^2 theta, b = 2 pi (xi - i sign u), the moments
+    In = int_0^inf s^n exp(-a s^2 + b s) ds are M0 = I0 = 1/2 sqrt(pi / a)
+    w_F(-i b / (2 sqrt a)) and, by parts, I1 = (1 + b M0) / (2a) and
+    I2 = (M0 + b I1) / (2a); Psi = -4 pi^2 sum w I1, Psi' = -8 pi^3 sum w I2.
+    Psi grows like exp(b^2 / 4a): past Re xi ~ 37.6 sqrt(theta) it overflows
+    (`NumericError`).
     """
-    ims = np.asarray(ims, dtype=float)
-    s, base = _laplace_nodes(profile, float(np.max(res)), float(np.max(np.abs(ims))), modulus=modulus, sign=sign)
-    return _grid_transform(s, base, res, ims)
-
-
-def _grid_transform(s, base, res, ims: np.ndarray) -> np.ndarray:
-    """The product-grid sum of `_strip_transform` on given nodes s and base."""
-    n = len(ims)
-    d = (ims[-1] - ims[0]) / (n - 1) if n > 1 else 0.0
-    if np.max(np.abs(ims - (ims[0] + d * np.arange(n)))) > 1e-12 * float(np.max(np.abs(ims))):
-        raise ValueError("the Im grid of a strip transform must be an arithmetic progression")
-    growth = TWO_PI * np.multiply.outer(res, s)
-    if np.max(growth) > 600.0:
-        raise NumericError("Laplace exponent overflow; shrink the strip or s_max")
-    m, n_blocks = _block_split(n)
-    weighted = np.exp(growth) * base
-    arg = TWO_PI * np.multiply.outer(s, d * np.arange(m))
-    steps = np.empty(arg.shape, dtype=complex)
-    np.cos(arg, out=steps.real)
-    np.sin(arg, out=steps.imag)
-    out = np.empty((len(res), n_blocks * m), dtype=complex)
-    for p in range(n_blocks):
-        np.matmul(weighted * np.exp(1j * TWO_PI * ims[p * m] * s), steps, out=out[:, p * m:(p + 1) * m])
-    return out[:, :n]
+    xi = np.asarray(xi, dtype=complex)
+    psi = np.zeros(xi.shape, dtype=complex)
+    dpsi = np.zeros(xi.shape, dtype=complex)
+    for w, u, theta in profile.components:
+        a = 2.0 * np.pi**2 * theta
+        b = TWO_PI * (xi - 1j * sign * u)
+        m0 = 0.5 * np.sqrt(np.pi / a) * _faddeeva(-0.5j * b / np.sqrt(a))
+        i1 = (1.0 + b * m0) / (2.0 * a)
+        psi += w * i1
+        dpsi += w * (m0 + b * i1) / (2.0 * a)
+    psi *= -4.0 * np.pi**2
+    dpsi *= -8.0 * np.pi**3
+    if not (np.all(np.isfinite(psi)) and np.all(np.isfinite(dpsi))):
+        raise NumericError("Laplace transform overflow: Psi is not finite; shrink the strip")
+    return psi, dpsi
 
 
 # ---------------------------------------------------------------------------
 # strip margin scan
 
-# Sampling of the stability strip: Re in [0, strip), Im in [0, im_max].  Only
-# Im >= 0 is scanned because the functional of a real profile satisfies
-# L(conj xi) = conj L(xi).  The Im window is finite; the report checks the
+# Sampling of the stability strip: Re in [0, strip), Im in [0, im_max], for
+# both signs of k.  The transform of a real profile satisfies
+# Psi_-(xi) = conj Psi_+(conj xi), so the two signs on Im >= 0 cover
+# Im in [-im_max, im_max].  The Im window is finite; the report checks the
 # functional's size on the window edge and flags the grid as too coarse
 # instead of silently passing.
 _STRIP_RE_POINTS = 8
@@ -226,8 +188,11 @@ _STRIP_IM_POINTS = 161
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """Sampled evidence for the strip stability margin (not a proof); every mode
-    scales one `_STRIP_*` grid of Psi on the quadrature nodes of its largest Re and Im.
+    """Sampled evidence for the strip stability margin (not a proof): the true
+    L(k, xi) = what(k) Psi(xi) on one `_STRIP_*` grid of Psi per sign of k.
+
+    ``worst_k`` is the mode of the smallest gap, negative when it lies on the
+    sign k < 0 (Psi of ft(-s)); on a tie the positive sign wins.
 
     ``unstable_modes`` counts the modes 1 <= k <= k_max with what(k) Psi(0) > 1,
     each of which has a growing real root (Penrose 1960); None when the
@@ -283,16 +248,19 @@ def _is_even(profile: VelocityProfile) -> bool:
 
 @functools.lru_cache(maxsize=16)
 def _margin_psi(profile: VelocityProfile, lambda_strip: float) -> tuple[np.ndarray, float | None]:
-    """Psi of |ft| on the margin scan's grid (read-only), and for an even profile
-    the true Psi(0), summed from the same ft values on the same nodes.
+    """Psi of ft(s) and of ft(-s), stacked, on the margin scan's grid (read-only),
+    and for an even profile Psi(0).
 
-    For an even profile Psi is real on (-inf, 0] and tends to 0 there, so
-    what(k) Psi(0) > 1 puts a root of 1 - L at some Re xi < 0.
+    For an even profile ft(-s) = ft(s), so one grid serves both signs; Psi
+    is real on (-inf, 0] and tends to 0 there, so what(k) Psi(0) > 1 puts a
+    root of 1 - L at some Re xi < 0.
     """
     res, ims = _strip_grid(lambda_strip)
-    s, cw, ftv = _psi_nodes(profile, float(np.max(res)), _STRIP_IM_MAX)
-    psi = _read_only(_grid_transform(s, cw * np.abs(ftv) * s, res, ims))
-    return psi, float(np.sum(cw * ftv * s).real) if _is_even(profile) else None
+    xi = res[:, None] + 1j * ims
+    signs = (1,) if _is_even(profile) else (1, -1)
+    psi = _read_only(np.stack([_psi(profile, xi, sign)[0] for sign in signs]))
+    # res[0] = ims[0] = 0
+    return psi, float(psi[0, 0, 0].real) if _is_even(profile) else None
 
 
 def scan_stability_margin(
@@ -304,12 +272,14 @@ def scan_stability_margin(
 ) -> StabilityReport:
     """Sample min over modes and over the strip of |L(k, xi) - 1|.
 
-    One transform Psi of |ft| serves as L(k, xi) = what(k) Psi(xi) for every
-    1 <= k <= k_max.  Modes above ``k_max`` are certified by the closed-over bound
-    |L(k, xi)| <= cw * c0 / (|k|**(1+gamma) * (lam - lambda_strip)**2),
-    provided it stays below 1 - kappa at k_max + 1.  For an even profile a
-    mode with what(k) Psi(0) > 1 is unstable and fails the scan.  Psi and
-    Psi(0) are computed once per (profile, lambda_strip) per process.
+    L is the true transform of K0, the functional of Mouhot and Villani's
+    condition (L): L(k, xi) = what(k) Psi(xi), one Psi of ft(sgn(k) s) per
+    sign, for 1 <= |k| <= k_max.  Modes above ``k_max`` are certified by the
+    closed-over bound |L(k, xi)| <= cw * c0 / (|k|**(1+gamma) * (lam - lambda_strip)**2)
+    of the majorant |ft|, provided it stays below 1 - kappa at k_max + 1.
+    For an even profile a mode with what(k) Psi(0) > 1 is unstable and fails
+    the scan.  Psi and Psi(0) are computed once per (profile, lambda_strip)
+    per process.
     """
     if not 0.0 < lambda_strip < profile.lam:
         raise ValueError(f"lambda_strip must lie in (0, {profile.lam:g}), got {lambda_strip:g}")
@@ -319,12 +289,13 @@ def scan_stability_margin(
     psi, psi0 = _margin_psi(profile, float(lambda_strip))
     what = np.asarray(interaction.what(np.arange(1, k_max + 1)), dtype=float)
     unstable_modes = None if psi0 is None else int(np.count_nonzero(what * psi0 > 1.0))
-    vals = what[:, None, None] * psi
+    vals = what[:, None, None] * psi[:, None]
     gaps = np.abs(vals - 1.0)
-    # the first minimum in (k, Re, Im) order: the lowest mode that attains it
-    k_i, i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
-    kappa_est = float(gaps[k_i, i, j])
-    edge_max = float(np.max(np.abs(vals[:, :, -1])))
+    # the first minimum in (sign, k, Re, Im) order: the lowest mode that
+    # attains it, on the positive sign when both do
+    sign_i, k_i, i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
+    kappa_est = float(gaps[sign_i, k_i, i, j])
+    edge_max = float(np.max(np.abs(vals[..., -1])))
 
     warnings = []
     tail_bound = interaction.cw * profile.c0 / ((k_max + 1) ** (1.0 + interaction.gamma) * (profile.lam - lambda_strip) ** 2)
@@ -338,7 +309,7 @@ def scan_stability_margin(
         lambda_strip=float(lambda_strip),
         kappa_requested=float(kappa),
         k_max=k_max,
-        worst_k=int(k_i) + 1,
+        worst_k=(int(k_i) + 1) * (1, -1)[sign_i],
         worst_xi=complex(res[i], ims[j]),
         tail_bound=float(tail_bound),
         unstable_modes=unstable_modes,
@@ -376,9 +347,28 @@ def smallness_criterion(profile: VelocityProfile, interaction: Interaction) -> f
     return 4.0 * np.pi**2 * w_max * _small_gain_integral(profile)
 
 
+# 20-node Gauss-Legendre rule on [-1, 1], used panel by panel
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(20)
+# the integrand envelope at the horizon is exp(-50) below its scale, which
+# keeps the relative truncation error of the integral under ~1e-10 for the
+# profiles used here
+_DECADES = 50.0
+
+
+def _gl_panels(t_max: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 20-node rule on n_panels equal panels of [0, t_max]."""
+    edges = np.linspace(0.0, t_max, n_panels + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
+
+
 @functools.lru_cache(maxsize=16)
 def _small_gain_integral(profile: VelocityProfile) -> float:
-    t_max = _horizon(profile, 0.0)
+    # the horizon: the narrowest mixture component's Gaussian envelope
+    # exp(-a s^2) of |ft| is exp(-_DECADES) / c0 there
+    a = 2.0 * np.pi**2 * min(th for _, _, th in profile.components)
+    t_max = max(1.0, np.sqrt(4.0 * a * (_DECADES + max(0.0, np.log(profile.c0)))) / (2.0 * a))
     r, wr = _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
     return max(float(np.sum(wr * np.abs(profile.ft(sgn * r)) * r)) for sgn in (1.0, -1.0))
 
@@ -505,21 +495,20 @@ def _root_grid(width_cap: float) -> tuple[np.ndarray, np.ndarray]:
 def _root_psi(profile: VelocityProfile, sign: int) -> np.ndarray:
     """Psi of ft(sign s) on `root_scan`'s grid (read-only)."""
     widths, ims = _root_grid(profile.lam)
-    return _read_only(_strip_transform(profile, widths, ims, modulus=False, sign=sign))
+    return _read_only(_psi(profile, widths[:, None] + 1j * ims, sign)[0])
 
 
 def _root_newton(profile, interaction, k, seed: complex) -> complex:
-    """Newton iteration for J(zeta) = what(k) Psi(zeta) = 1; J' scales Psi's s-moment by 2 pi what(k)."""
+    """Newton iteration for J(zeta) = what(k) Psi(zeta) = 1, with J' = what(k) Psi'(zeta)."""
     w = float(interaction.what(np.array(k)))
+    sign = int(np.sign(k))
     zeta = complex(seed)
     for _ in range(60):
-        s, base = _laplace_nodes(profile, zeta.real, abs(zeta.imag), modulus=False, sign=np.sign(k))
-        terms = np.exp(TWO_PI * zeta * s) * base
-        j = w * complex(np.sum(terms))
-        jp = w * TWO_PI * complex(np.sum(terms * s))
+        psi, dpsi = _psi(profile, zeta, sign)
+        jp = w * complex(dpsi)
         if abs(jp) == 0.0:
             raise NumericError("resolvent-root refinement hit a critical point")
-        step = (j - 1.0) / jp
+        step = (w * complex(psi) - 1.0) / jp
         zeta -= step
         if abs(step) < 1e-13 * max(1.0, abs(zeta)):
             return zeta
@@ -541,10 +530,9 @@ def root_scan(
     raised.  So does an even profile with what(k) Psi(0) > 1 (as in
     `scan_stability_margin`): Psi is real on (-inf, 0] and tends to 0 there,
     so 1 - L has a root with Re zeta < 0, which the scan of Re zeta >= 0
-    cannot see.  J = what(k) Psi with Psi of ft(sgn(k) s); all widths share the
-    quadrature nodes of the cap width, whose horizon covers every narrower
-    width, and the grid of Psi is computed once per (profile, sgn(k)) per
-    process; the refinement builds its own nodes per iterate.
+    cannot see.  J = what(k) Psi with Psi of ft(sgn(k) s) in closed form
+    (`_psi`); its grid is computed once per (profile, sgn(k)) per process,
+    and the refinement evaluates Psi and Psi' at each iterate.
     """
     if k == 0:
         raise ValueError("k must be nonzero")

@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NumericError
 from .models import Interaction, VelocityProfile
-from .linear import ModeHistory, _block_split, _read_only, write_columns_csv, write_modes_csv
+from .linear import ModeHistory, _read_only, write_columns_csv, write_modes_csv
 
 __all__ = [
     "PhaseSpaceField",
@@ -200,6 +200,13 @@ def recurrence_time(nv: int, vmax: float, k: int) -> float:
 
 # ---------------------------------------------------------------------------
 # stepping
+
+
+def _block_split(n: int) -> tuple[int, int]:
+    """Block length m, a power of two near sqrt(n), and block count for
+    writing an index 0 <= j < n as j = m p + q with 0 <= q < m."""
+    m = 1 << ((n - 1).bit_length() + 1) // 2
+    return m, -(-n // m)
 
 
 def _force_multiplier(nx: int, interaction: Interaction) -> np.ndarray:

@@ -15,6 +15,8 @@ from landau_lab import cli
 from landau_lab.cli import _ANALYTIC_BETA, _norm_rows, main, run_experiment
 from landau_lab.config import ExperimentConfig, load_config, loads_config
 from landau_lab.errors import ConfigError
+from landau_lab.linear import _STRIP_RE_POINTS, root_scan
+from landau_lab.models import bi_maxwellian, builtin_interaction
 from landau_lab.norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
 from landau_lab.sim import init_state, run, strang_step
 
@@ -281,6 +283,41 @@ def test_certify_fails_a_jeans_unstable_plasma(tmp_path, strength):
     assert "certified = false\n" in report and "passed = false\n" in report
     assert "unstable_modes = 1\n" in report
     assert "status = certification_failed" in (out / "run.meta").read_text()
+
+
+CERTIFY_TWO_STREAM = """\
+[experiment]
+name = certify
+
+[profile]
+name = bi_maxwellian
+params = 2
+
+[interaction]
+kind = coulomb
+strength = 100
+
+[certify]
+lambda_strip = 0.25
+kappa = 0.05
+k_max = 8
+
+[output]
+dir = {out}
+"""
+
+
+def test_certify_fails_a_stable_plasma_whose_root_lies_inside_the_strip(tmp_path):
+    # bi_maxwellian(2) under Coulomb 100 is Penrose-stable, but mode 1 damps
+    # slowly: its real root 0.196 lies inside the 0.25 strip, so the true L
+    # reaches 1 there (the transform of |ft| certified it with kappa_est 0.173)
+    out = tmp_path / "o"
+    assert main(["certify", str(write_cfg(tmp_path, CERTIFY_TWO_STREAM.format(out=out)))]) == 4
+    report = (out / "stability_report.txt").read_text()
+    assert "certified = false\n" in report and "unstable_modes = 0\n" in report
+    worst_xi = complex(re.search(r"^worst_xi = (\S+)$", report, re.M).group(1))
+    root = root_scan(bi_maxwellian(drift=2.0), builtin_interaction("coulomb", 100.0), 1).root
+    assert abs(worst_xi - root) <= 0.25 / _STRIP_RE_POINTS
 
 
 def test_linear_damping_of_a_two_stream_unstable_plasma_exits_3(tmp_path):

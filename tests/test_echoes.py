@@ -126,6 +126,15 @@ def test_echo_past_either_pulses_recurrence_is_refused(k_initial, kick_mode, tau
         run_echo_experiment(maxwellian(), builtin_interaction("coulomb", 1.0), **params)
 
 
+@pytest.mark.parametrize("dt, observe_stride", [(0.0, 2), (-1 / 32, 2), (1 / 32, 0), (1 / 32, -1)],
+                         ids=["zero-dt", "negative-dt", "zero-stride", "negative-stride"])
+def test_echo_rejects_a_nonpositive_step_or_stride(dt, observe_stride):
+    # checked before the observation count divides by observe_stride * dt
+    params = dict(SMALL_ECHO, dt=dt, observe_stride=observe_stride)
+    with pytest.raises(ValueError, match="need dt > 0 and observe_stride >= 1"):
+        run_echo_experiment(maxwellian(), builtin_interaction("coulomb", 1.0), **params)
+
+
 def test_echo_inside_both_pulses_horizons_runs():
     # k_initial = 2, kick -3 at tau = 2: echo at t = 6 <= 6.4, 4 after the kick <= 4.27
     params = dict(SMALL_ECHO, k_initial=2, kick_mode=-3, tau_kick=2.0)

@@ -1,6 +1,5 @@
 """Memory kernel, Volterra marching, stability scans, rate extraction."""
 
-import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -8,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import wofz
 
 from landau_lab import linear
 from landau_lab.errors import NumericError, StabilityGapError
 from landau_lab.linear import (
     ModeHistory,
-    _laplace_nodes,
+    _faddeeva,
+    _psi,
     _root_newton,
-    _strip_transform,
     fit_decay_rate,
     memory_kernel,
     monotone_criterion,
@@ -41,39 +41,44 @@ STRONG = builtin_interaction("coulomb", 16.0 * np.pi**2)  # classic weak-damping
 NEWTON_THRESHOLD = 20.7494514853421
 
 
-def per_point_kernel_transform(profile, interaction, k, zetas, *, modulus):
-    """L(k, zeta) = what(k) Psi(zeta) with one complex exponential per (zeta, node).
-
-    Same nodes as `_strip_transform` (those of max Re and max |Im|), summed
-    point by point in double precision: the grid-search reference of the scans.
-    """
-    zetas = np.asarray(zetas, dtype=complex)
-    s, base = _laplace_nodes(profile, float(np.max(zetas.real)), float(np.max(np.abs(zetas.imag))),
-                             modulus=modulus, sign=np.sign(k))
-    return float(interaction.what(np.array(k))) * (np.exp(2.0 * np.pi * np.multiply.outer(zetas, s)) @ base)
+def per_point_kernel_transform(profile, interaction, k, zetas):
+    """L(k, zeta) = what(k) Psi(zeta) of ft(sgn(k) s) on the points zetas: the grid-search
+    reference of the scans, one mode and one sign at a time."""
+    return float(interaction.what(np.array(k))) * _psi(profile, zetas, int(np.sign(k)))[0]
 
 
-def long_double_kernel_transform(profile, res, ims, *, modulus, sign):
-    """The (len(res), len(ims)) transform Psi of `_strip_transform` on the same nodes,
-    with every phase, growth factor and sum in np.longdouble.
+def long_double_kernel_transform(profile, res, ims, *, sign):
+    """The (len(res), len(ims)) transform Psi of ft(sign s) by composite 20-node
+    Gauss-Legendre quadrature, with every node, phase, growth factor and sum in
+    np.longdouble.
 
     On x86-64 that is extended precision, whose epsilon is 1/2048 of
-    double's, so the reference's own roundoff is negligible at rtol 1e-13.
+    double's.  Each panel spans at most half a wavelength of the fastest
+    phase, |Im xi| + max |u|; the horizon puts the slowest envelope
+    exp(-2 pi^2 theta_min s^2 + 2 pi max(Re xi) s) at exp(-60).
     """
     res = np.asarray(res, dtype=np.longdouble)
     ims = np.asarray(ims, dtype=np.longdouble)
-    s, base = _laplace_nodes(profile, float(np.max(res)), float(np.max(np.abs(ims))), modulus=modulus, sign=sign)
-    s, base = s.astype(np.longdouble), base.astype(np.clongdouble)
-    c = 8 * np.arctan(np.longdouble(1))
+    c = 8 * np.arctan(np.longdouble(1))  # 2 pi
+    a = c * c / 2 * min(th for _, _, th in profile.components)
+    b = c * max(np.max(res), 0)
+    s_max = (b + np.sqrt(b * b + 240 * a)) / (2 * a)
+    freq = np.max(np.abs(ims)) + max(abs(u) for _, u, _ in profile.components)
+    n_panels = int(np.ceil(s_max * max(4, 2 * freq)))
+    x, wx = (q.astype(np.longdouble) for q in np.polynomial.legendre.leggauss(20))
+    half = s_max / (2 * n_panels)
+    s = (half * (2 * np.arange(n_panels, dtype=np.longdouble)[:, None] + 1 + x)).ravel()
+    ws = np.tile(half * wx, n_panels)
+    ftv = sum(w * np.exp(-c * c / 2 * th * s * s - 1j * c * sign * u * s) for w, u, th in profile.components)
     arg = c * np.multiply.outer(ims, s)
-    return np.einsum("rs,is->ri", np.exp(c * np.multiply.outer(res, s)) * base, np.cos(arg) + 1j * np.sin(arg))
+    return np.einsum("rs,is->ri", np.exp(c * np.multiply.outer(res, s)) * (-c * c * ws * ftv * s),
+                     np.cos(arg) + 1j * np.sin(arg))
 
 
-def strip_functional(profile, interaction, k, xi, *, modulus=True):
-    """The strip functional at one point xi, the scan's L(k, xi) (by default the majorant):
-    what(k) Psi(conj xi) = -4 pi^2 what(k) int_0^inf e^{2 pi |k| conj(xi) t} |ft(kt)| k^2 t dt."""
-    psi = _strip_transform(profile, [xi.real], [-xi.imag], modulus=modulus, sign=np.sign(k))
-    return float(interaction.what(np.array(k))) * complex(psi[0, 0])
+def strip_functional(profile, interaction, k, xi):
+    """The strip functional at one point xi, the scan's L(k, xi):
+    what(k) Psi(conj xi) = -4 pi^2 what(k) int_0^inf e^{2 pi |k| conj(xi) t} ft(kt) k^2 t dt."""
+    return complex(per_point_kernel_transform(profile, interaction, k, np.conj(xi)))
 
 
 def per_width_root_scan(profile, interaction, k):
@@ -86,7 +91,7 @@ def per_width_root_scan(profile, interaction, k):
     ims = np.linspace(0.0, linear._ROOT_IM_MAX, linear._ROOT_IM_POINTS)
     best = (np.inf, 0j)
     for w in widths:
-        g = np.abs(per_point_kernel_transform(profile, interaction, k, w + 1j * ims, modulus=False) - 1.0)
+        g = np.abs(per_point_kernel_transform(profile, interaction, k, w + 1j * ims) - 1.0)
         j = int(np.argmin(g))
         if g[j] < best[0]:
             best = (g[j], complex(w, ims[j]))
@@ -97,12 +102,13 @@ def per_width_root_scan(profile, interaction, k):
 
 
 def per_point_margin_scan(profile, interaction, lambda_strip, k_max=4):
-    """(kappa_est, worst_k, worst_xi) of `scan_stability_margin`, one transform per strip point."""
+    """(kappa_est, worst_k, worst_xi) of `scan_stability_margin`, one transform per mode
+    and sign, k = 1..k_max and then k = -1..-k_max."""
     res = np.linspace(0.0, lambda_strip, linear._STRIP_RE_POINTS, endpoint=False)
     ims = np.linspace(0.0, linear._STRIP_IM_MAX, linear._STRIP_IM_POINTS)
     best = (np.inf, 1, 0j)
-    for k in range(1, k_max + 1):
-        vals = per_point_kernel_transform(profile, interaction, k, res[:, None] + 1j * ims[None, :], modulus=True)
+    for k in [*range(1, k_max + 1), *range(-1, -k_max - 1, -1)]:
+        vals = per_point_kernel_transform(profile, interaction, k, res[:, None] + 1j * ims[None, :])
         gaps = np.abs(vals - 1.0)
         i = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
         if gaps[i] < best[0]:
@@ -149,71 +155,111 @@ def test_kernel_complex_for_drifting_profile():
 
 
 def test_majorant_functional_differs_from_true_transform_when_not_even():
-    # the strip functional integrates |ft| and is a majorant; for a drifting
-    # profile it must not be confused with the true transform of the kernel
+    # the strip functional is the true transform of the kernel; for a drifting
+    # profile the transform of |ft|, a majorant, is a different function
     bump = bump_on_tail(weight=0.2, drift=2.0)
     xi = 0.1 + 0.0j
-    majorant = strip_functional(bump, COULOMB, 1, xi)
 
-    def integrand(t):
-        return np.exp(2 * np.pi * np.conj(xi) * t) * memory_kernel(bump, COULOMB, 1, t)
+    def integrand(t, modulus):
+        kern = memory_kernel(bump, COULOMB, 1, t)
+        return np.exp(2 * np.pi * np.conj(xi) * t) * (-abs(kern) if modulus else kern)
 
-    true_transform = quad(integrand, 0, 12, complex_func=True, limit=400)[0]
+    true_transform, majorant = (quad(integrand, 0, 12, args=(m,), complex_func=True, limit=400)[0]
+                                for m in (False, True))
+    assert strip_functional(bump, COULOMB, 1, xi) == pytest.approx(true_transform, rel=1e-9)
     assert abs(majorant - true_transform) > 0.1 * abs(majorant)
 
 
 # ---------------------------------------------------------------------------
-# product-grid strip transform
+# closed-form transform
 
 
-@pytest.mark.parametrize("modulus", [True, False])
+def psi_oracle(profile, xi, sign):
+    """(Psi, Psi') at one point by adaptive quadrature of their s-integrals, to
+    relative 1e-13 (absolute 1e-16) on each of the real and imaginary parts."""
+    horizon = 12.0 / np.sqrt(min(th for _, _, th in profile.components))
+
+    def part(power, f):
+        return quad(lambda s: f(np.exp(2 * np.pi * xi * s) * profile.ft(sign * s) * s**power),
+                    0, horizon, epsabs=1e-16, epsrel=1e-13, limit=500)[0]
+
+    return tuple(c * complex(part(p, np.real), part(p, np.imag))
+                 for c, p in ((-FOUR_PI2, 1), (-8 * np.pi**3, 2)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_faddeeva_matches_wofz_in_both_half_planes():
+    # every argument -i b / (2 sqrt a) of the scans and more: Re xi in
+    # [-0.5, 0.6], |Im xi| <= 60, |u| <= 3, theta in {0.25, 0.5, 1}, plus
+    # Re xi = -40, where exp(-z^2) overflows, so no branch may evaluate it there
+    xi = np.r_[np.linspace(-0.5, 0.6, 23), -40.0][:, None] + 1j * np.linspace(-60.0, 60.0, 241)
+    z = np.concatenate([((-1j * xi - u) / np.sqrt(2 * theta)).ravel()
+                        for u in np.linspace(-3.0, 3.0, 7) for theta in (0.25, 0.5, 1.0)])
+    assert np.any(z.imag < 0) and np.any(z.imag > 0) and np.any(z.imag == 0)
+    ref = wofz(z)
+    assert np.max(np.abs(_faddeeva(z) - ref) / np.abs(ref)) <= 1e-13
+    assert complex(_faddeeva(0.3 - 0.2j)) == pytest.approx(complex(wofz(0.3 - 0.2j)), rel=1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+# quad can flag roundoff short of 1e-13 on a part; the values agree to 2e-13
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("profile", [MAX, bi_maxwellian(drift=2.0), bi_maxwellian(2.0, 1.0, 0.5, 0.3), bump_on_tail()],
+                         ids=["maxwellian", "even_bi_maxwellian", "asymmetric_bi_maxwellian", "bump_on_tail"])
+def test_psi_and_its_derivative_match_quadrature(profile):
+    xis = np.array([0.0, 0.3 + 1.7j, 0.45 - 2.5j, -0.4 + 0.8j, -0.2 - 2.5j, -3.0 + 4.0j])
+    for sign in (1, -1):
+        psi, dpsi = _psi(profile, xis, sign)
+        for x, p, dp in zip(xis, psi, dpsi):
+            want, dwant = psi_oracle(profile, x, sign)
+            assert complex(p) == pytest.approx(want, rel=1e-12)
+            assert complex(dp) == pytest.approx(dwant, rel=1e-12)
+
+
+@pytest.mark.parametrize("left_half_plane", [True, False])
 @pytest.mark.parametrize("profile", [MAX, bump_on_tail(weight=0.2, drift=2.0)], ids=["maxwellian", "drifting_bump"])
-def test_strip_transform_matches_per_point_sum(profile, modulus):
-    res = np.linspace(0.0, 0.45, 6)
+def test_strip_transform_matches_per_point_sum(profile, left_half_plane):
+    # the closed form on a grid of the strip, or of Re xi < 0 where the
+    # growing modes live, against a long-double quadrature
+    res = np.linspace(-0.45, 0.0, 6) if left_half_plane else np.linspace(0.0, 0.45, 6)
     ims = np.linspace(-6.0, 6.0, 49)  # negative Im values included
     for sign in (1, -1):
-        got = _strip_transform(profile, res, ims, modulus=modulus, sign=sign)
-        ref = long_double_kernel_transform(profile, res, ims, modulus=modulus, sign=sign)
+        got = _psi(profile, res[:, None] + 1j * ims, sign)[0]
+        ref = long_double_kernel_transform(profile, res, ims, sign=sign)
         assert got.shape == (len(res), len(ims))
-        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(got, ref.astype(complex), rtol=1e-13, atol=0)
+
+
+def test_psi_is_elementwise_on_any_grid():
+    # no grid rule: an irregular grid gives each point's own value
+    xis = np.array([[0.0, 0.3 - 2.0j, 0.1 + 5.0j], [-0.7 + 0.2j, 0.45 + 0.0j, 2.0 - 1.0j]])
+    bump = bump_on_tail(weight=0.2, drift=2.0)
+    psi, dpsi = _psi(bump, xis, -1)
+    for idx in np.ndindex(xis.shape):
+        p, dp = _psi(bump, xis[idx], -1)
+        assert (p.shape, dp.shape) == ((), ())
+        assert (psi[idx], dpsi[idx]) == pytest.approx((complex(p), complex(dp)), rel=1e-15)
 
 
 def test_strip_transform_zero_interaction_is_exactly_zero():
-    for modulus in (True, False):
-        for k in (1, -2):
-            for xi in (0j, 0.3 - 2.0j, 0.3 + 5.0j):
-                assert strip_functional(MAX, zero_interaction(), k, xi, modulus=modulus) == 0.0
-
-
-def test_strip_transform_rejects_a_non_arithmetic_im_grid():
-    with pytest.raises(ValueError, match="arithmetic progression"):
-        _strip_transform(MAX, [0.0, 0.3], [-2.0, 0.0, 5.0], modulus=True)
-
-
-@pytest.mark.parametrize("widen", [1, 4])
-def test_strip_transform_forms_no_full_phase_table(widen):
-    # certify's grid, and one with a 4x wider Im window (4x the nodes): one
-    # (161, nodes) complex phase table is the bound to stay under
-    res = np.linspace(0.0, 0.5, linear._STRIP_RE_POINTS, endpoint=False)
-    ims = np.linspace(0.0, widen * linear._STRIP_IM_MAX, linear._STRIP_IM_POINTS)
-    s, _ = _laplace_nodes(MAX, float(res[-1]), float(ims[-1]), modulus=True)
-    tracemalloc.start()
-    try:
-        _strip_transform(MAX, res, ims, modulus=True)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < len(ims) * len(s) * np.dtype(complex).itemsize
+    for k in (1, -2):
+        for xi in (0j, 0.3 - 2.0j, 0.3 + 5.0j):
+            assert strip_functional(MAX, zero_interaction(), k, xi) == 0.0
 
 
 def test_laplace_exponent_overflow_is_a_numeric_error():
-    # a stored width of 30-40 puts 2 pi |k| Re(zeta) t far past exp(600) at the horizon
-    with pytest.raises(NumericError, match="Laplace exponent overflow"):
-        root_scan(replace(maxwellian(), lam=30.0), COULOMB, 1)
-    with pytest.raises(NumericError, match="Laplace exponent overflow"):
-        scan_stability_margin(replace(maxwellian(), lam=40.0), COULOMB, 30.0, 0.05)
-    with pytest.raises(NumericError, match="Laplace exponent overflow"):
-        strip_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 30.0 + 1.0j)
+    # Psi grows like exp(b^2 / 4a) = exp(Re(xi)^2 / 2 theta) on the real axis,
+    # past the largest double for Re xi > 37.7 at theta = 1
+    with pytest.raises(NumericError, match="Laplace transform overflow"):
+        root_scan(replace(maxwellian(), lam=40.0), COULOMB, 1)
+    with pytest.raises(NumericError, match="Laplace transform overflow"):
+        scan_stability_margin(replace(maxwellian(), lam=50.0), COULOMB, 45.0, 0.05)
+    with pytest.raises(NumericError, match="Laplace transform overflow"):
+        strip_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 38.0 + 1.0j)
+    # the closed form needs no horizon: width 30 is finite
+    assert np.isfinite(root_scan(replace(maxwellian(), lam=30.0), COULOMB, 1).rate)
+    assert np.isfinite(scan_stability_margin(replace(maxwellian(), lam=40.0), COULOMB, 30.0, 0.05).kappa_est)
+    assert np.isfinite(strip_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 30.0 + 1.0j))
 
 
 # ---------------------------------------------------------------------------
@@ -233,24 +279,17 @@ def test_functional_gaussian_value_at_origin():
 
 def test_functional_matches_adaptive_quadrature():
     # L(k, xi) = what(k) Psi(xi): one profile transform, scaled per mode, against
-    # each mode's own t-integral, for both signs of k, |ft| and ft, and a
-    # profile whose transform is not real.  Psi is taken on the nodes of the
-    # margin scan's Im window, the only window on which the program integrates
-    # |ft|; the drifting bump's |ft| dips near s = 0.27, and a single-point
-    # window at Im 1.7 leaves that integral 6e-6 off.
+    # each mode's own t-integral, for both signs of k and a profile whose
+    # transform is not real
     xi = 0.3 + 1.7j
     for profile in (MAX, bump_on_tail(weight=0.2, drift=2.0)):
-        for modulus in (True, False):
-            for k in (1, 2, 3, 4, -2):
-                def integrand(t):
-                    ftv = profile.ft(k * t)
-                    return np.exp(2 * np.pi * abs(k) * np.conj(xi) * t) * (abs(ftv) if modulus else ftv) * k**2 * t
+        for k in (1, 2, 3, 4, -2):
+            def integrand(t):
+                return np.exp(2 * np.pi * abs(k) * np.conj(xi) * t) * profile.ft(k * t) * k**2 * t
 
-                oracle = quad(integrand, 0, 10, complex_func=True, limit=400)[0]
-                oracle *= -FOUR_PI2 * float(COULOMB.what(k))
-                psi = _strip_transform(profile, [xi.real], [-xi.imag, linear._STRIP_IM_MAX], modulus=modulus,
-                                       sign=np.sign(k))
-                assert float(COULOMB.what(k)) * complex(psi[0, 0]) == pytest.approx(oracle, rel=1e-9)
+            oracle = quad(integrand, 0, 10, complex_func=True, limit=400)[0]
+            oracle *= -FOUR_PI2 * float(COULOMB.what(k))
+            assert strip_functional(profile, COULOMB, k, xi) == pytest.approx(oracle, rel=1e-9)
 
 
 def test_functional_modulus_bounded_by_real_axis():
@@ -287,7 +326,7 @@ def test_margin_super_jeans_fails():
 def test_margin_counts_a_two_stream_unstable_mode_under_coulomb():
     # two counter-drifting Maxwellians: Psi(0) = int f0'(v) / v dv > 0, so a
     # repulsive interaction with what(1) Psi(0) > 1 has a growing real root
-    # (Penrose); at 200 the sampled strip alone passes (kappa_est 0.092, no warning)
+    # (Penrose)
     profile = bi_maxwellian(drift=2.0)
     v = np.linspace(-14.0, 14.0, 28000)  # an even count: no sample at v = 0
     penrose = float(np.sum(profile.dpdf(v) / v) * (v[1] - v[0]))
@@ -297,8 +336,27 @@ def test_margin_counts_a_two_stream_unstable_mode_under_coulomb():
         interaction = builtin_interaction("coulomb", strength)
         assert (float(interaction.what(1)) * psi0 > 1.0) == bool(unstable)
         rep = scan_stability_margin(profile, interaction, 0.25, 0.05, k_max=8)
-        assert rep.unstable_modes == unstable
-        assert rep.kappa_est >= 0.05 and rep.warnings == () and rep.passed is not bool(unstable)
+        assert rep.unstable_modes == unstable and rep.warnings == () and not rep.passed
+    # at 100 the mode is stable but damps slowly: root_scan's real root lies
+    # inside the 0.25 strip, and the scan fails on the sample next to it
+    interaction = builtin_interaction("coulomb", 100.0)
+    root = root_scan(profile, interaction, 1).root
+    assert root == pytest.approx(0.19623, abs=1e-5)
+    rep = scan_stability_margin(profile, interaction, 0.25, 0.05, k_max=8)
+    assert rep.kappa_est < 0.05 and rep.worst_k == 1
+    assert abs(rep.worst_xi - root) <= 0.25 / linear._STRIP_RE_POINTS
+    # a strip below the root passes
+    rep = scan_stability_margin(profile, interaction, 0.15, 0.05, k_max=8)
+    assert rep.passed and rep.unstable_modes == 0 and rep.kappa_est >= 0.05
+
+
+def test_margin_of_a_mirrored_drift_lies_on_the_negative_sign():
+    # v -> -v swaps ft(s) and ft(-s): the same gaps, found on the sign k < 0
+    interaction = builtin_interaction("coulomb", 16.0 * np.pi**2)
+    rep = scan_stability_margin(bump_on_tail(weight=0.2, drift=2.0), interaction, 0.25, 0.05)
+    mirrored = scan_stability_margin(bump_on_tail(weight=0.2, drift=-2.0), interaction, 0.25, 0.05)
+    assert (rep.worst_k, mirrored.worst_k) == (1, -1) and "worst_k = -1\n" in mirrored.to_text()
+    assert (mirrored.worst_xi, mirrored.kappa_est) == (rep.worst_xi, rep.kappa_est)
 
 
 def test_margin_leaves_a_non_even_profile_unchecked():
@@ -332,28 +390,43 @@ def clear_profile_memos():
         memo.cache_clear()
 
 
-def test_scans_evaluate_ft_on_one_node_set(monkeypatch):
-    # every mode scales one Psi: one ft call on the strip's nodes, whatever k_max
+def counting_psi(monkeypatch):
+    """Record the sign of every `_psi` evaluation."""
+    signs = []
+
+    def psi(profile, xi, sign):
+        signs.append(sign)
+        return _psi(profile, xi, sign)
+
+    monkeypatch.setattr(linear, "_psi", psi)
+    return signs
+
+
+def test_scans_evaluate_psi_once_per_grid_and_sign(monkeypatch):
+    # every mode scales one Psi per sign: two closed-form grids, whatever
+    # k_max, one when the profile is even (ft(-s) = ft(s)), and no ft call
     newton = builtin_interaction("newton", 20.0)
-    s, _ = _laplace_nodes(MAX, 0.5 * 7 / 8, linear._STRIP_IM_MAX, modulus=True)
-    for k_max in (4, 8):
-        clear_profile_memos()
-        profile, sizes = counting_ft(MAX)
-        scan_stability_margin(profile, newton, 0.5, 0.05, k_max=k_max)
-        assert sizes == [len(s)]
-    # root_scan: one ft call on the cap width's nodes before Newton starts
+    signs = counting_psi(monkeypatch)
+    for base, want in ((MAX, [1]), (bi_maxwellian(drift=2.0), [1]), (bump_on_tail(), [1, -1])):
+        for k_max in (4, 8):
+            clear_profile_memos()
+            signs.clear()
+            profile, sizes = counting_ft(base)
+            scan_stability_margin(profile, newton, 0.25, 0.05, k_max=k_max)
+            assert signs == want and sizes == []
+    # root_scan: one grid of its sign before Newton starts, then one point per iterate
     clear_profile_memos()
+    signs.clear()
     profile, sizes = counting_ft(MAX)
     calls_before_newton = []
 
     def recording_newton(*args):
-        calls_before_newton.append(len(sizes))
+        calls_before_newton.append(list(signs))
         return _root_newton(*args)
 
     monkeypatch.setattr(linear, "_root_newton", recording_newton)
-    assert root_scan(profile, STRONG, 2).root is not None
-    s, _ = _laplace_nodes(MAX, MAX.lam, linear._ROOT_IM_MAX, modulus=False)
-    assert calls_before_newton == [1] and sizes[0] == len(s)
+    assert root_scan(profile, STRONG, -2).root is not None
+    assert calls_before_newton == [[-1]] and len(signs) > 1 and set(signs) == {-1} and sizes == []
 
 
 def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
@@ -367,12 +440,13 @@ def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
                 root_scan(profile, COULOMB, 1))
 
     first = scans(MAX)
+    signs = counting_psi(monkeypatch)
     profile, sizes = counting_ft(MAX)
     assert scans(profile) == first
-    assert sizes == []
-    # the other sign of k integrates ft(-s): a transform of its own
+    assert signs == [] and sizes == []
+    # the other sign of k transforms ft(-s): a grid of its own
     root_scan(profile, COULOMB, -1)
-    assert len(sizes) == 1
+    assert signs == [-1] and sizes == []
 
 
 def test_cached_transforms_are_read_only():
