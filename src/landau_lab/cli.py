@@ -5,7 +5,7 @@
     landau-lab sweep <config-template> --param key=1..8 [--jobs N]
 
 Every run writes ``run.meta`` next to its CSV and SVG artifacts: status,
-the resolved config sections the experiment reads and their hash, the
+the resolved config keys the experiment reads and their hash, the
 recurrence horizon where the experiment reads a grid, and the artifact
 list.  The output directory comes from the config; the LANDAU_LAB_OUTPUT_ROOT
 environment variable prepends an output root.  Exit codes: 0 ok, 2 config
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import _SCHEMA, ExperimentConfig, load_config
+from .config import _SCHEMA, EXPERIMENTS, ExperimentConfig, load_config
 from .errors import ConfigError, LandauLabError
 from .linear import (fit_decay_rate, monotone_criterion, root_scan, scan_stability_margin, smallness_criterion,
                      solve_volterra, write_columns_csv, write_modes_csv)
@@ -46,9 +46,13 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 
 def _write_meta(out: Path, cfg: ExperimentConfig, extra: dict, artifacts: list[str], status: str) -> None:
-    """Write ``run.meta``; it records, and hashes, only the config sections the experiment reads."""
-    config_lines = [f"config.{section}.{key} = {v}" for section in sorted(_SECTIONS[cfg.experiment])
-                    for key, v in sorted(cfg.values[section].items()) if v is not None]
+    """Write ``run.meta``; it records, and hashes, only the config keys the experiment reads."""
+    reads = []
+    for entry in EXPERIMENTS[cfg.experiment]:
+        section, _, key = entry.partition(".")
+        reads += [(section, k) for k in ([key] if key else cfg.values[section])]
+    config_lines = [f"config.{section}.{key} = {v}" for section, key in sorted(reads)
+                    if (v := cfg.values[section][key]) is not None]
     digest = hashlib.sha256("\n".join(config_lines).encode()).hexdigest()[:16]
     lines = [
         f"status = {status}",
@@ -225,10 +229,9 @@ def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
     """
     t = state.time
     tau = t if sec["tau"] is None else sec["tau"]
-    p = {"1": 1, "2": 2, "inf": np.inf}[sec["p"]]
     head = [f"{t:.17g}"]
     params = [f"{sec['lam']:.17g}", f"{sec['mu']:.17g}", f"{sec['gamma']:.17g}"]
-    spec = GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=p,
+    spec = GlidingNormSpec(lam=sec["lam"], mu=sec["mu"], gamma=sec["gamma"], p=sec["p"],
                            tau=tau, n_max=sec["n_max"], k_max=sec["k_max"])
     g = gliding_norm(state, spec)
     raw = _rho_hat(state.spectrum[: sec["k_max"] + 1], state.nx, state.dv)
@@ -237,7 +240,7 @@ def _norm_rows(state: PhaseSpaceField, sec: dict) -> list[list[str]]:
     s = spatial_norm(coeffs, weight=sec["lam"] * tau + sec["mu"], gamma=sec["gamma"])
     a = analytic_norm(state, AnalyticNormSpec(lam=sec["lam"], mu=sec["mu"], beta=_ANALYTIC_BETA))
     return [
-        head + ["gliding", *params, sec["p"], f"{tau:.17g}", f"{g.value:.17g}", f"{g.remainder:.17g}"],
+        head + ["gliding", *params, str(sec["p"]), f"{tau:.17g}", f"{g.value:.17g}", f"{g.remainder:.17g}"],
         head + ["spatial", *params, "", f"{tau:.17g}", f"{s:.17g}", "0"],
         head + ["analytic", *params, "", f"{tau:.17g}", f"{a:.17g}", "0"],
     ]
@@ -265,23 +268,11 @@ _DISPATCH = {
     "norms": _experiment_norms,
 }
 
-# the config sections each experiment reads, `run_experiment`'s own reads
-# included: run.meta records and hashes these alone
-_SECTIONS = {
-    "linear_damping": ("experiment", "profile", "interaction", "time", "linear", "output"),
-    "nonlinear_damping": ("experiment", "profile", "interaction", "grid", "time", "perturbation", "observables",
-                          "linear", "output"),
-    "certify": ("experiment", "profile", "interaction", "certify", "output"),
-    "echo": ("experiment", "profile", "interaction", "grid", "time", "echo", "output"),
-    "norms": ("experiment", "profile", "interaction", "grid", "time", "perturbation", "norms", "output"),
-}
-
-
 def run_experiment(cfg: ExperimentConfig) -> int:
     """Execute one experiment; writes artifacts and run.meta, returns exit code."""
     out = _out_dir(cfg)
     try:
-        if "certify" in _SECTIONS[cfg.experiment] and cfg.get("certify", "lambda_strip") is None:
+        if "certify" in EXPERIMENTS[cfg.experiment] and cfg.get("certify", "lambda_strip") is None:
             cfg = cfg.replace("certify", "lambda_strip", repr(0.5 * cfg.build_profile().lam))
         meta, artifacts, code = _DISPATCH[cfg.experiment](cfg, out)
     except (ConfigError, ValueError) as exc:
@@ -294,7 +285,7 @@ def run_experiment(cfg: ExperimentConfig) -> int:
         _write_meta(out, cfg, {"error": str(exc)}, _partial_artifacts(out), status="failed:numeric")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    if "grid" in _SECTIONS[cfg.experiment]:
+    if "grid" in EXPERIMENTS[cfg.experiment]:
         grid = cfg.values["grid"]
         meta["recurrence_time"] = f"{recurrence_time(grid['nv'], grid['vmax'], 1):.12g}"
     _write_meta(out, cfg, meta, artifacts, status="ok" if code == EXIT_OK else "certification_failed")

@@ -2,7 +2,10 @@
 
 The file format is INI-style sections of scalar keys.  Unknown sections or
 keys are hard errors (no silent typos), and parse failures carry line
-numbers.  Structured values use compact item syntax:
+numbers.  A schema row is (parser, default, validator), the parser taking
+the key's text to its value.  `EXPERIMENTS` is the one table of experiments
+and the config each reads.  Structured values use compact item syntax (an
+item with a wrong field count is an error naming its form):
 
     modes  = k:amplitude[:phase]; ...
     kicks  = time:mode:amplitude[:phase]; ...
@@ -12,6 +15,7 @@ numbers.  Structured values use compact item syntax:
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field as dataclass_field, replace as dataclass_replace
 from pathlib import Path
 
@@ -21,7 +25,18 @@ from .sim import KickEvent, PerturbationMode, PerturbationSpec, _require_power_o
 
 __all__ = ["ExperimentConfig", "load_config", "loads_config"]
 
-EXPERIMENTS = ("linear_damping", "nonlinear_damping", "certify", "echo", "norms")
+# experiment -> the config it reads, `cli.run_experiment`'s own reads
+# included: a whole section, or "section.key" for one key.  run.meta records
+# and hashes these alone.
+_COMMON = ("experiment", "profile", "interaction", "output")
+EXPERIMENTS = {
+    "linear_damping": (*_COMMON, "time.dt", "time.t_end", "linear"),
+    "nonlinear_damping": (*_COMMON, "grid", "time", "perturbation", "observables",
+                          "linear.fit_t_min", "linear.fit_t_max"),
+    "certify": (*_COMMON, "certify"),
+    "echo": (*_COMMON, "grid", "time.dt", "time.observe_stride", "echo"),
+    "norms": (*_COMMON, "grid", "time.dt", "perturbation", "norms"),
+}
 
 _REQUIRED = object()
 
@@ -34,118 +49,113 @@ def _nonnegative(x):
     return x >= 0
 
 
-# section -> key -> (type tag, default, validator or None); a None default
+def _list(item):
+    """Parser of a comma-separated list, each entry parsed by ``item``."""
+    return lambda raw: tuple(item(p) for p in raw.split(",") if p.strip())
+
+
+def _items(form: str, build, *fields):
+    """Parser of ``;``-separated items in ``form``, such as "k:amplitude[:phase]": ``fields``
+    parse an item's ``:``-separated fields for ``build``, and a bracketed last field may be left out."""
+    least = len(fields) - form.count("[")
+
+    def parse(raw: str) -> tuple:
+        items = []
+        for item in filter(None, (s.strip() for s in raw.split(";"))):
+            parts = item.split(":")
+            if not least <= len(parts) <= len(fields):
+                raise ValueError(f"expected {form}")
+            items.append(build(*(f(part) for f, part in zip(fields, parts))))
+        return tuple(items)
+    return parse
+
+
+def _choice(what: str, options):
+    """Parser of one of the ``options`` texts, giving its value (a tuple of names gives the name)."""
+    options = options if isinstance(options, dict) else dict(zip(options, options))
+
+    def parse(raw: str):
+        text = raw.strip()
+        if text not in options:
+            raise ValueError(f"unknown {what} {text!r}; known: {', '.join(options)}")
+        return options[text]
+    return parse
+
+
+# section -> key -> (parser, default, validator or None); a None default
 # marks an optional key that stays unset unless the file gives it
-_SCHEMA: dict[str, dict[str, tuple[str, object, object]]] = {
+_SCHEMA: dict[str, dict[str, tuple[object, object, object]]] = {
     "experiment": {
-        "name": ("str", _REQUIRED, None),
+        "name": (_choice("experiment", tuple(EXPERIMENTS)), _REQUIRED, None),
     },
     "profile": {
-        "name": ("str", "maxwellian", None),
-        "params": ("floats", (), None),
-        "lam": ("float", None, _positive),
-        "c0": ("float", None, _positive),
+        "name": (str.strip, "maxwellian", None),
+        "params": (_list(float), (), None),
+        "lam": (float, None, _positive),
+        "c0": (float, None, _positive),
     },
     "interaction": {
-        "kind": ("str", "coulomb", None),
-        "strength": ("float", 1.0, _positive),
-        "screening": ("float", None, _positive),
+        "kind": (_choice("interaction kind", ("coulomb", "newton", "screened", "none")), "coulomb", None),
+        "strength": (float, 1.0, _positive),
+        "screening": (float, None, _positive),
     },
     "grid": {
-        "nx": ("int", 64, _positive),
-        "nv": ("int", 1024, _positive),
-        "vmax": ("float", 8.0, _positive),
+        "nx": (int, 64, _positive),
+        "nv": (int, 1024, _positive),
+        "vmax": (float, 8.0, _positive),
     },
     "time": {
-        "dt": ("float", 0.03125, _positive),
-        "t_end": ("float", 20.0, _positive),
-        "observe_stride": ("int", 1, _positive),
+        "dt": (float, 0.03125, _positive),
+        "t_end": (float, 20.0, _positive),
+        "observe_stride": (int, 1, _positive),
     },
     "perturbation": {
-        "modes": ("modes", (), None),
-        "kicks": ("kicks", (), None),
+        "modes": (_items("k:amplitude[:phase]", PerturbationMode, int, float, float), (), None),
+        "kicks": (_items("time:mode:amplitude[:phase]", KickEvent, float, int, float, float), (), None),
     },
     "observables": {
-        "k_obs": ("int", 4, _positive),
-        "ftilde": ("pairs", (), None),
+        "k_obs": (int, 4, _positive),
+        "ftilde": (_items("k:eta", lambda k, eta: (k, eta), int, float), (), None),
     },
     "output": {
-        "dir": ("str", "out", None),
+        "dir": (str.strip, "out", None),
     },
     "linear": {
-        "k_list": ("ints", (1,), None),
-        "amplitude": ("float", 1e-3, _positive),
-        "fit_t_min": ("float", None, _nonnegative),
-        "fit_t_max": ("float", None, _positive),
+        "k_list": (_list(int), (1,), None),
+        "amplitude": (float, 1e-3, _positive),
+        "fit_t_min": (float, None, _nonnegative),
+        "fit_t_max": (float, None, _positive),
     },
     "certify": {
-        "lambda_strip": ("float", None, _positive),  # unset: half the profile's width
-        "kappa": ("float", 0.05, _positive),
-        "k_max": ("int", 4, _positive),
+        "lambda_strip": (float, None, _positive),  # unset: half the profile's width
+        "kappa": (float, 0.05, _positive),
+        "k_max": (int, 4, _positive),
     },
     "echo": {
-        "k_initial": ("int", 1, None),
-        "kick_mode": ("int", -2, None),
-        "tau_kick": ("float", 4.0, _positive),
-        "amp_initial": ("float", 1e-3, _positive),
-        "amp_kick": ("float", 1e-3, _nonnegative),
+        "k_initial": (int, 1, None),
+        "kick_mode": (int, -2, None),
+        "tau_kick": (float, 4.0, _positive),
+        "amp_initial": (float, 1e-3, _positive),
+        "amp_kick": (float, 1e-3, _nonnegative),
     },
     "norms": {
-        "lam": ("float", 0.4, _positive),
-        "mu": ("float", 0.05, _nonnegative),
-        "gamma": ("float", 0.0, _nonnegative),
-        "p": ("str", "1", None),
-        "tau": ("float", None, _nonnegative),  # unset: tau follows the snapshot time
-        "n_max": ("int", 24, _positive),
-        "k_max": ("int", 4, _positive),
-        "times": ("floats", (0.0, 1.0, 2.0, 4.0), None),
+        "lam": (float, 0.4, _positive),
+        "mu": (float, 0.05, _nonnegative),
+        "gamma": (float, 0.0, _nonnegative),
+        "p": (_choice("p", {"1": 1, "2": 2, "inf": math.inf}), 1, None),
+        "tau": (float, None, _nonnegative),  # unset: tau follows the snapshot time
+        "n_max": (int, 24, _positive),
+        "k_max": (int, 4, _positive),
+        "times": (_list(float), (0.0, 1.0, 2.0, 4.0), None),
     },
 }
 
 
-def _parse_scalar(section: str, key: str, raw: str, kind: str):
+def _parse(section: str, key: str, raw: str):
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return float(raw)
-        if kind == "str":
-            return raw.strip()
-        if kind == "floats":
-            return tuple(float(p) for p in raw.split(",") if p.strip()) if raw.strip() else ()
-        if kind == "ints":
-            return tuple(int(p) for p in raw.split(",") if p.strip()) if raw.strip() else ()
-        if kind == "pairs":
-            items = []
-            for item in filter(None, (s.strip() for s in raw.split(";"))):
-                k, eta = item.split(":")
-                items.append((int(k), float(eta)))
-            return tuple(items)
-        if kind == "modes":
-            items = []
-            for item in filter(None, (s.strip() for s in raw.split(";"))):
-                parts = item.split(":")
-                if not 2 <= len(parts) <= 3:
-                    raise ValueError("expected k:amplitude[:phase]")
-                items.append(PerturbationMode(
-                    k=int(parts[0]), amplitude=float(parts[1]),
-                    phase=float(parts[2]) if len(parts) > 2 else 0.0,
-                ))
-            return tuple(items)
-        if kind == "kicks":
-            items = []
-            for item in filter(None, (s.strip() for s in raw.split(";"))):
-                parts = item.split(":")
-                if not 3 <= len(parts) <= 4:
-                    raise ValueError("expected time:mode:amplitude[:phase]")
-                items.append(KickEvent(
-                    time=float(parts[0]), mode=int(parts[1]), amplitude=float(parts[2]),
-                    phase=float(parts[3]) if len(parts) > 3 else 0.0,
-                ))
-            return tuple(items)
+        return _SCHEMA[section][key][0](raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"invalid value for [{section}] {key} = {raw!r}: {exc}") from None
-    raise AssertionError(f"unhandled kind {kind}")
 
 
 @dataclass(frozen=True)
@@ -165,9 +175,8 @@ class ExperimentConfig:
         """New config with one key re-parsed from its text form (sweep support)."""
         if section not in _SCHEMA or key not in _SCHEMA[section]:
             raise ConfigError(f"unknown key [{section}] {key}")
-        kind = _SCHEMA[section][key][0]
         values = {s: dict(kv) for s, kv in self.values.items()}
-        values[section][key] = _parse_scalar(section, key, raw, kind)
+        values[section][key] = _parse(section, key, raw)
         cfg = ExperimentConfig(values=values)
         _validate(cfg)
         return cfg
@@ -200,22 +209,13 @@ def _validate(cfg: ExperimentConfig) -> None:
             value = cfg.values[section][key]
             if value is not None and validator is not None and not validator(value):
                 raise ConfigError(f"value out of range for [{section}] {key}: {value!r}")
-    name = cfg.values["experiment"]["name"]
-    if name not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
-    kind = cfg.values["interaction"]["kind"]
-    if kind not in ("coulomb", "newton", "screened", "none"):
-        raise ConfigError(f"unknown interaction kind {kind!r}")
-    if kind == "screened" and cfg.values["interaction"]["screening"] is None:
+    if cfg.values["interaction"]["kind"] == "screened" and cfg.values["interaction"]["screening"] is None:
         raise ConfigError("screened interaction requires [interaction] screening")
     for key in ("nx", "nv"):
         try:
             _require_power_of_two(cfg.values["grid"][key], f"[grid] {key}")
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    p = cfg.values["norms"]["p"]
-    if p not in ("1", "2", "inf"):
-        raise ConfigError(f"[norms] p must be 1, 2 or inf, got {p!r}")
 
 
 def loads_config(text: str, source: str = "<memory>") -> ExperimentConfig:
@@ -235,14 +235,11 @@ def loads_config(text: str, source: str = "<memory>") -> ExperimentConfig:
                 raise ConfigError(f"unknown key {key!r} in section [{section}] of {source}")
     for section, keys in _SCHEMA.items():
         values[section] = {}
-        for key, (kind, default, _) in keys.items():
-            if parser.has_option(section, key):
-                value = _parse_scalar(section, key, parser.get(section, key), kind)
-            elif default is _REQUIRED:
+        for key, (_, default, _) in keys.items():
+            given = parser.has_option(section, key)
+            if not given and default is _REQUIRED:
                 raise ConfigError(f"missing required key [{section}] {key} in {source}")
-            else:
-                value = default
-            values[section][key] = value
+            values[section][key] = _parse(section, key, parser.get(section, key)) if given else default
 
     cfg = ExperimentConfig(values=values)
     _validate(cfg)

@@ -377,6 +377,12 @@ def _small_gain_integral(profile: VelocityProfile) -> float:
 # Volterra solve and rate extraction
 
 
+def _grid_step(t: float, dt: float) -> int:
+    """The step index of time t, or -1 when t is off the step grid (relative tolerance 1e-9)."""
+    n = int(round(t / dt))
+    return n if abs(n * dt - t) <= 1e-9 * max(1.0, abs(t)) else -1
+
+
 def solve_volterra(
     profile: VelocityProfile,
     interaction: Interaction,
@@ -387,13 +393,16 @@ def solve_volterra(
 ) -> ModeHistory:
     """March rho(t) = source(t) + int_0^t K0(t - tau) rho(tau) dtau forward in time.
 
-    Trapezoidal product integration on a uniform grid; second order in dt
+    Trapezoidal product integration on a uniform grid up to ``t_end``, a
+    positive multiple of ``dt`` (else `ValueError`); second order in dt
     (verified by dt-halving).  ``source`` maps the time-grid array to values
     of its shape (else `ValueError`), typically t -> h_i_tilde(k, k t).
     """
-    if dt <= 0 or t_end < dt:
-        raise ValueError("need dt > 0 and t_end >= dt")
-    n = int(round(t_end / dt))
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    n = _grid_step(t_end, dt)
+    if n < 1:
+        raise ValueError(f"t_end = {t_end:g} is not a multiple of dt = {dt:g}")
     times = np.arange(n + 1) * dt
     kern = np.asarray(memory_kernel(profile, interaction, k, times), dtype=complex)
     src = np.asarray(source(times), dtype=complex)

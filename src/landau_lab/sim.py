@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import NumericError
 from .models import Interaction, VelocityProfile
-from .linear import ModeHistory, _read_only, write_columns_csv, write_modes_csv
+from .linear import ModeHistory, _grid_step, _read_only, write_columns_csv, write_modes_csv
 
 __all__ = [
     "PhaseSpaceField",
@@ -450,12 +450,6 @@ def _rho_hat(fk_rows: np.ndarray, nx: int, dv: float) -> np.ndarray:
     their values agree bit for bit.
     """
     return fk_rows.sum(axis=-1) * (dv / nx)
-
-
-def _grid_step(t: float, dt: float) -> int:
-    """The step index of time t, or -1 when t is off the step grid (relative tolerance 1e-9)."""
-    n = int(round(t / dt))
-    return n if abs(n * dt - t) <= 1e-9 * max(1.0, abs(t)) else -1
 
 
 def _trajectory(

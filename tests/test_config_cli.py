@@ -13,7 +13,7 @@ import pytest
 import landau_lab
 from landau_lab import cli
 from landau_lab.cli import _ANALYTIC_BETA, _norm_rows, main, run_experiment
-from landau_lab.config import ExperimentConfig, load_config, loads_config
+from landau_lab.config import _SCHEMA, EXPERIMENTS, ExperimentConfig, load_config, loads_config
 from landau_lab.errors import ConfigError
 from landau_lab.linear import _STRIP_RE_POINTS, root_scan
 from landau_lab.models import bi_maxwellian, builtin_interaction
@@ -133,6 +133,37 @@ def test_mode_items_take_at_most_a_phase():
         loads_config(MINIMAL + "\n[perturbation]\nmodes = 1:1e-3:0:gaussian:0.5\n")
 
 
+@pytest.mark.parametrize("section, key, form, raws", [
+    ("perturbation", "modes", "k:amplitude[:phase]", ("1", "1:1e-3:0:2")),
+    ("perturbation", "kicks", "time:mode:amplitude[:phase]", ("4:-2", "4:-2:1e-3:0:1")),
+    ("observables", "ftilde", "k:eta", ("1", "1:0.5:2")),
+])
+def test_each_item_syntax_names_its_form_on_a_wrong_field_count(section, key, form, raws):
+    for raw in raws:
+        with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} = {raw!r}: expected {form}")):
+            loads_config(MINIMAL + f"\n[{section}]\n{key} = {raw}\n")
+
+
+@pytest.mark.parametrize("section, key, raw, known", [
+    ("norms", "p", "3", "known: 1, 2, inf"),
+    ("interaction", "kind", "yukawa", "known: coulomb, newton, screened, none"),
+    ("experiment", "name", "warp_drive", "known: " + ", ".join(EXPERIMENTS)),
+])
+def test_an_unknown_choice_names_the_known_values(section, key, raw, known):
+    with pytest.raises(ConfigError, match=re.escape(f"[{section}] {key} = {raw!r}: unknown ")) as err:
+        loads_config(MINIMAL.replace("nonlinear_damping", raw) if key == "name" else
+                     MINIMAL + f"\n[{section}]\n{key} = {raw}\n")
+    assert str(err.value).endswith(known)
+    with pytest.raises(ConfigError, match=re.escape(known)):
+        loads_config(MINIMAL).replace(section, key, raw)
+
+
+def test_norm_index_p_parses_to_its_number():
+    assert [loads_config(MINIMAL + f"\n[norms]\np = {raw}\n").get("norms", "p") for raw in ("1", "2", " inf")] == \
+        [1, 2, np.inf]
+    assert loads_config(MINIMAL).get("norms", "p") == 1
+
+
 def test_replace_revalidates():
     cfg = loads_config(MINIMAL)
     cfg2 = cfg.replace("grid", "nv", "512")
@@ -188,6 +219,16 @@ def test_runner_is_deterministic(tmp_path):
     assert code_a == code_b == 0
     assert (out_a / "modes.csv").read_bytes() == (out_b / "modes.csv").read_bytes()
     assert (out_a / "decay.svg").read_bytes() == (out_b / "decay.svg").read_bytes()
+
+
+def test_linear_damping_off_grid_t_end_exits_2(tmp_path, capsys):
+    # as in nonlinear_damping: t_end = 8 is no multiple of dt = 0.03, so no modes.csv row past t_end is written
+    text = LINEAR_FAST.format(out=tmp_path / "out").replace("dt = 0.015625", "dt = 0.03")
+    text = text.replace("t_end = 4", "t_end = 8")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 2
+    assert "t_end = 8 is not a multiple of dt = 0.03" in capsys.readouterr().err
+    assert "status = failed:config" in (tmp_path / "out" / "run.meta").read_text()
+    assert not (tmp_path / "out" / "modes.csv").exists()
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
@@ -600,7 +641,7 @@ def test_phase_space_artifacts_are_byte_identical_across_blas_thread_counts(tmp_
 
 
 # ---------------------------------------------------------------------------
-# run.meta records, and hashes, the config sections the run read
+# run.meta records, and hashes, the config keys the run read
 
 EXPERIMENT_CONFIGS = {
     "linear_damping": LINEAR_FAST.format(out="out"),
@@ -611,34 +652,53 @@ EXPERIMENT_CONFIGS = {
 }
 
 
-class RecordingValues(dict):
-    """Config values that record each section looked up."""
+class RecordingSection(dict):
+    """One config section that records each key looked up, also by ``**section``."""
 
-    def __init__(self, values):
-        super().__init__(values)
-        self.read = set()
+    def __init__(self, section, keys, read):
+        super().__init__(keys)
+        self.section, self.read = section, read
 
-    def __getitem__(self, section):
-        self.read.add(section)
-        return super().__getitem__(section)
+    def __getitem__(self, key):
+        self.read.add((self.section, key))
+        return super().__getitem__(key)
+
+    def __iter__(self):  # an overridden iterator sends ``**section`` through __getitem__
+        return super().__iter__()
+
+
+def _listed_keys(name):
+    """The (section, key) pairs that the experiment table lists for an experiment."""
+    pairs = set()
+    for entry in EXPERIMENTS[name]:
+        section, _, key = entry.partition(".")
+        pairs |= {(section, k) for k in ([key] if key else _SCHEMA[section])}
+    return pairs
+
+
+def test_the_experiment_table_and_the_dispatch_name_the_same_experiments():
+    assert set(cli._DISPATCH) == set(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("name", sorted(EXPERIMENT_CONFIGS))
 def test_run_meta_records_the_sections_the_experiment_reads(tmp_path, monkeypatch, name):
     monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
-    values = RecordingValues(loads_config(EXPERIMENT_CONFIGS[name]).values)
+    read = set()
+    loaded = loads_config(EXPERIMENT_CONFIGS[name]).values
+    values = {s: RecordingSection(s, keys, read) for s, keys in loaded.items()}
     read_before_meta = []
     write_meta = cli._write_meta
 
     def recording_write_meta(*args, **kwargs):
-        read_before_meta.append(set(values.read))
+        read_before_meta.append(set(read))
         write_meta(*args, **kwargs)
 
     monkeypatch.setattr(cli, "_write_meta", recording_write_meta)
     assert run_experiment(ExperimentConfig(values=values)) == 0
-    assert read_before_meta == [set(cli._SECTIONS[name])]
+    assert read_before_meta == [_listed_keys(name)]
     meta = (tmp_path / "out" / "run.meta").read_text().splitlines()
-    assert {line.split(".")[1] for line in meta if line.startswith("config.")} == set(cli._SECTIONS[name])
+    recorded = {tuple(line.split(" = ")[0].split(".")[1:]) for line in meta if line.startswith("config.")}
+    assert recorded == {(s, k) for s, k in _listed_keys(name) if values[s][k] is not None}
     # t_R is a property of the velocity grid, which linear_damping and certify do not use
     assert any(line.startswith("recurrence_time = ") for line in meta) == (name not in ("linear_damping", "certify"))
 
@@ -650,6 +710,18 @@ def test_an_unread_key_changes_neither_run_meta_nor_its_hash(tmp_path, monkeypat
         assert run_experiment(loads_config(LINEAR_FAST.format(out="out") + f"\n[norms]\nlam = {lam}\n")) == 0
         metas.append((tmp_path / root / "out" / "run.meta").read_bytes())
     assert metas[0] == metas[1]
+
+
+def test_an_unread_key_of_a_read_section_changes_neither_run_meta_nor_its_hash(tmp_path, monkeypatch):
+    # linear_damping reads [time] dt and t_end, but not observe_stride
+    metas = []
+    for root, stride in (("a", "1"), ("b", "4")):
+        monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path / root))
+        text = LINEAR_FAST.format(out="out").replace("t_end = 4", f"t_end = 4\nobserve_stride = {stride}")
+        assert run_experiment(loads_config(text)) == 0
+        metas.append((tmp_path / root / "out" / "run.meta").read_text())
+    assert metas[0] == metas[1]
+    assert "config.time.t_end = 4.0\n" in metas[0] and "observe_stride" not in metas[0]
 
 
 def test_failed_rate_fit_is_reported_in_meta(tmp_path):
@@ -680,6 +752,23 @@ def test_norms_rows_match_per_snapshot_strang_steps(tmp_path):
         value, remainder = float(ref[7]), float(ref[8])
         assert float(row[7]) == pytest.approx(value, rel=1e-12)
         assert abs(float(row[8]) - remainder) <= 1e-12 * abs(value)
+
+
+def test_norm_index_inf_reaches_the_gliding_norm_and_both_artifacts(tmp_path, monkeypatch):
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    specs = []
+
+    def recording_spec(**kwargs):
+        specs.append(GlidingNormSpec(**kwargs))
+        return specs[-1]
+
+    monkeypatch.setattr(cli, "GlidingNormSpec", recording_spec)
+    assert run_experiment(loads_config(NORMS_SMALL.replace("k_max = 2", "k_max = 2\np = inf"))) == 0
+    assert len(specs) == 4 and all(spec.p == np.inf for spec in specs)
+    with open(tmp_path / "out" / "norms.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["p"] for r in rows if r["family"] == "gliding"] == ["inf"] * 4
+    assert "config.norms.p = inf\n" in (tmp_path / "out" / "run.meta").read_text()
 
 
 def test_norms_experiment_applies_the_perturbation_kicks(tmp_path):

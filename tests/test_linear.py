@@ -535,6 +535,14 @@ def test_volterra_source_must_return_the_time_grid_shape():
         solve_volterra(MAX, STRONG, lambda t: 1.0, 1, 1.0, 1 / 16)
 
 
+def test_volterra_refuses_an_off_grid_end_time():
+    # 8 / 0.03 = 266.67 steps: the march would stop at t = 8.01, past t_end
+    for t_end, dt in ((8.0, 0.03), (0.01, 1 / 16), (1.0, 0.0)):
+        with pytest.raises(ValueError, match="is not a multiple of dt|dt must be positive"):
+            solve_volterra(MAX, STRONG, lambda t: 0.5 * MAX.ft(t), 1, t_end, dt)
+    assert solve_volterra(MAX, STRONG, lambda t: 0.5 * MAX.ft(t), 1, 8.01, 0.03).times[-1] == pytest.approx(8.01)
+
+
 def test_mode_history_validation():
     with pytest.raises(ValueError, match="uniform"):
         ModeHistory(k=1, times=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
