@@ -6,8 +6,9 @@
 
 Every run writes ``run.meta`` next to its CSV and SVG artifacts: status,
 the resolved config keys the experiment reads and their hash, the
-recurrence horizon where the experiment reads a grid, and the artifact
-list.  The output directory comes from the config; the LANDAU_LAB_OUTPUT_ROOT
+recurrence horizon where the experiment reads a grid (per observed mode for
+``nonlinear_damping``, with its x-Nyquist content), and the artifact list.
+The output directory comes from the config; the LANDAU_LAB_OUTPUT_ROOT
 environment variable prepends an output root.  Exit codes: 0 ok, 2 config
 error, 3 numeric failure, 4 certification fail.
 """
@@ -47,11 +48,7 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
 
 def _write_meta(out: Path, cfg: ExperimentConfig, extra: dict, artifacts: list[str], status: str) -> None:
     """Write ``run.meta``; it records, and hashes, only the config keys the experiment reads."""
-    reads = []
-    for entry in EXPERIMENTS[cfg.experiment]:
-        section, _, key = entry.partition(".")
-        reads += [(section, k) for k in ([key] if key else cfg.values[section])]
-    config_lines = [f"config.{section}.{key} = {v}" for section, key in sorted(reads)
+    config_lines = [f"config.{section}.{key} = {v}" for section, key in sorted(cfg.reads())
                     if (v := cfg.values[section][key]) is not None]
     digest = hashlib.sha256("\n".join(config_lines).encode()).hexdigest()[:16]
     lines = [
@@ -129,7 +126,8 @@ def _experiment_nonlinear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[
         log.write_ftilde_csv(out / "ftilde.csv")
         artifacts.append("ftilde.csv")
     hist = log.mode_history(1)
-    meta: dict = {}
+    meta: dict = {f"recurrence_time_k{k}": f"{t_r:.12g}" for k, t_r in log.recurrence.items()}
+    meta["x_nyquist_content"] = f"{log.x_nyquist_content:.12g}"
     try:
         fit = fit_decay_rate(hist, _fit_window(cfg))
     except LandauLabError as exc:

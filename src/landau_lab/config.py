@@ -4,7 +4,8 @@ The file format is INI-style sections of scalar keys.  Unknown sections or
 keys are hard errors (no silent typos), and parse failures carry line
 numbers.  A schema row is (parser, default, validator), the parser taking
 the key's text to its value.  `EXPERIMENTS` is the one table of experiments
-and the config each reads.  Structured values use compact item syntax (an
+and the config each reads, `_KIND_READS` that of interaction kinds and the
+keys each reads.  Structured values use compact item syntax (an
 item with a wrong field count is an error naming its form):
 
     modes  = k:amplitude[:phase]; ...
@@ -37,6 +38,9 @@ EXPERIMENTS = {
     "echo": (*_COMMON, "grid", "time.dt", "time.observe_stride", "echo"),
     "norms": (*_COMMON, "grid", "time.dt", "perturbation", "norms"),
 }
+# interaction kind -> the [interaction] keys it reads besides the kind; run.meta
+# drops the others, which the kind's interaction never uses
+_KIND_READS = {"coulomb": ("strength",), "newton": ("strength",), "screened": ("strength", "screening"), "none": ()}
 
 _REQUIRED = object()
 
@@ -95,7 +99,7 @@ _SCHEMA: dict[str, dict[str, tuple[object, object, object]]] = {
         "c0": (float, None, _positive),
     },
     "interaction": {
-        "kind": (_choice("interaction kind", ("coulomb", "newton", "screened", "none")), "coulomb", None),
+        "kind": (_choice("interaction kind", tuple(_KIND_READS)), "coulomb", None),
         "strength": (float, 1.0, _positive),
         "screening": (float, None, _positive),
     },
@@ -170,6 +174,17 @@ class ExperimentConfig:
     @property
     def experiment(self) -> str:
         return self.values["experiment"]["name"]
+
+    def reads(self) -> list[tuple[str, str]]:
+        """The (section, key) pairs the experiment reads, which run.meta records and hashes:
+        its `EXPERIMENTS` entries, less the [interaction] keys that the kind does not read."""
+        kind_reads = ("kind", *_KIND_READS[self.values["interaction"]["kind"]])
+        pairs = []
+        for entry in EXPERIMENTS[self.experiment]:
+            section, _, key = entry.partition(".")
+            pairs += [(section, k) for k in ([key] if key else self.values[section])
+                      if section != "interaction" or k in kind_reads]
+        return pairs
 
     def replace(self, section: str, key: str, raw: str) -> "ExperimentConfig":
         """New config with one key re-parsed from its text form (sweep support)."""

@@ -3,9 +3,14 @@
 Strang splitting with exact spectral shifts: half free transport (phase
 multiplication in the spatial spectrum), a velocity kick with the force
 frozen at the half-step density (phase multiplication in the velocity
-spectrum), half free transport.  There is no CFL constraint and no implicit
-filtering; mass and the grid l2 norm are conserved to roundoff, and the
-scheme is exactly reversible.
+spectrum), half free transport.  Every factor keeps the usual spectral rule
+that an odd derivative is zero at a Nyquist bin: the force has no x-Nyquist
+mode, the x-Nyquist row does not stream, and the kick leaves the v-Nyquist
+bin alone.  So each factor is real with modulus one at both Nyquist bins,
+and the carried spectrum is always that of a real field.  There is no CFL
+constraint and no implicit filtering; mass and the grid l2 norm are
+conserved to roundoff, and the scheme is exactly reversible, also when the
+Nyquist bins hold content.
 
 One engine, `Stepper`, does all stepping.  It fuses the trailing
 half-transport of each step with the leading half of the next (Cheng &
@@ -14,9 +19,10 @@ whose force vanishes on the grid skips the kick, which is then the
 identity, on every step without an impulse, so a free step is one phase
 product and no FFT.  A stop yields the x-spectrum and nothing else; it
 branches off the carried spectrum without replacing it, so the trajectory
-does not depend on where the stops fall.  `run`, the echo experiment and the
-norms experiment step along one schedule, `_trajectory`, which checks their
-stop times, kicks and modes against the grid.
+does not depend on where the stops fall, and a chain of `strang_step` calls
+is the same discretization.  `run`, the echo experiment and the norms
+experiment step along one schedule, `_trajectory`, which checks their stop
+times, kicks and modes against the grid.
 
 The x-spectrum is also the state a `PhaseSpaceField` carries: a field
 built from values or from their spectrum computes the other form only
@@ -231,7 +237,8 @@ class Stepper:
     x-FFT pair and one v-FFT pair; a stop costs one half-transport product.
     The state carried from step to step is the x-spectrum after the last
     kick, and a stop never replaces it, so the state at step n does not
-    depend on which other stops are requested.
+    depend on which other stops are requested.  By the module's Nyquist rule
+    the transport tables' x-Nyquist row and the kick's v-Nyquist phase are 1.
 
     When the force multiplier is zero on the grid the kick of a step without
     an impulse is the identity (shift 0, phase exactly 1), and the step skips
@@ -247,6 +254,7 @@ class Stepper:
         v = -vmax + np.arange(nv) * self.dv
         kx = np.arange(nx // 2 + 1)
         self.transport_half = np.exp(-2j * np.pi * np.outer(kx, v) * (0.5 * dt))
+        self.transport_half[-1] = 1.0
         self.transport_full = self.transport_half * self.transport_half
         self.force_mul = _force_multiplier(nx, interaction)
         self._free = not np.any(self.force_mul)
@@ -279,6 +287,7 @@ class Stepper:
             np.cos(arg, out=phase.real)
             np.sin(arg, out=phase.imag)
         np.multiply(self._phase_factors[0][2], self._phase_factors[1][2], out=self._phase_blocks)
+        self._phase[:, -1] = 1.0
         fv *= self._phase
         np.fft.irfft(fv, n=self.nv, axis=1, out=f)
 
@@ -317,10 +326,6 @@ class Stepper:
                 np.copyto(obs_fk, fk)
             else:
                 np.multiply(fk, self.transport_half, out=obs_fk)
-                # the phase makes the x-Nyquist row complex, and the inverse
-                # x-FFT of a real field drops its imaginary part: drop it here,
-                # so that fk is the spectrum of the state itself
-                obs_fk[-1].imag = 0.0
             # row 0 holds the column sums over x, and a NaN or inf anywhere in
             # a column reaches its sum: this sees every non-finite state
             if not np.isfinite(obs_fk[0]).all():
@@ -342,15 +347,17 @@ def strang_step(
     """One split step of size dt; ``impulse`` adds an extra velocity shift (x grid).
 
     Negative dt steps backwards; a forward/backward pair returns the input
-    to roundoff because each sub-flow is an exact spectral shift and the
-    kick leaves the density unchanged.  The step is one `Stepper` step from
-    the input's x-spectrum, and the result is built from the new spectrum
-    (read-only), so a chain of calls costs one x-FFT pair per step and no
-    inverse x-FFT until a result's ``data`` is read.  The `Stepper` for each
-    (grid, dt, interaction) is cached and reused, so concurrent calls from
-    several threads must not share one.  The cache is keyed by the
-    `Interaction` object, and `models.builtin_interaction` returns a new one
-    per call: a loop that rebuilds it builds a `Stepper` per step.
+    to roundoff because each sub-flow is an exact spectral shift that leaves
+    the Nyquist bins alone, and the kick leaves the density unchanged.  A
+    chain of calls is the fused `Stepper` trajectory to roundoff: the step is
+    one `Stepper` step from the input's x-spectrum, and the result is built
+    from the new spectrum (read-only), so a chain of calls costs one x-FFT
+    pair per step and no inverse x-FFT until a result's ``data`` is read.
+    The `Stepper` for each (grid, dt, interaction) is cached and reused, so
+    concurrent calls from several threads must not share one.  The cache is
+    keyed by the `Interaction` object, and `models.builtin_interaction`
+    returns a new one per call: a loop that rebuilds it builds a `Stepper`
+    per step.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
@@ -401,7 +408,10 @@ class ObservableLog:
     (negative modes are conjugates for the real field).  ``l2`` and
     ``gradv_l2`` are the L2 norms of f and of its velocity derivative over
     the torus and the velocity grid.  ``recurrence`` holds the recurrence
-    horizon t_R of each mode k = 1..max(k_obs, 1).
+    horizon t_R of each mode k = 1..max(k_obs, 1).  ``x_nyquist_content`` is
+    the largest max_v |f^(nx/2, v)| / max_v |f^(0, v)| over the observations:
+    the x-Nyquist row does not stream, so content there marks a run short of
+    x-resolution.
     """
 
     times: np.ndarray
@@ -415,6 +425,7 @@ class ObservableLog:
     ftilde_points: tuple[tuple[int, float], ...]
     ftilde: np.ndarray
     recurrence: dict[int, float]
+    x_nyquist_content: float = 0.0
 
     def mode_history(self, k: int) -> ModeHistory:
         """Density mode as a `ModeHistory` (conjugated for negative k)."""
@@ -459,8 +470,8 @@ def _trajectory(
     """The one step schedule of `run`, the echo experiment and the norms experiment.
 
     Each of ``times`` (ascending) must sit on the step grid, each kick on a
-    step before the last time, and each perturbation and kick mode at or
-    below the x-Nyquist mode nx/2, as a higher one would alias.  Yields
+    step before the last time, and each perturbation and kick mode below the
+    x-Nyquist mode nx/2, which does not stream; a higher one would alias.  Yields
     ``(t, fk)`` at each time, ``fk`` being the x-spectrum, a buffer that the
     next stop overwrites.
     """
@@ -473,6 +484,8 @@ def _trajectory(
     for k in [m.k for m in perturbation.modes] + [kick.mode for kick in perturbation.kicks]:
         if abs(k) > nx // 2:
             raise ValueError(f"mode {k} lies beyond the spatial Nyquist mode {nx // 2} and would alias")
+        if abs(k) == nx // 2:
+            raise ValueError(f"mode {k} is the spatial Nyquist mode {nx // 2}, which does not stream")
     n_last = max(stops, default=0)
     x = np.arange(nx) / nx
     impulses: dict[int, np.ndarray] = {}
@@ -533,6 +546,7 @@ def run(
     gradv = np.empty(n_obs)
     rho_modes = np.empty((n_obs, k_obs + 1), dtype=complex)
     ftv = np.empty((n_obs, len(ft_points)), dtype=complex)
+    x_nyq = np.empty(n_obs)
     prof = np.empty(nv)
 
     # nx and nv are powers of two (init_state), so the last rfft bin in x is
@@ -570,6 +584,7 @@ def run(
         np.multiply(g, deriv, out=g)
         gradv[i] = np.sqrt(spectral_sq(g) * dv / nv) / nx
         rho_modes[i] = rho_k_full[: k_obs + 1]
+        x_nyq[i] = np.abs(fk[-1]).max() / np.abs(fk[0]).max()
         for j, (k, _) in enumerate(ft_points):
             ftv[i, j] = _direct_ftilde(ft_phases[j], fk[abs(k)], k, nx, dv)
 
@@ -581,4 +596,5 @@ def run(
     return ObservableLog(
         times=times, mass=mass, ekin=ekin, epot=epot, l2=l2, gradv_l2=gradv,
         k_obs=k_obs, rho_modes=rho_modes, ftilde_points=ft_points, ftilde=ftv, recurrence=t_r,
+        x_nyquist_content=float(x_nyq.max()),
     )

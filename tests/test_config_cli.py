@@ -724,6 +724,34 @@ def test_an_unread_key_of_a_read_section_changes_neither_run_meta_nor_its_hash(t
     assert "config.time.t_end = 4.0\n" in metas[0] and "observe_stride" not in metas[0]
 
 
+@pytest.mark.parametrize("interaction, key, recorded", [
+    ("kind = none\nstrength = {}", "strength", False),
+    ("kind = coulomb\nstrength = 157.91367041742973\nscreening = {}", "screening", False),
+    ("kind = screened\nstrength = 157.91367041742973\nscreening = {}", "screening", True),
+], ids=["none-strength", "coulomb-screening", "screened-screening"])
+def test_run_meta_records_only_the_interaction_keys_the_kind_reads(tmp_path, monkeypatch, interaction, key, recorded):
+    # both runs write into one output dir, so config.output.dir is the same
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    metas = []
+    for value in ("1.0", "2.0"):
+        text = LINEAR_FAST.format(out="out").replace("kind = coulomb\nstrength = 157.91367041742973",
+                                                     interaction.format(value))
+        assert run_experiment(loads_config(text)) == 0
+        metas.append((tmp_path / "out" / "run.meta").read_text())
+    assert (metas[0] == metas[1]) is not recorded
+    assert (f"config.interaction.{key} = 1.0\n" in metas[0]) is recorded
+
+
+def test_nonlinear_run_meta_records_each_mode_horizon_and_the_x_nyquist_content(tmp_path, monkeypatch):
+    monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
+    assert main(["run", str(write_cfg(tmp_path, NONLINEAR_SMALL))]) == 0
+    meta = dict(line.split(" = ", 1) for line in (tmp_path / "out" / "run.meta").read_text().splitlines())
+    # t_R(k) = nv / (2 vmax k) = 16 / k on 16 x 256 with vmax 8, for k = 1..k_obs
+    assert [(k, v) for k, v in meta.items() if k.startswith("recurrence_time")] == [
+        ("recurrence_time", "16"), ("recurrence_time_k1", "16"), ("recurrence_time_k2", "8")]
+    assert float(meta["x_nyquist_content"]) < 1e-10
+
+
 def test_failed_rate_fit_is_reported_in_meta(tmp_path):
     # a 0.1-wide window holds two samples at observe stride 1/16: too few to fit
     text = NONLINEAR_SMALL.replace("t_end = 4", "t_end = 2").replace("fit_t_max = 3", "fit_t_max = 0.6")
@@ -773,11 +801,7 @@ def test_norm_index_inf_reaches_the_gliding_norm_and_both_artifacts(tmp_path, mo
 
 def test_norms_experiment_applies_the_perturbation_kicks(tmp_path):
     # the kick at t = 0.5 is the impulse of step 8 at dt 1/16, as in `run`;
-    # past t = 1 the kicked field is no longer resolved in v for n_max = 12.
-    # Tolerance: the kick fills the x-Nyquist row (3e-3 of the field by
-    # t = 1 on 16 x 256), whose imaginary part the fused stepper carries
-    # between steps and a per-step loop drops, so the rows agree to ~1e-6;
-    # the kick itself moves every later value by 2.7 % or more
+    # past t = 1 the kicked field is no longer resolved in v for n_max = 12
     text = NORMS_SMALL.replace("modes = 1:2e-3", "modes = 1:2e-3\nkicks = 0.5:1:0.5").replace(
         "times = 2,0,0.5,1", "times = 1,0,0.5,0.75")
     cfg = loads_config(text.replace("dir = out", f"dir = {tmp_path / 'norms'}"))
@@ -797,8 +821,8 @@ def test_norms_experiment_applies_the_perturbation_kicks(tmp_path):
     for row, ref in zip(got, expected):
         assert row[:7] == ref[:7]
         value, remainder = float(ref[7]), float(ref[8])
-        assert float(row[7]) == pytest.approx(value, rel=1e-5)
-        assert abs(float(row[8]) - remainder) <= 1e-5 * abs(value)
+        assert float(row[7]) == pytest.approx(value, rel=1e-12)
+        assert abs(float(row[8]) - remainder) <= 1e-12 * abs(value)
 
 
 @pytest.mark.parametrize("kick", ["2:1:0.5", "0.53:1:0.5"])
@@ -836,10 +860,13 @@ def test_a_mode_beyond_the_x_nyquist_mode_is_a_config_error(tmp_path, monkeypatc
     assert "status = failed:config" in (tmp_path / "out" / "run.meta").read_text()
 
 
-def test_the_x_nyquist_mode_itself_is_on_the_grid(tmp_path, monkeypatch):
+def test_the_x_nyquist_mode_itself_is_on_the_grid(tmp_path, monkeypatch, capsys):
+    # on the grid, but the x-Nyquist row does not stream: a mode there is refused
     monkeypatch.setenv("LANDAU_LAB_OUTPUT_ROOT", str(tmp_path))
     text = NONLINEAR_SMALL.replace("modes = 1:2e-3", "modes = 1:2e-3; 8:1e-4\nkicks = 0.5:-8:1e-4")
-    assert main(["run", str(write_cfg(tmp_path, text))]) == 0
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 2
+    assert "mode 8 is the spatial Nyquist mode 8, which does not stream" in capsys.readouterr().err
+    assert "status = failed:config" in (tmp_path / "out" / "run.meta").read_text()
 
 
 def _norms_snapshot():

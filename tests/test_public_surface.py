@@ -21,7 +21,6 @@ KEEP = {
 # Fields and public methods of exported classes that no package or benchmark
 # code reads (see `_member_readers`), each with the reader it is kept for.
 KEEP_MEMBERS = {
-    "ObservableLog.recurrence": "per-mode recurrence horizons for library callers (README); an acceptance gate reads them",
     "RootScanResult.root": "the refined root, which tests pin",
     "CoincidenceResult.z": "the acceptance gate's verdict",
     "CoincidenceResult.f": "the acceptance gate's verdict",

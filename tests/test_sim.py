@@ -144,8 +144,7 @@ def test_free_transport_is_exact_spectral_shift():
 
 def test_free_evolve_makes_no_fft_and_is_the_exact_shift(fft_calls):
     # zero force: the kick is the identity and is skipped, so each step is
-    # one transport product; the carried x-Nyquist phase makes the stop's
-    # real part the exact sampled transport
+    # one transport product; the x-Nyquist row does not stream
     st = small_state(PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=0.3),
                                              PerturbationMode(k=16, amplitude=0.2))))
     spec0 = st.spectrum.copy()
@@ -157,7 +156,7 @@ def test_free_evolve_makes_no_fft_and_is_the_exact_shift(fft_calls):
     kx = np.arange(st.nx // 2 + 1)
     for n, fk in seen:
         expected = spec0 * np.exp(-2j * np.pi * np.outer(kx, st.v) * (n / 32))
-        expected[-1].imag = 0.0
+        expected[-1] = spec0[-1]
         assert np.max(np.abs(fk - expected)) <= 1e-14 * np.max(np.abs(spec0))
     assert np.max(np.abs(seen[-1][1][-1])) > 1e-3 * np.max(np.abs(spec0))  # the Nyquist row is live
 
@@ -252,6 +251,50 @@ def test_run_matches_strang_step_loop_with_kick():
     assert log.times[-1] == pytest.approx(cur.time)
     rho_k = np.fft.rfft(cur.data.sum(axis=1) * cur.dv)[:3] / cur.nx
     np.testing.assert_allclose(log.rho_modes[-1], rho_k, rtol=0, atol=1e-14)
+
+
+# mode 1 kicked at t = 0.5 on 16 x 256: the kick fills the x-Nyquist row
+KICKED = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=2e-3),),
+                          kicks=(KickEvent(time=0.5, mode=1, amplitude=0.5),))
+
+
+def test_trajectory_and_a_strang_step_loop_are_one_discretization():
+    # neither path streams the x-Nyquist row, so the fused steps and the
+    # per-call steps agree at roundoff once that row holds content
+    dt = 1 / 16
+    fused = {t: np.fft.irfft(fk, n=16, axis=0)
+             for t, fk in _trajectory(MAX, STRONG, KICKED, nx=16, nv=256, vmax=8.0, dt=dt, times=[0.75, 1.0])}
+    cur = small_state(KICKED, nx=16)
+    wave = 0.5 * np.cos(2 * np.pi * np.arange(16) / 16)
+    for n in range(16):
+        cur = strang_step(cur, STRONG, dt, impulse=wave if n == 8 else None)
+        if (n + 1) * dt in fused:
+            assert np.max(np.abs(fused[(n + 1) * dt] - cur.data)) <= 1e-14
+    assert np.max(np.abs(cur.spectrum[-1])) > 1e-4 * np.max(np.abs(cur.spectrum[0]))
+
+
+def test_a_round_trip_with_x_nyquist_content_returns_to_its_start():
+    pert = PerturbationSpec(modes=(PerturbationMode(k=1, amplitude=0.05), PerturbationMode(k=2, amplitude=0.05)))
+    st = small_state(pert, nx=16)
+    cur = st
+    for dt in (1 / 16, -1 / 16):
+        for _ in range(192):
+            cur = strang_step(cur, STRONG, dt)
+        if dt > 0:  # filamented, with content in the x-Nyquist row
+            assert np.max(np.abs(cur.spectrum[-1])) > 1e-3 * np.max(np.abs(cur.spectrum[0]))
+    assert np.max(np.abs(cur.data - st.data)) <= 1e-10 * np.max(np.abs(st.data))
+
+
+def test_a_kicked_run_keeps_l2_and_reports_its_x_nyquist_content():
+    log = run(MAX, STRONG, KICKED, nx=16, nv=256, vmax=8.0, dt=1 / 32, t_end=12.0)
+    np.testing.assert_allclose(log.l2, log.l2[0], rtol=1e-12, atol=0)
+    assert log.x_nyquist_content > 1e-10
+
+
+def test_x_nyquist_content_of_a_resolved_run_is_roundoff():
+    kw = dict(nx=16, nv=256, vmax=8.0, dt=1 / 16, t_end=1.0)
+    assert run(MAX, STRONG, PerturbationSpec(modes=KICKED.modes), **kw).x_nyquist_content < 1e-10
+    assert run(MAX, STRONG, KICKED, **kw).x_nyquist_content > 1e-10
 
 
 def test_final_state_does_not_depend_on_observe_stride():
