@@ -99,7 +99,7 @@ def _experiment_linear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str
         scan = root_scan(profile, interaction, k)
         meta[f"rate_fit_k{k}"] = f"{fit.rate:.12g}"
         meta[f"rate_fit_r2_k{k}"] = f"{fit.quality:.12g}"
-        meta[f"rate_predicted_k{k}"] = f"{scan.rate:.12g}"
+        meta[f"rate_predicted_k{k}"] = "none" if scan.root is None else f"{scan.rate:.12g}"
         meta[f"lambda_star_k{k}"] = f"{scan.lambda_star:.12g}"
         all_series.extend(_decay_series(hist, fit))
         times.append(hist.times)

@@ -12,20 +12,22 @@ stays away from 1.  With s = |k| t that transform is L(k, xi) = what(k)
 Psi(xi), Psi(xi) = -4 pi^2 int_0^inf exp(2 pi xi s) ft(sgn(k) s) s ds: every
 mode scales one transform of the profile.  Every profile is a Gaussian
 mixture, so `_psi` gives Psi and Psi' in closed form on all of C through the
-Faddeeva function (`_faddeeva`, Weideman's rational approximation).  Both
-strip scans use this true transform, the functional of Mouhot and Villani's
-condition (L): the margin scan `scan_stability_margin` measures its
-distance from 1, and `root_scan` locates the resolvent root that sets the
-actual decay rate.  The modulus |ft| serves only where it is a true
+Faddeeva function (`_faddeeva`, Weideman's rational approximation).  1 - L
+is entire, so one census (`_zeros`, the argument principle) finds its zeros
+in -3 < Re xi < lam, |Im xi| < 12; a zero at Re xi <= 0 is a growing mode.
+The margin scan `scan_stability_margin` samples the distance from 1 of L,
+the functional of Mouhot and Villani's condition (L), and counts the modes
+with a growing zero; `root_scan` refines the least-damped zero, which sets
+the actual decay rate.  The modulus |ft| serves only where it is a true
 majorant: the tail bound for modes above k_max and the small-gain integral
-of `smallness_criterion`, the one quadrature left (composite 20-node
-Gauss-Legendre, `_gl_panels`).
+of `smallness_criterion`.  That integral and the census's contour integral
+use composite 20-node Gauss-Legendre panels (`_gl_panels`).
 
-Psi, its value at 0 and the small-gain integral depend on the profile
-alone, so each is computed once per profile per process and kept, read-only,
-in a bounded memo keyed by the profile (profiles compare by their mixture,
-see `models`).  A sweep over the interaction, or a second mode of
-`root_scan`, reuses them; a single CLI call in a fresh process does not.
+Psi on the margin grid and on the census contour, and the small-gain
+integral, depend on the profile alone, so each is kept, read-only, in a
+bounded memo keyed by the profile (profiles compare by their mixture, see
+`models`).  A sweep over the interaction, or a second mode of `root_scan`,
+reuses them; a single CLI call in a fresh process does not.
 """
 
 from __future__ import annotations
@@ -194,9 +196,8 @@ class StabilityReport:
     ``worst_k`` is the mode of the smallest gap, negative when it lies on the
     sign k < 0 (Psi of ft(-s)); on a tie the positive sign wins.
 
-    ``unstable_modes`` counts the modes 1 <= k <= k_max with what(k) Psi(0) > 1,
-    each of which has a growing real root (Penrose 1960); None when the
-    profile is not even, where that test does not apply (reported unchecked).
+    ``unstable_modes`` counts the modes 1 <= k <= k_max with a zero of
+    1 - L at Re xi <= 0 in the census window (`_zeros`), each a growing mode.
     """
 
     kappa_est: float
@@ -206,7 +207,7 @@ class StabilityReport:
     worst_k: int
     worst_xi: complex
     tail_bound: float
-    unstable_modes: int | None
+    unstable_modes: int
     warnings: tuple[str, ...]
     passed: bool
 
@@ -223,7 +224,7 @@ class StabilityReport:
             f"worst_k = {self.worst_k}",
             f"worst_xi = {self.worst_xi.real:.12g}{self.worst_xi.imag:+.12g}j",
             f"tail_bound_beyond_k_max = {self.tail_bound:.12g}",
-            f"unstable_modes = {'unchecked' if self.unstable_modes is None else self.unstable_modes}",
+            f"unstable_modes = {self.unstable_modes}",
             f"warnings = {';'.join(self.warnings) if self.warnings else 'none'}",
         ]
         return "\n".join(lines) + "\n"
@@ -247,20 +248,12 @@ def _is_even(profile: VelocityProfile) -> bool:
 
 
 @functools.lru_cache(maxsize=16)
-def _margin_psi(profile: VelocityProfile, lambda_strip: float) -> tuple[np.ndarray, float | None]:
-    """Psi of ft(s) and of ft(-s), stacked, on the margin scan's grid (read-only),
-    and for an even profile Psi(0).
-
-    For an even profile ft(-s) = ft(s), so one grid serves both signs; Psi
-    is real on (-inf, 0] and tends to 0 there, so what(k) Psi(0) > 1 puts a
-    root of 1 - L at some Re xi < 0.
-    """
+def _margin_psi(profile: VelocityProfile, lambda_strip: float) -> np.ndarray:
+    """Psi of ft(s) and of ft(-s), stacked, on the margin scan's grid (read-only);
+    for an even profile ft(-s) = ft(s), so one grid serves both signs."""
     res, ims = _strip_grid(lambda_strip)
     xi = res[:, None] + 1j * ims
-    signs = (1,) if _is_even(profile) else (1, -1)
-    psi = _read_only(np.stack([_psi(profile, xi, sign)[0] for sign in signs]))
-    # res[0] = ims[0] = 0
-    return psi, float(psi[0, 0, 0].real) if _is_even(profile) else None
+    return _read_only(np.stack([_psi(profile, xi, sign)[0] for sign in ((1,) if _is_even(profile) else (1, -1))]))
 
 
 def scan_stability_margin(
@@ -277,18 +270,20 @@ def scan_stability_margin(
     sign, for 1 <= |k| <= k_max.  Modes above ``k_max`` are certified by the
     closed-over bound |L(k, xi)| <= cw * c0 / (|k|**(1+gamma) * (lam - lambda_strip)**2)
     of the majorant |ft|, provided it stays below 1 - kappa at k_max + 1.
-    For an even profile a mode with what(k) Psi(0) > 1 is unstable and fails
-    the scan.  Psi and Psi(0) are computed once per (profile, lambda_strip)
-    per process.
+    A mode with a zero of 1 - L at Re xi <= 0 is unstable and fails the
+    scan; on Re xi <= 0, |L| is at most 4 pi^2 |what(k)| times the
+    small-gain integral, so a mode whose bound is below 1 skips the census.
+    Psi is computed once per (profile, lambda_strip) per process.
     """
     if not 0.0 < lambda_strip < profile.lam:
         raise ValueError(f"lambda_strip must lie in (0, {profile.lam:g}), got {lambda_strip:g}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     res, ims = _strip_grid(lambda_strip)
-    psi, psi0 = _margin_psi(profile, float(lambda_strip))
+    psi = _margin_psi(profile, float(lambda_strip))
     what = np.asarray(interaction.what(np.arange(1, k_max + 1)), dtype=float)
-    unstable_modes = None if psi0 is None else int(np.count_nonzero(what * psi0 > 1.0))
+    gain = 4.0 * np.pi**2 * _small_gain_integral(profile)
+    unstable_modes = sum(bool(gain * abs(w) >= 1.0 and np.any(_zeros(profile, w).real <= 0.0)) for w in what)
     vals = what[:, None, None] * psi[:, None]
     gaps = np.abs(vals - 1.0)
     # the first minimum in (sign, k, Re, Im) order: the lowest mode that
@@ -305,17 +300,9 @@ def scan_stability_margin(
         warnings.append(f"functional still {edge_max:.3g} at the Im window edge; enlarge im_max")
     passed = bool(kappa_est >= kappa and not warnings and not unstable_modes)
     return StabilityReport(
-        kappa_est=kappa_est,
-        lambda_strip=float(lambda_strip),
-        kappa_requested=float(kappa),
-        k_max=k_max,
-        worst_k=(int(k_i) + 1) * (1, -1)[sign_i],
-        worst_xi=complex(res[i], ims[j]),
-        tail_bound=float(tail_bound),
-        unstable_modes=unstable_modes,
-        warnings=tuple(warnings),
-        passed=passed,
-    )
+        kappa_est=kappa_est, lambda_strip=float(lambda_strip), kappa_requested=float(kappa), k_max=k_max,
+        worst_k=(int(k_i) + 1) * (1, -1)[sign_i], worst_xi=complex(res[i], ims[j]), tail_bound=float(tail_bound),
+        unstable_modes=unstable_modes, warnings=tuple(warnings), passed=passed)
 
 
 # what(k) >= 0 is checked on 1 <= k <= 8 (each built-in interaction has one
@@ -466,45 +453,80 @@ def fit_decay_rate(history: ModeHistory, window: tuple[float, float]) -> DecayFi
 
 
 # ---------------------------------------------------------------------------
-# resolvent-root scan
+# zero census and resolvent-root scan
+
+# The census rectangle -3 < Re xi < lam, |Im xi| < 12.  Growing modes lie at
+# Re xi <= 0; left of -3, Psi' loses relative accuracy to cancellation.
+_CENSUS_RE_MIN, _CENSUS_IM_MAX = -3.0, 12.0
+# contour panels start this wide and halve until the zero count is an
+# integer to 1e-6, at most _CENSUS_HALVINGS times
+_CENSUS_PANEL, _CENSUS_HALVINGS = 0.25, 4
+# Newton's identities resolve at most this many zeros
+_CENSUS_MAX_ZEROS = 8
 
 
-# Strip scan of the true transform of K0: _ROOT_REFINE_TRIGGER is the
-# distance from 1 below which a complex Newton refinement starts from the
-# best grid point.
-_ROOT_N_WIDTHS = 25
-_ROOT_IM_MAX = 6.0
-_ROOT_IM_POINTS = 241
-_ROOT_REFINE_TRIGGER = 0.5
+@functools.lru_cache(maxsize=16)
+def _census_contour(profile: VelocityProfile, halvings: int) -> tuple[np.ndarray, ...]:
+    """Nodes xi and weights dxi / (2 pi i) of the census rectangle's boundary,
+    counterclockwise, on panels _CENSUS_PANEL / 2**halvings wide, with Psi and
+    Psi' of ft(s) there (read-only)."""
+    lo, hi, top = _CENSUS_RE_MIN, profile.lam, _CENSUS_IM_MAX
+    corners = [complex(lo, -top), complex(hi, -top), complex(hi, top), complex(lo, top)]
+    xi, dxi = [], []
+    for a, b in zip(corners, corners[1:] + corners[:1]):
+        s, ws = _gl_panels(abs(b - a), int(np.ceil(abs(b - a) * 2**halvings / _CENSUS_PANEL)))
+        xi.append(a + (b - a) / abs(b - a) * s)
+        dxi.append((b - a) / abs(b - a) / (2j * np.pi) * ws)
+    xi = np.concatenate(xi)
+    return tuple(map(_read_only, (xi, np.concatenate(dxi), *_psi(profile, xi, 1))))
+
+
+def _zeros(profile: VelocityProfile, w: float) -> np.ndarray:
+    """The zeros of 1 - w Psi, Psi of ft(s), in the census rectangle.
+
+    Argument principle (Delves & Lyness 1967): the moments
+    s_p = (1/2 pi i) contour-int z^p D'/D dxi of D = 1 - w Psi, with
+    z = (xi - c) / r scaled to the unit disc, give the count s_0 and, by
+    Newton's identities, the monic polynomial whose roots are the zeros.
+    Psi_-(xi) = conj Psi_+(conj xi): for k < 0 the zeros are the conjugates.
+    `NumericError` when the count is no integer after the last halving, or
+    above _CENSUS_MAX_ZEROS.
+    """
+    for halvings in range(_CENSUS_HALVINGS + 1):
+        xi, dxi, psi, dpsi = _census_contour(profile, halvings)
+        f = dxi * (-w * dpsi) / (1.0 - w * psi)
+        count = np.sum(f)
+        if abs(count - np.rint(count.real)) < 1e-6:
+            break
+    else:
+        raise NumericError(f"zero census of 1 - L did not converge (count {count.real:.6g})")
+    n = int(np.rint(count.real))
+    if n > _CENSUS_MAX_ZEROS:
+        raise NumericError(f"{n} zeros of 1 - L in the census window; at most {_CENSUS_MAX_ZEROS} are resolved")
+    c = 0.5 * (_CENSUS_RE_MIN + profile.lam)
+    r = float(np.hypot(profile.lam - c, _CENSUS_IM_MAX))
+    z = (xi - c) / r
+    p = [np.sum(f * z**j) for j in range(1, n + 1)]
+    a = [1.0]
+    for j in range(1, n + 1):
+        a.append(-sum(a[i] * p[j - i - 1] for i in range(j)) / j)
+    return c + r * np.roots(a) if n else np.empty(0, dtype=complex)
 
 
 @dataclass(frozen=True)
 class RootScanResult:
     """Outcome of `root_scan`.
 
-    ``lambda_star`` is the largest strip width on which the transform of K0
-    keeps a gap from 1 (equivalently min(Re root, width cap)); the predicted
-    mode decay rate is 2 pi |k| lambda_star because the transform acts on
-    exp(2 pi |k| zeta t).  ``root`` is the refined resolvent root when one
-    was located, else None.
+    ``root`` is the least-damped zero of 1 - L in the census window,
+    refined, or None when the window holds none.  ``lambda_star`` is
+    min(Re root, lam), else the cap lam itself; the predicted mode decay rate
+    is 2 pi |k| lambda_star because the transform acts on exp(2 pi |k| zeta t).
     """
 
     k: int
     lambda_star: float
     rate: float
     root: complex | None
-
-
-def _root_grid(width_cap: float) -> tuple[np.ndarray, np.ndarray]:
-    """`root_scan`'s strip widths and Im samples."""
-    return np.linspace(0.0, width_cap, _ROOT_N_WIDTHS), np.linspace(0.0, _ROOT_IM_MAX, _ROOT_IM_POINTS)
-
-
-@functools.lru_cache(maxsize=16)
-def _root_psi(profile: VelocityProfile, sign: int) -> np.ndarray:
-    """Psi of ft(sign s) on `root_scan`'s grid (read-only)."""
-    widths, ims = _root_grid(profile.lam)
-    return _read_only(_psi(profile, widths[:, None] + 1j * ims, sign)[0])
 
 
 def _root_newton(profile, interaction, k, seed: complex) -> complex:
@@ -524,56 +546,31 @@ def _root_newton(profile, interaction, k, seed: complex) -> complex:
     raise NumericError("resolvent-root refinement did not converge")
 
 
-def root_scan(
-    profile: VelocityProfile,
-    interaction: Interaction,
-    k: int,
-) -> RootScanResult:
-    """Scan strip widths for the first collapse of |J - 1|, J the transform of K0.
+def root_scan(profile: VelocityProfile, interaction: Interaction, k: int) -> RootScanResult:
+    """The least-damped resolvent root of mode k: the zero of 1 - L with the
+    smallest Re in the census window (`_zeros`; on a tie the one with
+    Im >= 0), refined by Newton's method on Psi and Psi'.
 
-    Widths are sampled up to the profile's analyticity width; if the gap
-    stays at or above 0.5 on the whole grid the cap itself is returned (the
-    mode decay is then limited only by the source).  Otherwise the best grid
-    point is refined to the actual resolvent root; a root at nonpositive
-    width means there is no decay gap at all and `StabilityGapError` is
-    raised.  So does an even profile with what(k) Psi(0) > 1 (as in
-    `scan_stability_margin`): Psi is real on (-inf, 0] and tends to 0 there,
-    so 1 - L has a root with Re zeta < 0, which the scan of Re zeta >= 0
-    cannot see.  J = what(k) Psi with Psi of ft(sgn(k) s) in closed form
-    (`_psi`); its grid is computed once per (profile, sgn(k)) per process,
-    and the refinement evaluates Psi and Psi' at each iterate.
+    With no zero in the window the cap lam is returned (the mode decay is
+    then limited only by the source).  A root at Re zeta <= 0 is a growing
+    mode: there is no decay gap, and `StabilityGapError` names the root and
+    its growth rate.  The census contour's Psi is computed once per profile
+    per process.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
     width_cap = profile.lam
     if width_cap <= 0:
         raise ValueError("width cap must be positive")
-    widths, ims = _root_grid(width_cap)
-
-    w = float(interaction.what(np.array(k)))
-    psi = _root_psi(profile, int(np.sign(k)))
-    # widths[0] = ims[0] = 0: psi[0, 0] is Psi(0), real for an even profile
-    l0 = w * psi[0, 0].real
-    if l0 > 1.0 and _is_even(profile):
-        raise StabilityGapError(
-            f"what(k) Psi(0) = {l0:.4g} > 1 for an even profile: a root of 1 - L "
-            f"at Re zeta < 0, unstable, no decay gap (k={k})"
-        )
-    g = np.abs(w * psi - 1.0)
-    i, j = np.unravel_index(int(np.argmin(g)), g.shape)
-
-    root = None
-    lambda_star = float(width_cap)
-    if g[i, j] < _ROOT_REFINE_TRIGGER:
-        root = _root_newton(profile, interaction, k, complex(widths[i], ims[j]))
-        if root.real <= 1e-12:
+    zeros = _zeros(profile, float(interaction.what(np.array(k))))
+    zeros = np.conj(zeros) if k < 0 else zeros
+    root, lambda_star = None, float(width_cap)
+    if len(zeros):
+        root = _root_newton(profile, interaction, k, zeros[np.argmin(zeros.real - 1e-9 * (zeros.imag >= 0))])
+        if root.real <= 0.0:
             raise StabilityGapError(
-                f"transform of K0 reaches 1 at Re zeta = {root.real:.3g} <= 0: no decay gap (k={k})"
+                f"1 - L has a zero at zeta = {root.real:.4f}{root.imag:+.4f}i, Re <= 0: mode k={k} grows at "
+                f"rate {-TWO_PI * abs(k) * root.real:.4g}, no decay gap"
             )
         lambda_star = float(min(root.real, width_cap))
-    return RootScanResult(
-        k=k,
-        lambda_star=lambda_star,
-        rate=TWO_PI * abs(k) * lambda_star,
-        root=root,
-    )
+    return RootScanResult(k=k, lambda_star=lambda_star, rate=TWO_PI * abs(k) * lambda_star, root=root)

@@ -15,8 +15,8 @@ from landau_lab import cli
 from landau_lab.cli import _ANALYTIC_BETA, _norm_rows, main, run_experiment
 from landau_lab.config import _SCHEMA, EXPERIMENTS, ExperimentConfig, load_config, loads_config
 from landau_lab.errors import ConfigError
-from landau_lab.linear import _STRIP_RE_POINTS, root_scan
-from landau_lab.models import bi_maxwellian, builtin_interaction
+from landau_lab.linear import _STRIP_RE_POINTS, fit_decay_rate, root_scan, solve_volterra
+from landau_lab.models import bi_maxwellian, builtin_interaction, bump_on_tail
 from landau_lab.norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
 from landau_lab.sim import init_state, run, strang_step
 
@@ -362,13 +362,40 @@ def test_certify_fails_a_stable_plasma_whose_root_lies_inside_the_strip(tmp_path
 
 
 def test_linear_damping_of_a_two_stream_unstable_plasma_exits_3(tmp_path):
-    # bi_maxwellian(2) under Coulomb 150 has what(1) Psi(0) = 1.06 > 1: no decay rate to predict
+    # bi_maxwellian(2) under Coulomb 150 has what(1) Psi(0) = 1.06 > 1, a growing
+    # real root: no decay rate to predict
     out = tmp_path / "o"
     text = LINEAR_FAST.format(out=out).replace("name = maxwellian", "name = bi_maxwellian\nparams = 2").replace(
         "strength = 157.91367041742973", "strength = 150")
     assert main(["run", str(write_cfg(tmp_path, text))]) == 3
     meta = (out / "run.meta").read_text()
-    assert "status = failed:numeric" in meta and "Psi(0)" in meta
+    assert "status = failed:numeric" in meta and "zero at zeta = -0.0338" in meta
+
+
+def test_linear_damping_of_a_growing_bump_on_tail_exits_3(tmp_path):
+    # bump_on_tail() under Coulomb 16 pi^2: the census's growing root, not the
+    # damped 0.2554 + 4.1989i once reported, at the Volterra solution's growth
+    out = tmp_path / "o"
+    text = LINEAR_FAST.format(out=out).replace("name = maxwellian", "name = bump_on_tail")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 3
+    meta = (out / "run.meta").read_text()
+    assert "status = failed:numeric" in meta and "zero at zeta = -0.0822+2.2427i" in meta
+    rate = float(re.search(r"grows at rate (\S+),", meta).group(1))
+    profile, interaction = bump_on_tail(), builtin_interaction("coulomb", 16.0 * np.pi**2)
+    hist = solve_volterra(profile, interaction, lambda t: profile.ft(t), 1, 16.0, 1.0 / 64)
+    growth = -fit_decay_rate(hist, (10.0, 16.0)).rate  # ln 1.69
+    assert growth == pytest.approx(0.525, abs=0.005)
+    assert rate == pytest.approx(growth, rel=0.03)
+
+
+def test_linear_damping_without_interaction_predicts_no_rate(tmp_path):
+    # kind none: 1 - L = 1 has no zero, so there is no root to predict a rate from
+    out = tmp_path / "o"
+    text = LINEAR_FAST.format(out=out).replace("kind = coulomb\nstrength = 157.91367041742973", "kind = none")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 0
+    meta = (out / "run.meta").read_text()
+    assert "rate_predicted_k1 = none\n" in meta and "lambda_star_k1 = 1\n" in meta
+    assert "rate_fit_k1 = " in meta
 
 
 def test_echo_past_the_initial_modes_recurrence_exits_3(tmp_path):
@@ -388,6 +415,41 @@ def test_certify_stable_plasma_reports_no_unstable_mode(tmp_path, text):
     assert main(["certify", str(write_cfg(tmp_path, text.format(out=out)))]) == 0
     report = (out / "stability_report.txt").read_text()
     assert "certified = true\n" in report and "unstable_modes = 0\n" in report
+
+
+CERTIFY_ASYMMETRIC = """\
+[experiment]
+name = certify
+
+[profile]
+name = {name}
+params = {params}
+
+[interaction]
+kind = coulomb
+strength = 157.91367041742973
+
+[certify]
+lambda_strip = 0.1
+kappa = 0.05
+k_max = 8
+
+[output]
+dir = {out}
+"""
+
+
+@pytest.mark.parametrize("name, params", [("bi_maxwellian", "2, 1, 0.5, 0.3"), ("bump_on_tail", "0.3, 3.0, 0.5")],
+                         ids=["bi_maxwellian", "bump_on_tail"])
+def test_certify_fails_an_asymmetric_unstable_mixture(tmp_path, name, params):
+    # mode 1 grows (a zero of 1 - L at Re xi < 0) while the strip's margin
+    # passes: kappa_est 0.108 and 0.178 once certified these mixtures
+    out = tmp_path / "o"
+    text = CERTIFY_ASYMMETRIC.format(name=name, params=params, out=out)
+    assert main(["certify", str(write_cfg(tmp_path, text))]) == 4
+    report = (out / "stability_report.txt").read_text()
+    assert "certified = false\n" in report and "unstable_modes = 1\n" in report and "warnings = none\n" in report
+    assert float(re.search(r"^kappa_est = (\S+)$", report, re.M).group(1)) >= 0.05
 
 
 SWEEP_STRENGTHS = ("20", "42", "50")

@@ -82,23 +82,25 @@ def strip_functional(profile, interaction, k, xi):
 
 
 def per_width_root_scan(profile, interaction, k):
-    """`root_scan`'s grid search with one transform per width on that width's own nodes.
+    """A grid search of |1 - L| over 25 strip widths in [0, lam] and 241 Im
+    samples in [0, 6], one transform per width, refined by Newton's method
+    when the best sample is within 0.5 of 1.
 
-    Returns the Newton seed (None when refinement does not start), the root
-    and lambda_star: the reference for the one-call scan on the cap width's nodes.
+    Returns the root (None when refinement does not start) and lambda_star:
+    a reference independent of the census, right wherever the least-damped
+    root lies in the strip with Im >= 0 and no zero lies at Re < 0.
     """
-    widths = np.linspace(0.0, profile.lam, linear._ROOT_N_WIDTHS)
-    ims = np.linspace(0.0, linear._ROOT_IM_MAX, linear._ROOT_IM_POINTS)
+    ims = np.linspace(0.0, 6.0, 241)
     best = (np.inf, 0j)
-    for w in widths:
+    for w in np.linspace(0.0, profile.lam, 25):
         g = np.abs(per_point_kernel_transform(profile, interaction, k, w + 1j * ims) - 1.0)
         j = int(np.argmin(g))
         if g[j] < best[0]:
             best = (g[j], complex(w, ims[j]))
-    if best[0] < linear._ROOT_REFINE_TRIGGER:
+    if best[0] < 0.5:
         root = _root_newton(profile, interaction, k, best[1])
-        return best[1], root, float(min(root.real, profile.lam))
-    return None, None, float(profile.lam)
+        return root, float(min(root.real, profile.lam))
+    return None, float(profile.lam)
 
 
 def per_point_margin_scan(profile, interaction, lambda_strip, k_max=4):
@@ -216,6 +218,23 @@ def test_psi_and_its_derivative_match_quadrature(profile):
             assert complex(dp) == pytest.approx(dwant, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("profile", [MAX, bi_maxwellian(2.0, 1.0, 0.5, 0.3), bump_on_tail()],
+                         ids=["maxwellian", "asymmetric_bi_maxwellian", "bump_on_tail"])
+def test_psi_and_its_derivative_are_exact_on_the_census_left_edge(profile):
+    # Psi' = -8 pi^3 sum w (M0 + b I1) / 2a cancels as Re xi falls: for
+    # bump_on_tail() it is 5.8e-12 off at -12 + 1i.  The census's left edge
+    # is where its contour needs Psi' most to the left, so both hold 1e-11 there
+    xis = linear._CENSUS_RE_MIN + 1j * np.linspace(-linear._CENSUS_IM_MAX, linear._CENSUS_IM_MAX, 9)
+    for sign in (1, -1):
+        psi, dpsi = _psi(profile, xis, sign)
+        for x, p, dp in zip(xis, psi, dpsi):
+            want, dwant = psi_oracle(profile, x, sign)
+            assert complex(p) == pytest.approx(want, rel=1e-11)
+            assert complex(dp) == pytest.approx(dwant, rel=1e-11)
+
+
 @pytest.mark.parametrize("left_half_plane", [True, False])
 @pytest.mark.parametrize("profile", [MAX, bump_on_tail(weight=0.2, drift=2.0)], ids=["maxwellian", "drifting_bump"])
 def test_strip_transform_matches_per_point_sum(profile, left_half_plane):
@@ -256,8 +275,13 @@ def test_laplace_exponent_overflow_is_a_numeric_error():
         scan_stability_margin(replace(maxwellian(), lam=50.0), COULOMB, 45.0, 0.05)
     with pytest.raises(NumericError, match="Laplace transform overflow"):
         strip_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 38.0 + 1.0j)
-    # the closed form needs no horizon: width 30 is finite
-    assert np.isfinite(root_scan(replace(maxwellian(), lam=30.0), COULOMB, 1).rate)
+    # the closed form needs no horizon: width 30 is finite, but that window
+    # holds 46 zeros of 1 - L, one of them at 2.2474 + 1.1816i, so lambda_star
+    # is no longer the cap 30: the census refuses to resolve them
+    with pytest.raises(NumericError, match="46 zeros of 1 - L"):
+        root_scan(replace(maxwellian(), lam=30.0), COULOMB, 1)
+    assert _root_newton(replace(maxwellian(), lam=30.0), COULOMB, 1, 2.25 + 1.18j) == pytest.approx(
+        2.2474 + 1.1816j, abs=1e-4)
     assert np.isfinite(scan_stability_margin(replace(maxwellian(), lam=40.0), COULOMB, 30.0, 0.05).kappa_est)
     assert np.isfinite(strip_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 30.0 + 1.0j))
 
@@ -326,11 +350,11 @@ def test_margin_super_jeans_fails():
 def test_margin_counts_a_two_stream_unstable_mode_under_coulomb():
     # two counter-drifting Maxwellians: Psi(0) = int f0'(v) / v dv > 0, so a
     # repulsive interaction with what(1) Psi(0) > 1 has a growing real root
-    # (Penrose)
+    # (Penrose), which the census counts
     profile = bi_maxwellian(drift=2.0)
     v = np.linspace(-14.0, 14.0, 28000)  # an even count: no sample at v = 0
     penrose = float(np.sum(profile.dpdf(v) / v) * (v[1] - v[0]))
-    _, psi0 = linear._margin_psi(profile, 0.25)
+    psi0 = float(_psi(profile, 0.0, 1)[0].real)
     assert psi0 == pytest.approx(penrose, rel=1e-6)
     for strength, unstable in ((100.0, 0), (200.0, 1)):
         interaction = builtin_interaction("coulomb", strength)
@@ -359,10 +383,14 @@ def test_margin_of_a_mirrored_drift_lies_on_the_negative_sign():
     assert (mirrored.worst_xi, mirrored.kappa_est) == (rep.worst_xi, rep.kappa_est)
 
 
-def test_margin_leaves_a_non_even_profile_unchecked():
+def test_margin_counts_the_modes_of_a_non_even_profile():
+    # the census counts every mixture; under weak Coulomb the bump has no
+    # zero at Re xi <= 0, under Coulomb 16 pi^2 mode 1 grows
     rep = scan_stability_margin(bump_on_tail(), COULOMB, 0.25, 0.05)
-    assert rep.unstable_modes is None and "unstable_modes = unchecked\n" in rep.to_text()
+    assert rep.unstable_modes == 0 and "unstable_modes = 0\n" in rep.to_text()
     assert rep.passed
+    rep = scan_stability_margin(bump_on_tail(), STRONG, 0.25, 0.05)
+    assert rep.unstable_modes == 1 and not rep.passed
 
 
 @pytest.mark.parametrize("factor", [0.8, 0.9, 0.98, 1.02, 1.1, 1.2])
@@ -386,7 +414,7 @@ def counting_ft(profile):
 
 
 def clear_profile_memos():
-    for memo in (linear._margin_psi, linear._root_psi, linear._small_gain_integral):
+    for memo in (linear._margin_psi, linear._census_contour, linear._small_gain_integral):
         memo.cache_clear()
 
 
@@ -405,16 +433,24 @@ def counting_psi(monkeypatch):
 def test_scans_evaluate_psi_once_per_grid_and_sign(monkeypatch):
     # every mode scales one Psi per sign: two closed-form grids, whatever
     # k_max, one when the profile is even (ft(-s) = ft(s)), and no ft call
-    newton = builtin_interaction("newton", 20.0)
+    # besides the small-gain integral's, which has a memo of its own.  Under
+    # Newton 20 every mode's small-gain bound is below 1, so no census runs;
+    # under Coulomb 16 pi^2 modes 1 and 2 share one census contour
     signs = counting_psi(monkeypatch)
-    for base, want in ((MAX, [1]), (bi_maxwellian(drift=2.0), [1]), (bump_on_tail(), [1, -1])):
+    for base, interaction, want in ((MAX, builtin_interaction("newton", 20.0), [1]),
+                                    (bi_maxwellian(drift=2.0), builtin_interaction("newton", 20.0), [1]),
+                                    (bump_on_tail(), builtin_interaction("newton", 20.0), [1, -1]),
+                                    (MAX, STRONG, [1, 1])):
         for k_max in (4, 8):
             clear_profile_memos()
-            signs.clear()
             profile, sizes = counting_ft(base)
-            scan_stability_margin(profile, newton, 0.25, 0.05, k_max=k_max)
+            linear._small_gain_integral(profile)
+            signs.clear()
+            sizes.clear()
+            scan_stability_margin(profile, interaction, 0.25, 0.05, k_max=k_max)
             assert signs == want and sizes == []
-    # root_scan: one grid of its sign before Newton starts, then one point per iterate
+    # root_scan: one census contour of the sign k > 0 (Psi_-(xi) = conj Psi_+(conj xi))
+    # before Newton starts, then one point of its own sign per iterate
     clear_profile_memos()
     signs.clear()
     profile, sizes = counting_ft(MAX)
@@ -426,7 +462,7 @@ def test_scans_evaluate_psi_once_per_grid_and_sign(monkeypatch):
 
     monkeypatch.setattr(linear, "_root_newton", recording_newton)
     assert root_scan(profile, STRONG, -2).root is not None
-    assert calls_before_newton == [[-1]] and len(signs) > 1 and set(signs) == {-1} and sizes == []
+    assert calls_before_newton == [[1]] and len(signs) > 1 and set(signs[1:]) == {-1} and sizes == []
 
 
 def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
@@ -444,17 +480,17 @@ def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
     profile, sizes = counting_ft(MAX)
     assert scans(profile) == first
     assert signs == [] and sizes == []
-    # the other sign of k transforms ft(-s): a grid of its own
-    root_scan(profile, COULOMB, -1)
-    assert signs == [-1] and sizes == []
+    # the other sign of k reads the same contour: Psi_-(xi) = conj Psi_+(conj xi)
+    assert root_scan(profile, COULOMB, -1) == replace(first[2], k=-1)
+    assert signs == [] and sizes == []
 
 
 def test_cached_transforms_are_read_only():
-    psi, _ = linear._margin_psi(MAX, 0.25)
     with pytest.raises(ValueError, match="read-only"):
-        psi[0, 0] = 0.0
-    with pytest.raises(ValueError, match="read-only"):
-        linear._root_psi(MAX, 1)[0, 0] = 0.0
+        linear._margin_psi(MAX, 0.25)[0, 0] = 0.0
+    for a in linear._census_contour(MAX, 0):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.0
 
 
 def test_margin_validates_strip():
@@ -628,19 +664,15 @@ def test_root_scan_root_satisfies_transform_equation():
     (MAX, COULOMB, 1), (MAX, COULOMB, 2), (MAX, STRONG, 1), (MAX, STRONG, 2), (MAX, STRONG, 3),
     (bump_on_tail(weight=0.2, drift=2.0), STRONG, 1),
 ], ids=["coulomb-1", "coulomb-2", "strong-1", "strong-2", "strong-3", "bump-strong-1"])
-def test_root_scan_matches_per_width_reference(monkeypatch, profile, interaction, k):
-    seed, root, lambda_star = per_width_root_scan(profile, interaction, k)
-    seeds = []
-
-    def recording_newton(profile, interaction, k, seed):
-        seeds.append(seed)
-        return _root_newton(profile, interaction, k, seed)
-
-    monkeypatch.setattr(linear, "_root_newton", recording_newton)
+def test_root_scan_matches_per_width_reference(profile, interaction, k):
+    # the census and the grid search seed Newton apart, so the refined roots
+    # agree to its stopping tolerance, not bit for bit
+    # the reference's refined root of strong-3, 1.1838 + 1.7549i, lies right of
+    # the census window Re < lam: no zero there, so no root, the same cap
+    root, lambda_star = per_width_root_scan(profile, interaction, k)
     res = root_scan(profile, interaction, k)
-    assert seeds == ([] if seed is None else [seed])
-    assert res.root == root
-    assert res.lambda_star == lambda_star
+    assert res.root == (None if root is None or root.real >= profile.lam else pytest.approx(root, rel=1e-12))
+    assert res.lambda_star == pytest.approx(lambda_star, rel=1e-12)
 
 
 def test_root_scan_super_jeans_raises():
@@ -651,11 +683,12 @@ def test_root_scan_super_jeans_raises():
 @pytest.mark.parametrize("strength", [150.0, 200.0])
 def test_root_scan_refuses_a_two_stream_unstable_plasma(strength):
     # what(1) Psi(0) > 1 for an even profile puts a root of 1 - L at
-    # Re zeta < 0, outside the scanned strip, where a damped root
-    # (0.563 + 4.375i at 150, 0.444 + 4.555i at 200) would be reported
+    # Re zeta < 0, left of the damped roots (0.563 + 4.375i at 150,
+    # 0.444 + 4.555i at 200) that a scan of the strip alone would report
     profile, interaction = bi_maxwellian(drift=2.0), builtin_interaction("coulomb", strength)
     assert scan_stability_margin(profile, interaction, 0.25, 0.05).unstable_modes == 1
-    with pytest.raises(StabilityGapError, match="Psi"):
+    root = {150.0: "-0.0338", 200.0: "-0.1847"}[strength]
+    with pytest.raises(StabilityGapError, match=f"zero at zeta = {root}[+-]0.0000i"):
         root_scan(profile, interaction, 1)
 
 
@@ -666,9 +699,99 @@ def test_root_scan_keeps_the_stable_two_stream_root():
     assert res.rate == pytest.approx(1.232958210433796, rel=1e-12)
 
 
+def test_root_scan_raises_naming_the_growing_root_of_a_bump_on_tail():
+    # the strip holds a damped root 0.2554 + 4.1989i, once reported with rate
+    # 1.60; the census finds the growing one left of it
+    with pytest.raises(StabilityGapError, match=r"zero at zeta = -0\.0822\+2\.2427i.*grows at rate 0\.516"):
+        root_scan(bump_on_tail(), STRONG, 1)
+    with pytest.raises(StabilityGapError, match=r"zero at zeta = -0\.0822-2\.2427i"):
+        root_scan(bump_on_tail(), STRONG, -1)
+
+
 def test_root_scan_sub_jeans_real_root():
     # attractive but below threshold: slow nonoscillatory decay, real root
     res = root_scan(MAX, builtin_interaction("newton", 20.0), 1)
     assert res.root is not None
     assert abs(res.root.imag) < 1e-10
     assert 0.0 < res.lambda_star < MAX.lam
+
+
+# ---------------------------------------------------------------------------
+# zero census
+
+
+def wofz_winding_number(profile, w, n=60000):
+    """The zeros of D = 1 - w Psi in the census window as the unwrapped phase
+    change of D once round the rectangle, divided by 2 pi: the argument
+    principle read apart from the census's moments, with Psi summed from
+    scipy's wofz on n boundary points."""
+    lo, hi, top = linear._CENSUS_RE_MIN, profile.lam, linear._CENSUS_IM_MAX
+    corners = [complex(lo, -top), complex(hi, -top), complex(hi, top), complex(lo, top), complex(lo, -top)]
+    perimeter = float(np.sum(np.abs(np.diff(corners))))
+    xi = np.concatenate([a + (b - a) * np.linspace(0.0, 1.0, int(n * abs(b - a) / perimeter), endpoint=False)
+                         for a, b in zip(corners, corners[1:])] + [corners[:1]])
+    psi = 0.0
+    for c, u, theta in profile.components:
+        a, b = 2 * np.pi**2 * theta, 2 * np.pi * (xi - 1j * u)
+        psi = psi + c * (1.0 + b * 0.5 * np.sqrt(np.pi / a) * wofz(-0.5j * b / np.sqrt(a))) / (2 * a)
+    phase = np.unwrap(np.angle(1.0 + w * FOUR_PI2 * psi))
+    assert np.max(np.abs(np.diff(phase))) < 0.5  # the samples resolve the phase
+    return (phase[-1] - phase[0]) / (2 * np.pi)
+
+
+CENSUS_TABLE = [
+    (MAX, STRONG, [0.3067 - 2.8313j, 0.3067 + 2.8313j]),
+    (MAX, builtin_interaction("newton", 20.0), [0.4973]),
+    (MAX, builtin_interaction("newton", 41.0), [-0.0303]),
+    (MAX, builtin_interaction("newton", 42.0), [-0.0498]),
+    (bump_on_tail(), STRONG, [-0.0822 + 2.2427j, 0.2554 + 4.1989j, 0.3385 - 2.7614j]),
+    # a zero just outside the window: the census needs one halving of its panels
+    (bi_maxwellian(2.0, 1.0, 0.5, 0.3), STRONG, [-0.2209 - 0.1163j, 0.1312 + 4.2212j]),
+]
+
+
+@pytest.mark.parametrize("profile, interaction, want", CENSUS_TABLE,
+                         ids=["maxwellian-coulomb", "newton-20", "newton-41", "newton-42", "bump-coulomb",
+                              "asymmetric-bi-maxwellian-coulomb"])
+def test_census_zeros_solve_the_transform_and_match_the_winding_number(profile, interaction, want):
+    w = float(interaction.what(1))
+    zeros = np.sort_complex(linear._zeros(profile, w))
+    assert len(zeros) == round(wofz_winding_number(profile, w)) == len(want)
+    np.testing.assert_allclose(zeros, np.sort_complex(want), rtol=0, atol=1e-4)
+    for z in zeros:
+        val = quad(lambda t: np.exp(2 * np.pi * z * t) * memory_kernel(profile, interaction, 1, t), 0, 8,
+                   complex_func=True, limit=400)[0]
+        assert val == pytest.approx(1.0, abs=1e-8)
+
+
+def test_census_halves_its_panels_when_the_count_is_no_integer():
+    # the asymmetric mixture has a zero just outside the window: on the first
+    # panels the count is 2 - 4e-5, on the halved ones an integer to 1e-9
+    w = float(STRONG.what(1))
+    counts = []
+    for halvings in (0, 1):
+        xi, dxi, psi, dpsi = linear._census_contour(bi_maxwellian(2.0, 1.0, 0.5, 0.3), halvings)
+        counts.append(complex(np.sum(dxi * (-w * dpsi) / (1.0 - w * psi))))
+    assert abs(counts[0] - 2.0) > 1e-6 > abs(counts[1] - 2.0)
+    # a zero on the contour never gives an integer count
+    w = float(builtin_interaction("newton", 20.0).what(1))
+    edge = float(linear._zeros(MAX, w)[0].real)
+    with pytest.raises(NumericError, match="did not converge"):
+        linear._zeros(replace(maxwellian(), lam=edge), w)
+
+
+@pytest.mark.parametrize("profile", [bump_on_tail(), bi_maxwellian(2.0, 1.0, 0.5, 0.3)],
+                         ids=["bump_on_tail", "asymmetric_bi_maxwellian"])
+def test_unstable_count_flips_where_the_volterra_mode_turns_to_growth(profile):
+    # Penrose's question for a mixture that is not even: the census's count of
+    # mode 1 against its Volterra solution, |rho| over t in [25, 30] against [15, 20)
+    counts = []
+    for strength in (60.0, 80.0, 140.0, 180.0, 240.0):
+        interaction = builtin_interaction("coulomb", strength)
+        count = scan_stability_margin(profile, interaction, 0.1, 0.05, k_max=1).unstable_modes
+        hist = solve_volterra(profile, interaction, lambda t: profile.ft(t), 1, 30.0, 1.0 / 16)
+        amp = np.abs(hist.values)
+        grows = amp[hist.times >= 25].max() > amp[(hist.times >= 15) & (hist.times < 20)].max()
+        assert count == int(grows)
+        counts.append(count)
+    assert counts == [0, 0, 1, 1, 1]
