@@ -15,6 +15,8 @@ mixture, so `_psi` gives Psi and Psi' in closed form on all of C through the
 Faddeeva function (`_faddeeva`, Weideman's rational approximation).  1 - L
 is entire, so one census (`_zeros`, the argument principle) finds its zeros
 in -3 < Re xi < lam, |Im xi| < 12; a zero at Re xi <= 0 is a growing mode.
+Outside that window bounds on |Psi| (`_outside_score`) rule growth out,
+or the scans say that they cannot.
 The margin scan `scan_stability_margin` samples the distance from 1 of L,
 the functional of Mouhot and Villani's condition (L), and counts the modes
 with a growing zero; `root_scan` refines the least-damped zero, which sets
@@ -253,7 +255,8 @@ def _margin_psi(profile: VelocityProfile, lambda_strip: float) -> np.ndarray:
     for an even profile ft(-s) = ft(s), so one grid serves both signs."""
     res, ims = _strip_grid(lambda_strip)
     xi = res[:, None] + 1j * ims
-    return _read_only(np.stack([_psi(profile, xi, sign)[0] for sign in ((1,) if _is_even(profile) else (1, -1))]))
+    signs = (1,) if _is_even(profile) else (1, -1)
+    return _read_only(np.stack([_psi(profile, xi, sign)[0] for sign in signs]))
 
 
 def scan_stability_margin(
@@ -273,7 +276,9 @@ def scan_stability_margin(
     A mode with a zero of 1 - L at Re xi <= 0 is unstable and fails the
     scan; on Re xi <= 0, |L| is at most 4 pi^2 |what(k)| times the
     small-gain integral, so a mode whose bound is below 1 skips the census.
-    Psi is computed once per (profile, lambda_strip) per process.
+    A mode with no such zero in the census window, where `_outside_score`
+    cannot rule one out beyond it, fails the scan with a warning.  Psi is
+    computed once per (profile, lambda_strip) per process.
     """
     if not 0.0 < lambda_strip < profile.lam:
         raise ValueError(f"lambda_strip must lie in (0, {profile.lam:g}), got {lambda_strip:g}")
@@ -282,8 +287,6 @@ def scan_stability_margin(
     res, ims = _strip_grid(lambda_strip)
     psi = _margin_psi(profile, float(lambda_strip))
     what = np.asarray(interaction.what(np.arange(1, k_max + 1)), dtype=float)
-    gain = 4.0 * np.pi**2 * _small_gain_integral(profile)
-    unstable_modes = sum(bool(gain * abs(w) >= 1.0 and np.any(_zeros(profile, w).real <= 0.0)) for w in what)
     vals = what[:, None, None] * psi[:, None]
     gaps = np.abs(vals - 1.0)
     # the first minimum in (sign, k, Re, Im) order: the lowest mode that
@@ -298,11 +301,29 @@ def scan_stability_margin(
         warnings.append(f"modes beyond k_max uncertified (tail bound {tail_bound:.3g} >= 1 - kappa)")
     if not edge_max < 1.0 - kappa:
         warnings.append(f"functional still {edge_max:.3g} at the Im window edge; enlarge im_max")
+    gain = 4.0 * np.pi**2 * _small_gain_integral(profile)
+    unstable_modes = 0
+    for k, w in enumerate(what, start=1):
+        if gain * abs(w) < 1.0:
+            continue
+        if np.any(_zeros(profile, w).real <= 0.0):
+            unstable_modes += 1
+        elif (score := _outside_score(profile, w)) >= 1.0:
+            warnings.append(f"mode {k} growth outside the census window not excluded "
+                            f"(outside score {score:.3g} >= 1)")
     passed = bool(kappa_est >= kappa and not warnings and not unstable_modes)
     return StabilityReport(
-        kappa_est=kappa_est, lambda_strip=float(lambda_strip), kappa_requested=float(kappa), k_max=k_max,
-        worst_k=(int(k_i) + 1) * (1, -1)[sign_i], worst_xi=complex(res[i], ims[j]), tail_bound=float(tail_bound),
-        unstable_modes=unstable_modes, warnings=tuple(warnings), passed=passed)
+        kappa_est=kappa_est,
+        lambda_strip=float(lambda_strip),
+        kappa_requested=float(kappa),
+        k_max=k_max,
+        worst_k=(int(k_i) + 1) * (1, -1)[sign_i],
+        worst_xi=complex(res[i], ims[j]),
+        tail_bound=float(tail_bound),
+        unstable_modes=unstable_modes,
+        warnings=tuple(warnings),
+        passed=passed,
+    )
 
 
 # what(k) >= 0 is checked on 1 <= k <= 8 (each built-in interaction has one
@@ -350,13 +371,20 @@ def _gl_panels(t_max: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
 
 
-@functools.lru_cache(maxsize=16)
-def _small_gain_integral(profile: VelocityProfile) -> float:
-    # the horizon: the narrowest mixture component's Gaussian envelope
-    # exp(-a s^2) of |ft| is exp(-_DECADES) / c0 there
+def _majorant_nodes(profile: VelocityProfile) -> tuple[np.ndarray, np.ndarray]:
+    """`_gl_panels` nodes and weights on [0, t_max] for the majorant integrals of |ft|.
+
+    The horizon t_max: the narrowest mixture component's Gaussian envelope
+    exp(-a s^2) of |ft| is exp(-_DECADES) / c0 there.
+    """
     a = 2.0 * np.pi**2 * min(th for _, _, th in profile.components)
     t_max = max(1.0, np.sqrt(4.0 * a * (_DECADES + max(0.0, np.log(profile.c0)))) / (2.0 * a))
-    r, wr = _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
+    return _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
+
+
+@functools.lru_cache(maxsize=16)
+def _small_gain_integral(profile: VelocityProfile) -> float:
+    r, wr = _majorant_nodes(profile)
     return max(float(np.sum(wr * np.abs(profile.ft(sgn * r)) * r)) for sgn in (1.0, -1.0))
 
 
@@ -466,6 +494,47 @@ _CENSUS_MAX_ZEROS = 8
 
 
 @functools.lru_cache(maxsize=16)
+def _outside_constants(profile: VelocityProfile) -> tuple[float, float, float, float]:
+    """(b_left, g_left, b_top, m) of `_outside_score`, integrals of ft(s); a real
+    profile has ft(-s) = conj ft(s), so they serve both signs of k."""
+    r, wr = _majorant_nodes(profile)
+    g2 = np.zeros(r.shape, dtype=complex)
+    for w, u, theta in profile.components:
+        # g'' of w s exp(h0 s - a s^2) is w (2h - 2as + s h^2) exp(...), h = h0 - 2as
+        a = 2.0 * np.pi**2 * theta
+        h = -2j * np.pi * u - 2.0 * a * r
+        g2 += w * (2.0 * h - 2.0 * a * r + r * h**2) * np.exp(-2j * np.pi * u * r - a * r**2)
+    left = np.exp(TWO_PI * _CENSUS_RE_MIN * r)
+    m = float(sum(w for w, _, _ in profile.components))
+    return (4.0 * np.pi**2 * float(np.sum(wr * np.abs(profile.ft(r)) * left * r)),
+            float(np.sum(wr * np.abs(g2) * left)),
+            (m + float(np.sum(wr * np.abs(g2)))) / _CENSUS_IM_MAX**2,
+            m)
+
+
+def _outside_score(profile: VelocityProfile, w: float) -> float:
+    """Below 1 when 1 - w Psi has no zero on Re xi <= 0 outside the census window.
+
+    With g(s) = s ft(s), two integrations by parts give xi^2 Psi = -(m + R),
+    m = ft(0), R = int exp(2 pi xi s) g''(s) ds.
+    - Left of the window, Re xi <= -3: |w Psi| <= |w| b_left, with
+      b_left = 4 pi^2 int |ft(s)| exp(-6 pi s) s ds.  For w > 0 a zero
+      needs xi^2 = -w (m + R), |R| <= g_left = int |g''(s)| exp(-6 pi s) ds:
+      the imaginary part gives |Im xi| <= w g_left / 6, the real part
+      |Im xi|^2 >= 9 + w (m - g_left), so none lies there while
+      (w g_left)^2 < 36 (9 + w (m - g_left)).
+    - Above and below it, |Im xi| >= 12: |w Psi| <= |w| b_top, with
+      b_top = (m + int |g''|) / 144.
+    - On all of Re xi <= 0, |w Psi| is at most |w| times the small-gain bound.
+    """
+    b_left, g_left, b_top, m = _outside_constants(profile)
+    left = abs(w) * b_left
+    if w > 0.0 and 9.0 + w * (m - g_left) > 0.0:
+        left = min(left, (w * g_left) ** 2 / (36.0 * (9.0 + w * (m - g_left))))
+    return min(abs(w) * 4.0 * np.pi**2 * _small_gain_integral(profile), max(left, abs(w) * b_top))
+
+
+@functools.lru_cache(maxsize=16)
 def _census_contour(profile: VelocityProfile, halvings: int) -> tuple[np.ndarray, ...]:
     """Nodes xi and weights dxi / (2 pi i) of the census rectangle's boundary,
     counterclockwise, on panels _CENSUS_PANEL / 2**halvings wide, with Psi and
@@ -518,7 +587,8 @@ class RootScanResult:
     """Outcome of `root_scan`.
 
     ``root`` is the least-damped zero of 1 - L in the census window,
-    refined, or None when the window holds none.  ``lambda_star`` is
+    refined, or None when the window holds none (a damped zero beyond the
+    window is not seen).  ``lambda_star`` is
     min(Re root, lam), else the cap lam itself; the predicted mode decay rate
     is 2 pi |k| lambda_star because the transform acts on exp(2 pi |k| zeta t).
     """
@@ -546,7 +616,11 @@ def _root_newton(profile, interaction, k, seed: complex) -> complex:
     raise NumericError("resolvent-root refinement did not converge")
 
 
-def root_scan(profile: VelocityProfile, interaction: Interaction, k: int) -> RootScanResult:
+def root_scan(
+    profile: VelocityProfile,
+    interaction: Interaction,
+    k: int,
+) -> RootScanResult:
     """The least-damped resolvent root of mode k: the zero of 1 - L with the
     smallest Re in the census window (`_zeros`; on a tie the one with
     Im >= 0), refined by Newton's method on Psi and Psi'.
@@ -554,15 +628,17 @@ def root_scan(profile: VelocityProfile, interaction: Interaction, k: int) -> Roo
     With no zero in the window the cap lam is returned (the mode decay is
     then limited only by the source).  A root at Re zeta <= 0 is a growing
     mode: there is no decay gap, and `StabilityGapError` names the root and
-    its growth rate.  The census contour's Psi is computed once per profile
-    per process.
+    its growth rate.  When the window holds no growing zero and
+    `_outside_score` cannot rule one out beyond it, `NumericError` says so.
+    The census contour's Psi is computed once per profile per process.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
     width_cap = profile.lam
     if width_cap <= 0:
         raise ValueError("width cap must be positive")
-    zeros = _zeros(profile, float(interaction.what(np.array(k))))
+    w = float(interaction.what(np.array(k)))
+    zeros = _zeros(profile, w)
     zeros = np.conj(zeros) if k < 0 else zeros
     root, lambda_star = None, float(width_cap)
     if len(zeros):
@@ -573,4 +649,15 @@ def root_scan(profile: VelocityProfile, interaction: Interaction, k: int) -> Roo
                 f"rate {-TWO_PI * abs(k) * root.real:.4g}, no decay gap"
             )
         lambda_star = float(min(root.real, width_cap))
-    return RootScanResult(k=k, lambda_star=lambda_star, rate=TWO_PI * abs(k) * lambda_star, root=root)
+    score = _outside_score(profile, w)
+    if score >= 1.0:
+        raise NumericError(
+            f"1 - L may have a zero at Re zeta <= 0 outside the census window (outside score {score:.3g} >= 1): "
+            f"growth of mode k={k} is not excluded"
+        )
+    return RootScanResult(
+        k=k,
+        lambda_star=lambda_star,
+        rate=TWO_PI * abs(k) * lambda_star,
+        root=root,
+    )

@@ -326,6 +326,23 @@ def test_certify_fails_a_jeans_unstable_plasma(tmp_path, strength):
     assert "status = certification_failed" in (out / "run.meta").read_text()
 
 
+def test_a_jeans_zero_left_of_the_census_window_fails_loudly(tmp_path):
+    # Newton 600: the growing real zero lies left of Re xi = -3, outside the
+    # census window, where the bound on |L| (1.31) cannot rule growth out
+    out = tmp_path / "run"
+    text = LINEAR_FAST.format(out=out).replace("kind = coulomb\nstrength = 157.91367041742973",
+                                               "kind = newton\nstrength = 600")
+    assert main(["run", str(write_cfg(tmp_path, text))]) == 3
+    meta = (out / "run.meta").read_text()
+    assert "status = failed:numeric" in meta and "growth of mode k=1 is not excluded" in meta
+    out = tmp_path / "certify"
+    text = CERTIFY_NEWTON.format(strength="600", out=out).replace("kappa = 0.05", "kappa = 0.05\nk_max = 1")
+    assert main(["certify", str(write_cfg(tmp_path, text))]) == 4
+    report = (out / "stability_report.txt").read_text()
+    assert "certified = false\n" in report and "unstable_modes = 0\n" in report
+    assert "mode 1 growth outside the census window not excluded (outside score 1.31 >= 1)" in report
+
+
 CERTIFY_TWO_STREAM = """\
 [experiment]
 name = certify

@@ -414,7 +414,8 @@ def counting_ft(profile):
 
 
 def clear_profile_memos():
-    for memo in (linear._margin_psi, linear._census_contour, linear._small_gain_integral):
+    for memo in (linear._margin_psi, linear._census_contour, linear._small_gain_integral,
+                 linear._outside_constants):
         memo.cache_clear()
 
 
@@ -433,9 +434,10 @@ def counting_psi(monkeypatch):
 def test_scans_evaluate_psi_once_per_grid_and_sign(monkeypatch):
     # every mode scales one Psi per sign: two closed-form grids, whatever
     # k_max, one when the profile is even (ft(-s) = ft(s)), and no ft call
-    # besides the small-gain integral's, which has a memo of its own.  Under
-    # Newton 20 every mode's small-gain bound is below 1, so no census runs;
-    # under Coulomb 16 pi^2 modes 1 and 2 share one census contour
+    # besides the small-gain integral's and the outside bound's, which have
+    # memos of their own.  Under Newton 20 every mode's small-gain bound is
+    # below 1, so no census runs; under Coulomb 16 pi^2 modes 1 and 2 share
+    # one census contour
     signs = counting_psi(monkeypatch)
     for base, interaction, want in ((MAX, builtin_interaction("newton", 20.0), [1]),
                                     (bi_maxwellian(drift=2.0), builtin_interaction("newton", 20.0), [1]),
@@ -445,6 +447,7 @@ def test_scans_evaluate_psi_once_per_grid_and_sign(monkeypatch):
             clear_profile_memos()
             profile, sizes = counting_ft(base)
             linear._small_gain_integral(profile)
+            linear._outside_constants(profile)
             signs.clear()
             sizes.clear()
             scan_stability_margin(profile, interaction, 0.25, 0.05, k_max=k_max)
@@ -454,6 +457,9 @@ def test_scans_evaluate_psi_once_per_grid_and_sign(monkeypatch):
     clear_profile_memos()
     signs.clear()
     profile, sizes = counting_ft(MAX)
+    linear._small_gain_integral(profile)
+    linear._outside_constants(profile)
+    sizes.clear()
     calls_before_newton = []
 
     def recording_newton(*args):
@@ -778,6 +784,56 @@ def test_census_halves_its_panels_when_the_count_is_no_integer():
     edge = float(linear._zeros(MAX, w)[0].real)
     with pytest.raises(NumericError, match="did not converge"):
         linear._zeros(replace(maxwellian(), lam=edge), w)
+
+
+OUTSIDE_PROFILES = [MAX, bump_on_tail(), bi_maxwellian(2.0, 1.0, 0.5, 0.3), bump_on_tail(0.1, 14.0, 0.25)]
+
+
+@pytest.mark.parametrize("profile", OUTSIDE_PROFILES, ids=["maxwellian", "bump_on_tail", "asymmetric_bi_maxwellian",
+                                                           "far_bump"])
+def test_outside_constants_hold_on_sampled_psi_beyond_the_census_window(profile):
+    # |Psi| and the remainder |xi^2 Psi + m| of both signs on Re xi <= 0
+    # outside the window, on a grid that reaches 4 widths left of it and 40
+    # above and below, against the closed form
+    b_left, g_left, b_top, m = linear._outside_constants(profile)
+    re = np.concatenate([np.linspace(-12.0, -3.0, 37), np.linspace(-3.0, 0.0, 13)])
+    xi = (re[:, None] + 1j * np.linspace(-40.0, 40.0, 321)).ravel()
+    for region, bound, remainder in ((xi.real <= linear._CENSUS_RE_MIN, b_left, g_left),
+                                     (np.abs(xi.imag) >= linear._CENSUS_IM_MAX, b_top, linear._CENSUS_IM_MAX**2 * b_top - m)):
+        for sign in (1, -1):
+            psi = _psi(profile, xi[region], sign)[0]
+            assert np.max(np.abs(psi)) <= bound
+            assert np.max(np.abs(xi[region] ** 2 * psi + m)) <= remainder
+    # for the Maxwellian ft > 0, so the left bound is attained at xi = -3
+    if profile == MAX:
+        assert b_left == pytest.approx(abs(complex(_psi(MAX, -3.0, 1)[0])), rel=1e-10)
+
+
+def test_a_growing_zero_beyond_the_census_window_is_not_passed_over():
+    # the Maxwellian's Jeans zero is real and leaves the window across Re = -3
+    # between Newton 450 and 470; there the outside bound, exact at -3, takes over
+    with pytest.raises(StabilityGapError, match=r"zero at zeta = -2\.9677"):
+        root_scan(MAX, builtin_interaction("newton", 450.0), 1)
+    for strength in (470.0, 600.0):
+        newton = builtin_interaction("newton", strength)
+        assert len(linear._zeros(MAX, float(newton.what(1)))) == 0
+        with pytest.raises(NumericError, match="growth of mode k=1 is not excluded"):
+            root_scan(MAX, newton, 1)
+        rep = scan_stability_margin(MAX, newton, 0.5, 0.05, k_max=1)
+        assert rep.unstable_modes == 0 and not rep.passed
+        assert any(w.startswith("mode 1 growth outside the census window not excluded") for w in rep.warnings)
+    # a far bump under Coulomb (28 pi)^2 grows through the zero -3.547 + 10.784i
+    with pytest.raises(NumericError, match="not excluded"):
+        root_scan(bump_on_tail(0.1, 14.0, 0.25), builtin_interaction("coulomb", (28.0 * np.pi) ** 2), 1)
+    # under Coulomb the left bound |w| b_left (4.15 at 1900) is too weak, but
+    # w > 0 keeps a zero near the imaginary axis there: the dense Maxwellian's
+    # plasma zero, inside the window, is kept up to the top bound's reach
+    coulomb = builtin_interaction("coulomb", 1900.0)
+    w = float(coulomb.what(1))
+    assert w * linear._outside_constants(MAX)[0] > 4 and linear._outside_score(MAX, w) < 1
+    assert root_scan(MAX, coulomb, 1).root == pytest.approx(1.0677e-08 + 7.159937050942j, abs=1e-11)
+    with pytest.raises(NumericError, match="not excluded"):
+        root_scan(MAX, builtin_interaction("coulomb", 2500.0), 1)
 
 
 @pytest.mark.parametrize("profile", [bump_on_tail(), bi_maxwellian(2.0, 1.0, 0.5, 0.3)],

@@ -3,8 +3,8 @@
 built in `sim` (`run`, the echo experiment and the norms experiment step along
 `sim._trajectory`, and `strang_step` along its cached stepper), and the
 Laplace transform Psi has one closed form, `linear._psi`: the one quadrature
-builder, `linear._gl_panels`, serves only the small-gain integral and the
-zero census's contour, never Psi itself, and no function takes a ``modulus``
+builder, `linear._gl_panels`, serves only the majorant integrals of |ft|
+(`linear._majorant_nodes`) and the zero census's contour, never Psi itself, and no function takes a ``modulus``
 switch between transforms."""
 
 import ast
@@ -68,8 +68,8 @@ def test_the_checks_flag_each_form():
 
 def test_gl_panels_serves_only_the_small_gain_integral():
     calls = [f"{mod}.{caller}" for mod, tree in _trees().items() for caller in _callers(tree, "_gl_panels")]
-    assert calls == ["linear._small_gain_integral", "linear._census_contour"], \
-        f"Gauss-Legendre panels outside the small-gain integral and the census contour: {calls}"
+    assert calls == ["linear._majorant_nodes", "linear._census_contour"], \
+        f"Gauss-Legendre panels outside the majorant integrals of |ft| and the census contour: {calls}"
 
 
 def test_no_function_takes_a_modulus_switch():
