@@ -390,6 +390,7 @@ def _small_gain_integral(profile: VelocityProfile) -> float:
 
 # ---------------------------------------------------------------------------
 # Volterra solve and rate extraction
+_VOLTERRA_BLOCK = 64  # steps per block of the Volterra march (a power of 2)
 
 
 def _grid_step(t: float, dt: float) -> int:
@@ -412,6 +413,12 @@ def solve_volterra(
     positive multiple of ``dt`` (else `ValueError`); second order in dt
     (verified by dt-halving).  ``source`` maps the time-grid array to values
     of its shape (else `ValueError`), typically t -> h_i_tilde(k, k t).
+
+    Block march: per block of B = _VOLTERRA_BLOCK steps, one product with the
+    block resolvent solves the block and one direct convolution adds it to all
+    later history: O(n^2) direct sums in about 2n/B calls of at most B terms,
+    never split over BLAS threads.  No FFT: its error scales with the largest
+    value, and a decaying history needs relative accuracy down to its least.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -419,19 +426,23 @@ def solve_volterra(
     if n < 1:
         raise ValueError(f"t_end = {t_end:g} is not a multiple of dt = {dt:g}")
     times = np.arange(n + 1) * dt
-    kern = np.asarray(memory_kernel(profile, interaction, k, times), dtype=complex)
+    kd = dt * np.asarray(memory_kernel(profile, interaction, k, times), dtype=complex)
     src = np.asarray(source(times), dtype=complex)
     if src.shape != times.shape:
         raise ValueError(f"source returned shape {src.shape}, expected the time grid's {times.shape}")
 
+    # rho[1:] solves T y = rhs, T lower-triangular Toeplitz; c, first column of its leading block's inverse, doubles
     rho = np.empty(n + 1, dtype=complex)
-    rho[0] = src[0]
-    denom = 1.0 - 0.5 * dt * kern[0]
-    for i in range(1, n + 1):
-        conv = 0.5 * kern[i] * rho[0]
-        if i > 1:
-            conv += np.dot(kern[i - 1:0:-1], rho[1:i])
-        rho[i] = (src[i] + dt * conv) / denom
+    rho[0], y = src[0], rho[1:]
+    rhs = src[1:] + 0.5 * kd[1:] * src[0]
+    c = np.array([1.0 / (1.0 - 0.5 * kd[0])])
+    while len(c) < min(n, _VOLTERRA_BLOCK):
+        c = np.concatenate([c, np.convolve(c, np.convolve(kd[1:2 * len(c)], c, "valid"))[:len(c)]])
+    for s in range(0, n, _VOLTERRA_BLOCK):
+        e = min(s + _VOLTERRA_BLOCK, n)
+        y[s:e] = np.convolve(c[:e - s], rhs[s:e])[:e - s]
+        if e < n:
+            rhs[e:] += np.convolve(kd[1:n - s], y[s:e], "valid")
     return ModeHistory(k=k, times=times, values=rho)
 
 
@@ -491,6 +502,7 @@ _CENSUS_RE_MIN, _CENSUS_IM_MAX = -3.0, 12.0
 _CENSUS_PANEL, _CENSUS_HALVINGS = 0.25, 4
 # Newton's identities resolve at most this many zeros
 _CENSUS_MAX_ZEROS = 8
+_NEWTON_RTOL = 1e-13  # Newton's relative stopping tolerance: a zero's Re below it has no resolved sign
 
 
 @functools.lru_cache(maxsize=16)
@@ -611,7 +623,7 @@ def _root_newton(profile, interaction, k, seed: complex) -> complex:
             raise NumericError("resolvent-root refinement hit a critical point")
         step = (w * complex(psi) - 1.0) / jp
         zeta -= step
-        if abs(step) < 1e-13 * max(1.0, abs(zeta)):
+        if abs(step) < _NEWTON_RTOL * max(1.0, abs(zeta)):
             return zeta
     raise NumericError("resolvent-root refinement did not converge")
 
@@ -628,27 +640,30 @@ def root_scan(
     With no zero in the window the cap lam is returned (the mode decay is
     then limited only by the source).  A root at Re zeta <= 0 is a growing
     mode: there is no decay gap, and `StabilityGapError` names the root and
-    its growth rate.  When the window holds no growing zero and
+    its growth rate; one with |Re| under Newton's tolerance has no resolved
+    sign (`NumericError`).  When the window holds no growing zero and
     `_outside_score` cannot rule one out beyond it, `NumericError` says so.
     The census contour's Psi is computed once per profile per process.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
-    width_cap = profile.lam
-    if width_cap <= 0:
+    if profile.lam <= 0:
         raise ValueError("width cap must be positive")
     w = float(interaction.what(np.array(k)))
     zeros = _zeros(profile, w)
     zeros = np.conj(zeros) if k < 0 else zeros
-    root, lambda_star = None, float(width_cap)
+    root, lambda_star = None, float(profile.lam)
     if len(zeros):
         root = _root_newton(profile, interaction, k, zeros[np.argmin(zeros.real - 1e-9 * (zeros.imag >= 0))])
+        if abs(root.real) < _NEWTON_RTOL * max(1.0, abs(root)):
+            raise NumericError(f"1 - L has a zero at zeta = {root.real:.3g}{root.imag:+.4f}i, Re within Newton's "
+                               f"tolerance of 0: the damping rate of mode k={k} is below double precision")
         if root.real <= 0.0:
             raise StabilityGapError(
                 f"1 - L has a zero at zeta = {root.real:.4f}{root.imag:+.4f}i, Re <= 0: mode k={k} grows at "
                 f"rate {-TWO_PI * abs(k) * root.real:.4g}, no decay gap"
             )
-        lambda_star = float(min(root.real, width_cap))
+        lambda_star = float(min(root.real, profile.lam))
     score = _outside_score(profile, w)
     if score >= 1.0:
         raise NumericError(

@@ -689,10 +689,17 @@ def test_phase_space_experiment_succeeds_and_is_byte_identical_across_processes(
     assert first == second
 
 
-@pytest.mark.parametrize("text", [LINEAR_FAST.format(out="out"), CERTIFY_COULOMB.format(out="out")],
-                         ids=["linear_damping", "certify"])
+# 12,288 steps: a history sum over every earlier step is a BLAS dot long
+# enough to split over two threads
+LINEAR_LONG = LINEAR_FAST.replace("dt = 0.015625", "dt = 0.0009765625").replace("t_end = 4", "t_end = 12")
+
+
+@pytest.mark.parametrize("text", [LINEAR_FAST.format(out="out"), CERTIFY_COULOMB.format(out="out"),
+                                  LINEAR_LONG.format(out="out")],
+                         ids=["linear_damping", "certify", "linear_damping_n12288"])
 def test_strip_scans_are_byte_identical_across_blas_thread_counts(tmp_path, text):
-    # the strip transform is a BLAS matrix product; its artifacts must not depend on the thread count
+    # the strip transform is a BLAS matrix product, and the Volterra march sums
+    # histories; their artifacts must not depend on the thread count
     config = write_cfg(tmp_path, text)
     one = _run_cli_process(config, tmp_path / "a", OPENBLAS_NUM_THREADS="1")
     two = _run_cli_process(config, tmp_path / "b", OPENBLAS_NUM_THREADS="2")

@@ -585,6 +585,60 @@ def test_volterra_refuses_an_off_grid_end_time():
     assert solve_volterra(MAX, STRONG, lambda t: 0.5 * MAX.ft(t), 1, 8.01, 0.03).times[-1] == pytest.approx(8.01)
 
 
+def long_double_volterra(profile, interaction, source, k, t_end, dt):
+    """The trapezoid march of `solve_volterra`, one step at a time, with every
+    product and sum in np.clongdouble (extended precision on x86-64) on the
+    same double kernel and source samples: the reference for the march's
+    roundoff alone."""
+    n = int(round(t_end / dt))
+    times = np.arange(n + 1) * dt
+    kern = np.asarray(memory_kernel(profile, interaction, k, times), dtype=complex).astype(np.clongdouble)
+    src = np.asarray(source(times), dtype=complex).astype(np.clongdouble)
+    half_dt = np.clongdouble(dt) / 2
+    rho = np.empty(n + 1, dtype=np.clongdouble)
+    rho[0] = src[0]
+    for i in range(1, n + 1):
+        conv = half_dt * kern[i] * rho[0] + 2 * half_dt * np.sum(kern[i - 1:0:-1] * rho[1:i])
+        rho[i] = (src[i] + conv) / (1 - half_dt * kern[0])
+    return rho
+
+
+@pytest.mark.parametrize("profile, interaction, k, t_end, dt", [
+    (MAX, STRONG, 2, 8.0, 1 / 128),  # the bench's mode 2, down to ~1e-41
+    (bump_on_tail(), STRONG, 1, 30.0, 1 / 16),  # a growing mode
+    (bi_maxwellian(2.0, 1.0, 0.5, 0.3), STRONG, -2, 8.0, 1 / 64),  # a complex kernel
+    (MAX, STRONG, 1, 2.0, 1 / 16),  # fewer steps than one block
+    (MAX, STRONG, 1, 8.01, 0.03),  # 267 steps, no multiple of the block
+], ids=["maxwellian-k2", "bump-growing", "asymmetric-k-2", "one-short-block", "ragged-last-block"])
+def test_volterra_march_matches_a_long_double_march_sample_by_sample(profile, interaction, k, t_end, dt):
+    source = lambda t: 5e-4 * profile.ft(k * t)
+    hist = solve_volterra(profile, interaction, source, k, t_end, dt)
+    ref = long_double_volterra(profile, interaction, source, k, t_end, dt)
+    assert np.all(ref != 0)
+    assert float(np.max(np.abs(hist.values - ref) / np.abs(ref))) <= 1e-11
+
+
+def test_volterra_march_makes_a_few_reductions_per_block_not_one_per_step(monkeypatch):
+    # n = 1024: one reduction per step would be 1023 calls; the block march
+    # makes at most (B - 1) + 2 ceil(n / B)
+    calls = []
+
+    def counting(name):
+        f = getattr(np, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return f(*args, **kwargs)
+        return wrapper
+
+    for name in ("dot", "convolve"):
+        monkeypatch.setattr(np, name, counting(name))
+    hist = solve_volterra(MAX, STRONG, lambda t: 5e-4 * MAX.ft(t), 1, 8.0, 1 / 128)
+    block = linear._VOLTERRA_BLOCK
+    assert len(hist.values) == 1025
+    assert 0 < len(calls) <= (block - 1) + 2 * int(np.ceil(1024 / block))
+
+
 def test_mode_history_validation():
     with pytest.raises(ValueError, match="uniform"):
         ModeHistory(k=1, times=np.array([0.0, 0.1, 0.3]), values=np.zeros(3))
@@ -712,6 +766,17 @@ def test_root_scan_raises_naming_the_growing_root_of_a_bump_on_tail():
         root_scan(bump_on_tail(), STRONG, 1)
     with pytest.raises(StabilityGapError, match=r"zero at zeta = -0\.0822-2\.2427i"):
         root_scan(bump_on_tail(), STRONG, -1)
+
+
+def test_root_scan_does_not_report_a_roundoff_real_part_as_growth():
+    # the dense Maxwellian's plasma zero refines to Re -1.6e-13 at Coulomb
+    # 5000, inside Newton's stopping tolerance 1e-13 |zeta|: its sign is
+    # roundoff, not growth at rate 1.0e-12.  A resolved Re of either sign
+    # keeps its verdict: bump_on_tail() grows (the test above), and Coulomb
+    # 1900 keeps its root at Re 1.07e-8, rate 6.7e-8
+    with pytest.raises(NumericError, match=r"zeta = .*\+11\.3886i.*below double precision"):
+        root_scan(MAX, builtin_interaction("coulomb", 5000.0), 1)
+    assert root_scan(MAX, builtin_interaction("coulomb", 1900.0), 1).rate == pytest.approx(6.7086e-08, rel=1e-4)
 
 
 def test_root_scan_sub_jeans_real_root():
