@@ -9,16 +9,17 @@ Conventions used throughout the package:
 Every profile is a finite Gaussian mixture, so its transform and
 derivatives are available in closed form.  A profile therefore is its
 mixture: profiles compare and hash by name, stored constants and
-components, never by their callables.  Whatever depends on the profile
-alone (here `verify_analyticity`, in `linear` the transforms Psi and the
-small-gain integral) is computed once per profile per process and then read
-from a bounded memo.
+components, never by their callables.  `verify_analyticity` bounds the
+analyticity sums from the components alone, reading no transform sample.
+Whatever else depends on the profile alone (in `linear` the transforms Psi
+and the small-gain integral) is computed once per profile per process and
+then read from a bounded memo.
 """
 
 from __future__ import annotations
 
-import functools
 import inspect
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -53,7 +54,7 @@ class VelocityProfile:
     closed forms, so they take no part in comparison or hashing.  ``lam``
     and ``c0`` are the stored analyticity width and constant:
     |ft(eta)| * exp(2*pi*lam*|eta|) is expected to stay below ``c0``
-    (re-checked by `verify_analyticity`).
+    (bounded in closed form by `verify_analyticity`).
     """
 
     name: str
@@ -268,91 +269,46 @@ def zero_interaction() -> Interaction:
 
 @dataclass(frozen=True)
 class AnalyticityReport:
-    """Result of re-checking a profile's stored analyticity constants.
-
-    ``worst_ratio`` is max over sampled eta of |ft(eta)| exp(2 pi lam |eta|) / c0;
-    the profile passes iff it stays <= 1.  ``series_ratio`` is the derivative
-    series sum_n lam^n/n! * ||d^n f0/dv^n||_L1 (component-wise upper bound of
-    the mixture, tail estimate included) against the same c0; it does not
-    gate ``passed``.
-    """
+    """Closed-form bounds, over c0, on sup_eta |ft(eta)| exp(2 pi lam |eta|)
+    (``worst_ratio``, exact for one component; ``passed`` iff it is <= 1) and
+    on sum_n lam^n/n! ||d^n f0/dv^n||_L1 (``series_ratio``, which gates
+    nothing).  Both are inf once a component's exp(x^2/2) overflows."""
 
     passed: bool
     worst_ratio: float
     series_ratio: float
 
 
-@functools.lru_cache(maxsize=4)
-def _hermite_l1_norms(n_max: int) -> np.ndarray:
-    """m_n = E|He_n(Z)| for standard normal Z, n = 0..n_max (dense trapezoid).
-
-    He_n comes from the recurrence He_{n+1} = v He_n - n He_{n-1}, He_0 = 1.
-    """
-    v = np.linspace(-14.0, 14.0, 28001)
-    weight = np.exp(-(v**2) / 2.0) / np.sqrt(2.0 * np.pi)
-    out = np.empty(n_max + 1)
-    prev, cur = np.zeros_like(v), np.ones_like(v)
-    for n in range(n_max + 1):
-        out[n] = np.trapezoid(np.abs(cur) * weight, v)
-        prev, cur = cur, v * cur - n * prev
-    return out
-
-
-def _derivative_series(components: Components, lam: float, n_max: int) -> tuple[float, float]:
-    """Upper bound for sum_n lam^n/n! ||f0^(n)||_L1, truncated at n_max.
-
-    Per component ||d^n g_theta/dv^n||_L1 = theta^(-n/2) * m_n, so the triangle
-    inequality gives a component-weighted bound; the tail beyond n_max uses
-    m_n <= sqrt(n!).
-    """
-    m = _hermite_l1_norms(n_max)
-    total = 0.0
-    x_max = 0.0
-    for w, _, theta in components:
-        x = lam / np.sqrt(theta)
-        x_max = max(x_max, x)
-        n = np.arange(n_max + 1)
-        log_terms = n * np.log(max(x, 1e-300)) - np.cumsum(np.concatenate(([0.0], np.log(np.arange(1, n_max + 1))))) + np.log(m)
-        total += w * float(np.sum(np.exp(log_terms))) if x > 0 else w * m[0]
-    # tail: sum_{n > n_max} x^n / sqrt(n!), geometric once x < sqrt(n_max + 2)
-    if x_max == 0.0:
-        tail = 0.0
-    else:
-        from math import lgamma
-
-        head = np.exp((n_max + 1) * np.log(x_max) - 0.5 * lgamma(n_max + 2))
-        r = x_max / np.sqrt(n_max + 2)
-        tail = float(head / (1.0 - r)) if r < 1 else float("inf")
-    return total, tail
-
-
-# sup-check range and samples: on |eta| <= 4 the sampled sup of the unit
-# Maxwellian at lam = 1 is within 1e-4 of exp(1/2)
-_ANALYTICITY_ETA_MAX = 4.0
-_ANALYTICITY_SAMPLES = 2001
-# derivative-series order: the tail estimate is below 1e-12 at default widths
-_SERIES_N_MAX = 40
+def _sqrt_factorial_series(x: float) -> float:
+    """Upper bound for sum_n x^n / sqrt(n!).  The terms rise to their peak near
+    n = x^2; past it, terms n, n+1, ... fall at ratios of at most
+    r = x / sqrt(n + 1) < 1, and their geometric tail is added once it is small."""
+    total, term, n = 1.0, x, 1
+    while (r := x / math.sqrt(n + 1)) >= 1.0 or term > 1e-16 * (1.0 - r) * total:
+        total += term
+        n += 1
+        term *= x / math.sqrt(n)
+    return total + term / (1.0 - r)
 
 
 def verify_analyticity(profile: VelocityProfile) -> AnalyticityReport:
-    """Re-check |ft(eta)| exp(2 pi lam |eta|) <= c0 on a sampled |eta| <= 4.
+    """Bound both analyticity sums per component (w, u, theta), x = lam / sqrt(theta).
 
-    The derivative series is the mixture's closed-form bound, truncated at
-    order 40 and completed by its tail estimate.  The report is computed
-    once per profile per process.
+    sup_eta w exp(-2 pi^2 theta eta^2 + 2 pi lam |eta|) = w exp(x^2/2), and
+    ||d^n g_theta/dv^n||_L1 = theta^(-n/2) E|He_n(Z)| <= theta^(-n/2) sqrt(n!)
+    (Cauchy-Schwarz: E He_n^2 = n!), so the series is at most
+    w sum_n x^n / sqrt(n!).  The triangle inequality sums the components.
     """
-    # a plain function over the memo: an lru_cache object is not a function
-    # to `inspect.isfunction`, which profilers that wrap public names rely on
-    return _analyticity(profile)
-
-
-@functools.lru_cache(maxsize=16)
-def _analyticity(profile: VelocityProfile) -> AnalyticityReport:
-    eta = np.linspace(-_ANALYTICITY_ETA_MAX, _ANALYTICITY_ETA_MAX, _ANALYTICITY_SAMPLES)
-    ratio = np.abs(profile.ft(eta)) * np.exp(2.0 * np.pi * profile.lam * np.abs(eta)) / profile.c0
-    worst = float(np.max(ratio))
-    total, tail = _derivative_series(profile.components, profile.lam, _SERIES_N_MAX)
-    return AnalyticityReport(passed=worst <= 1.0, worst_ratio=worst, series_ratio=(total + tail) / profile.c0)
+    sup = series = 0.0
+    for w, _, theta in profile.components:
+        x = profile.lam / math.sqrt(theta) if w else 0.0  # a massless component adds nothing
+        if not 0.5 * x * x <= 709.78:  # past it exp overflows a double
+            sup = series = math.inf
+            break
+        sup += w * math.exp(0.5 * x * x)
+        series += w * _sqrt_factorial_series(x)
+    worst = sup / profile.c0
+    return AnalyticityReport(passed=worst <= 1.0, worst_ratio=worst, series_ratio=series / profile.c0)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Memory kernel, Volterra marching, stability scans, rate extraction."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -777,6 +778,15 @@ def test_root_scan_does_not_report_a_roundoff_real_part_as_growth():
     with pytest.raises(NumericError, match=r"zeta = .*\+11\.3886i.*below double precision"):
         root_scan(MAX, builtin_interaction("coulomb", 5000.0), 1)
     assert root_scan(MAX, builtin_interaction("coulomb", 1900.0), 1).rate == pytest.approx(6.7086e-08, rel=1e-4)
+
+
+def test_margin_scan_does_not_count_a_roundoff_real_part_as_growth():
+    # the same zero is unrefined at Re -2.1e-12 in the census; the margin scan
+    # refines it as root_scan does and fails the mode with a warning that names
+    # the unresolved sign instead of counting it as growing
+    rep = scan_stability_margin(MAX, builtin_interaction("coulomb", 5000.0), 0.5, 0.05, k_max=1)
+    assert rep.unstable_modes == 0 and not rep.passed
+    assert any(re.search(r"zeta = .*\+11\.3886i.*mode k=1 is below double precision", w) for w in rep.warnings)
 
 
 def test_root_scan_sub_jeans_real_root():

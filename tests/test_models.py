@@ -1,6 +1,8 @@
 """Profiles, interactions, and hypothesis-check oracles."""
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
@@ -16,9 +18,6 @@ from landau_lab.models import (
     verify_analyticity,
     verify_decay,
     zero_interaction,
-    _SERIES_N_MAX,
-    _derivative_series,
-    _hermite_l1_norms,
 )
 
 FOUR_PI2 = 4.0 * np.pi**2
@@ -96,16 +95,17 @@ def test_a_profile_is_its_mixture():
     assert bump_on_tail(weight=0.0) != m  # the same mixture under another name
 
 
-def test_analyticity_report_is_reused_for_an_equal_profile():
-    calls = []
-    m = maxwellian(0.7)
+def test_analyticity_reads_no_transform_sample():
+    # the bounds come from the components alone: with every callable swapped
+    # for one that raises, a profile no other test checks (so no memo could
+    # serve it) reports the same
+    m = maxwellian(0.37)
 
-    def ft(eta):
-        calls.append(1)
-        return m.ft(eta)
+    def refuse(_):
+        raise AssertionError("verify_analyticity sampled a callable")
 
-    first = verify_analyticity(m)
-    assert verify_analyticity(dataclasses.replace(m, ft=ft)) is first and calls == []
+    swapped = dataclasses.replace(m, ft=refuse, pdf=refuse, dpdf=refuse)
+    assert verify_analyticity(swapped) == verify_analyticity(m)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +176,33 @@ def test_analyticity_default_constants_pass():
         assert rep.passed, p.name
         # the derivative series is reported against the same constant
         assert rep.series_ratio <= 1.0, p.name
-        _, tail = _derivative_series(p.components, p.lam, _SERIES_N_MAX)
-        assert tail < 1e-12
+
+
+@functools.lru_cache(maxsize=1)
+def hermite_l1_norms(n_max=40):
+    """Oracle: m_n = E|He_n(Z)| for standard normal Z, n = 0..n_max, by a dense
+    trapezoid, with He_{n+1} = v He_n - n He_{n-1}, He_0 = 1."""
+    v = np.linspace(-14.0, 14.0, 28001)
+    weight = np.exp(-(v**2) / 2.0) / np.sqrt(2.0 * np.pi)
+    out = np.empty(n_max + 1)
+    prev, cur = np.zeros_like(v), np.ones_like(v)
+    for n in range(n_max + 1):
+        out[n] = np.trapezoid(np.abs(cur) * weight, v)
+        prev, cur = cur, v * cur - n * prev
+    return out
+
+
+def trapezoid_series(profile):
+    """Oracle: sum_n lam^n/n! ||f0^(n)||_L1 per component, n <= 40, from the table."""
+    m = hermite_l1_norms()
+    n = np.arange(len(m))
+    return sum(w * float(np.sum((profile.lam / np.sqrt(theta)) ** n / np.array([math.factorial(j) for j in n]) * m))
+               for w, _, theta in profile.components)
 
 
 def test_hermite_l1_norms_low_orders():
     # closed forms: E|He_0| = 1, E|He_1| = 2 phi(0), E|He_2| = 4 phi(1)
-    m = _hermite_l1_norms(4)
+    m = hermite_l1_norms()
     phi = lambda v: np.exp(-v * v / 2) / np.sqrt(2 * np.pi)
     # kinks of |He_n| limit the trapezoid to ~1e-6 relative, plenty here
     assert m[0] == pytest.approx(1.0, rel=1e-5)
@@ -191,15 +211,47 @@ def test_hermite_l1_norms_low_orders():
     assert m[3] == pytest.approx(8 * phi(np.sqrt(3)) + 2 * phi(0.0), rel=1e-5)
 
 
-def test_hermite_l1_norms_match_the_hermeval_table():
-    # reference: each He_n evaluated from its coefficient vector on the same grid
-    from numpy.polynomial import hermite_e
+@pytest.mark.parametrize(
+    "profile",
+    [maxwellian(), maxwellian(theta=0.25), bi_maxwellian(), bi_maxwellian(2.0, 1.0, 0.5, 0.3), bump_on_tail()],
+    ids=["maxwellian", "cold_maxwellian", "bi_maxwellian", "asymmetric_bi_maxwellian", "bump_on_tail"],
+)
+def test_analyticity_bounds_hold_against_sampled_oracles(profile):
+    rep = verify_analyticity(profile)
+    # the sup on 200,001 samples of |eta| <= 4 lies under the bound, and on it
+    # for one component, whose peak |eta| = lam / (2 pi theta) lies inside
+    eta = np.linspace(-4.0, 4.0, 200001)
+    sampled = float(np.max(np.abs(profile.ft(eta)) * np.exp(2 * np.pi * profile.lam * np.abs(eta)))) / profile.c0
+    assert sampled <= rep.worst_ratio
+    if len(profile.components) == 1:
+        assert sampled == pytest.approx(rep.worst_ratio, rel=1e-7)
+    # the series from the trapezoid table lies under its bound, which is
+    # w sum_n x^n / sqrt(n!) per component, x = lam / sqrt(theta)
+    assert trapezoid_series(profile) <= rep.series_ratio * profile.c0
+    lgamma_sum = sum(w * sum(math.exp(n * math.log(profile.lam / math.sqrt(theta)) - 0.5 * math.lgamma(n + 1))
+                             for n in range(200))
+                     for w, _, theta in profile.components)
+    assert rep.series_ratio * profile.c0 == pytest.approx(lgamma_sum, rel=1e-12)
 
-    v = np.linspace(-14.0, 14.0, 28001)
-    weight = np.exp(-(v**2) / 2.0) / np.sqrt(2.0 * np.pi)
-    ref = [np.trapezoid(np.abs(hermite_e.hermeval(v, np.eye(n + 1)[n])) * weight, v)
-           for n in range(_SERIES_N_MAX + 1)]
-    np.testing.assert_allclose(_hermite_l1_norms(_SERIES_N_MAX), ref, rtol=1e-14, atol=0)
+
+def test_analyticity_sup_beyond_the_old_sample_range():
+    # the peak of exp(-2 pi^2 theta eta^2 + 2 pi lam |eta|) lies at
+    # |eta| = lam / (2 pi theta) = 15.9 for theta = 0.01, lam = 1, with value
+    # exp(50): a sample on |eta| <= 4 sees 0.349 of c0 = 1e10 and passes
+    rep = verify_analyticity(dataclasses.replace(maxwellian(0.01), lam=1.0, c0=1e10))
+    assert not rep.passed
+    assert rep.worst_ratio == pytest.approx(np.exp(50.0) / 1e10, rel=1e-12)
+    assert np.isfinite(rep.series_ratio)
+
+
+def test_analyticity_overflow_reports_inf():
+    # x = 60: exp(x^2 / 2) overflows a double; the report says inf and fails
+    rep = verify_analyticity(dataclasses.replace(maxwellian(), lam=60.0))
+    assert rep.worst_ratio == rep.series_ratio == np.inf
+    assert not rep.passed
+    # a massless component adds nothing, however cold: x = 100 here
+    rep = verify_analyticity(dataclasses.replace(bi_maxwellian(2.0, 1e-4, 1.0, 0.0), lam=1.0, c0=2.0))
+    assert rep == verify_analyticity(dataclasses.replace(maxwellian(), lam=1.0, c0=2.0))
 
 
 def test_derivative_series_value_maxwellian():
@@ -208,8 +260,7 @@ def test_derivative_series_value_maxwellian():
     phi = lambda v: np.exp(-v * v / 2) / np.sqrt(2 * np.pi)
     lower = 1.0 + 2 * phi(0.0) + 2 * phi(1.0) + (8 * phi(np.sqrt(3)) + 2 * phi(0.0)) / 6
     series = rep.series_ratio * maxwellian().c0
-    assert series > lower - 1e-6
-    assert lower < series < lower + 0.3
+    assert lower < trapezoid_series(maxwellian()) <= series
 
 
 # ---------------------------------------------------------------------------
