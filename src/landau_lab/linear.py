@@ -9,14 +9,16 @@ driven by the free-streaming transform of the initial perturbation.  The
 decay of a mode is set by the worst of two rates: the decay of the source,
 and the width of the strip on which the Fourier-Laplace transform of K0
 stays away from 1.  With s = |k| t that transform is L(k, xi) = what(k)
-Psi(xi), Psi(xi) = -4 pi^2 int_0^inf exp(2 pi xi s) ft(sgn(k) s) s ds: every
+Psi(xi) for k > 0, Psi(xi) = -4 pi^2 int_0^inf exp(2 pi xi s) ft(s) s ds; a
+real profile has ft(-s) = conj ft(s), so L(-k, xi) = conj L(k, conj xi): every
 mode scales one transform of the profile.  Every profile is a Gaussian
 mixture, so `_psi` gives Psi and Psi' in closed form on all of C through the
 Faddeeva function (`_faddeeva`, Weideman's rational approximation).  1 - L
 is entire, so one census (`_zeros`, the argument principle) finds its zeros
-in -3 < Re xi < lam, |Im xi| < 12; a zero at Re xi <= 0 is a growing mode.
-Outside that window bounds on |Psi| (`_outside_score`) rule growth out,
-or the scans say that they cannot.
+in -3 < Re xi < lam, |Im xi| < Y, Y such that |L| <= 1/2 on Re xi <= 0 above
+and below (`_census_height`); a zero at Re xi <= 0 is a growing mode.  Left of that
+window bounds on |Psi| (`_outside_score`) rule growth out, or the scans say
+that they cannot.
 The margin scan `scan_stability_margin` samples the distance from 1 of L,
 the functional of Mouhot and Villani's condition (L), and counts the modes
 with a growing zero; `root_scan` refines the least-damped zero (both by
@@ -148,11 +150,11 @@ def _faddeeva(z) -> np.ndarray:
     return w
 
 
-def _psi(profile: VelocityProfile, xi, sign: int) -> tuple[np.ndarray, np.ndarray]:
-    """Psi(xi) = -4 pi^2 int_0^inf exp(2 pi xi s) ft(sign s) s ds and Psi'(xi), elementwise.
+def _psi(profile: VelocityProfile, xi) -> tuple[np.ndarray, np.ndarray]:
+    """Psi(xi) = -4 pi^2 int_0^inf exp(2 pi xi s) ft(s) s ds and Psi'(xi), elementwise.
 
     Closed form on all of C, per mixture component (w, u, theta): with
-    a = 2 pi^2 theta, b = 2 pi (xi - i sign u), the moments
+    a = 2 pi^2 theta, b = 2 pi (xi - i u), the moments
     In = int_0^inf s^n exp(-a s^2 + b s) ds are M0 = I0 = 1/2 sqrt(pi / a)
     w_F(-i b / (2 sqrt a)) and, by parts, I1 = (1 + b M0) / (2a) and
     I2 = (M0 + b I1) / (2a); Psi = -4 pi^2 sum w I1, Psi' = -8 pi^3 sum w I2.
@@ -164,7 +166,7 @@ def _psi(profile: VelocityProfile, xi, sign: int) -> tuple[np.ndarray, np.ndarra
     dpsi = np.zeros(xi.shape, dtype=complex)
     for w, u, theta in profile.components:
         a = 2.0 * np.pi**2 * theta
-        b = TWO_PI * (xi - 1j * sign * u)
+        b = TWO_PI * (xi - 1j * u)
         m0 = 0.5 * np.sqrt(np.pi / a) * _faddeeva(-0.5j * b / np.sqrt(a))
         i1 = (1.0 + b * m0) / (2.0 * a)
         psi += w * i1
@@ -180,11 +182,9 @@ def _psi(profile: VelocityProfile, xi, sign: int) -> tuple[np.ndarray, np.ndarra
 # strip margin scan
 
 # Sampling of the stability strip: Re in [0, strip), Im in [0, im_max], for
-# both signs of k.  The transform of a real profile satisfies
-# Psi_-(xi) = conj Psi_+(conj xi), so the two signs on Im >= 0 cover
-# Im in [-im_max, im_max].  The Im window is finite; the report checks the
-# functional's size on the window edge and flags the grid as too coarse
-# instead of silently passing.
+# both signs of k, which together cover Im in [-im_max, im_max].  The Im
+# window is finite; the report checks the functional's size on the window
+# edge and flags the grid as too coarse instead of silently passing.
 _STRIP_RE_POINTS = 8
 _STRIP_IM_MAX = 6.0
 _STRIP_IM_POINTS = 161
@@ -193,10 +193,10 @@ _STRIP_IM_POINTS = 161
 @dataclass(frozen=True)
 class StabilityReport:
     """Sampled evidence for the strip stability margin (not a proof): the true
-    L(k, xi) = what(k) Psi(xi) on one `_STRIP_*` grid of Psi per sign of k.
+    L(k, xi) of both signs of k on one `_STRIP_*` grid.
 
     ``worst_k`` is the mode of the smallest gap, negative when it lies on the
-    sign k < 0 (Psi of ft(-s)); on a tie the positive sign wins.
+    sign k < 0; on a tie the positive sign wins.
 
     ``unstable_modes`` counts the modes 1 <= k <= k_max whose least-damped
     zero of 1 - L has a resolved Re xi < 0 (`_least_damped_zero`), each growing.
@@ -237,26 +237,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _strip_grid(lambda_strip: float) -> tuple[np.ndarray, np.ndarray]:
-    """The margin scan's Re and Im samples."""
-    return (np.linspace(0.0, lambda_strip, _STRIP_RE_POINTS, endpoint=False),
-            np.linspace(0.0, _STRIP_IM_MAX, _STRIP_IM_POINTS))
-
-
-def _is_even(profile: VelocityProfile) -> bool:
-    """Whether the mixture is symmetric under v -> -v."""
-    comps = profile.components
-    return sorted(comps) == sorted((w, -u, theta) for w, u, theta in comps)
-
-
 @functools.lru_cache(maxsize=16)
-def _margin_psi(profile: VelocityProfile, lambda_strip: float) -> np.ndarray:
-    """Psi of ft(s) and of ft(-s), stacked, on the margin scan's grid (read-only);
-    for an even profile ft(-s) = ft(s), so one grid serves both signs."""
-    res, ims = _strip_grid(lambda_strip)
+def _margin_psi(profile: VelocityProfile, lambda_strip: float) -> tuple[np.ndarray, ...]:
+    """The margin scan's Re and Im samples, and Psi on that grid and on its
+    conjugate, stacked (read-only): |w Psi(conj xi) - 1| is the gap of mode k < 0 at xi."""
+    res = np.linspace(0.0, lambda_strip, _STRIP_RE_POINTS, endpoint=False)
+    ims = np.linspace(0.0, _STRIP_IM_MAX, _STRIP_IM_POINTS)
     xi = res[:, None] + 1j * ims
-    signs = (1,) if _is_even(profile) else (1, -1)
-    return _read_only(np.stack([_psi(profile, xi, sign)[0] for sign in signs]))
+    return tuple(map(_read_only, (res, ims, _psi(profile, np.stack([xi, xi.conj()]))[0])))
 
 
 def scan_stability_margin(
@@ -269,8 +257,8 @@ def scan_stability_margin(
     """Sample min over modes and over the strip of |L(k, xi) - 1|.
 
     L is the true transform of K0, the functional of Mouhot and Villani's
-    condition (L): L(k, xi) = what(k) Psi(xi), one Psi of ft(sgn(k) s) per
-    sign, for 1 <= |k| <= k_max.  Modes above ``k_max`` are certified by the
+    condition (L), for 1 <= |k| <= k_max: what(k) Psi(xi), and for k < 0
+    what(k) conj Psi(conj xi).  Modes above ``k_max`` are certified by the
     closed-over bound |L(k, xi)| <= cw * c0 / (|k|**(1+gamma) * (lam - lambda_strip)**2)
     of the majorant |ft|, provided it stays below 1 - kappa at k_max + 1.
     A mode whose least-damped zero of 1 - L grows (`_least_damped_zero`)
@@ -284,16 +272,16 @@ def scan_stability_margin(
         raise ValueError(f"lambda_strip must lie in (0, {profile.lam:g}), got {lambda_strip:g}")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    res, ims = _strip_grid(lambda_strip)
-    psi = _margin_psi(profile, float(lambda_strip))
+    res, ims, psi = _margin_psi(profile, float(lambda_strip))
     what = np.asarray(interaction.what(np.arange(1, k_max + 1)), dtype=float)
     vals = what[:, None, None] * psi[:, None]
-    gaps = np.abs(vals - 1.0)
+    edge_max = float(np.max(np.abs(vals[..., -1])))
+    # in place: a second temporary of the table's size would be page-faulted in on every call
+    gaps = np.abs(np.subtract(vals, 1.0, out=vals))
     # the first minimum in (sign, k, Re, Im) order: the lowest mode that
     # attains it, on the positive sign when both do
     sign_i, k_i, i, j = np.unravel_index(int(np.argmin(gaps)), gaps.shape)
     kappa_est = float(gaps[sign_i, k_i, i, j])
-    edge_max = float(np.max(np.abs(vals[..., -1])))
 
     warnings = []
     tail_bound = interaction.cw * profile.c0 / ((k_max + 1) ** (1.0 + interaction.gamma) * (profile.lam - lambda_strip) ** 2)
@@ -390,7 +378,7 @@ def _majorant_nodes(profile: VelocityProfile) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=16)
 def _small_gain_integral(profile: VelocityProfile) -> float:
     r, wr = _majorant_nodes(profile)
-    return max(float(np.sum(wr * np.abs(profile.ft(sgn * r)) * r)) for sgn in (1.0, -1.0))
+    return float(np.sum(wr * np.abs(profile.ft(r)) * r))
 
 
 # ---------------------------------------------------------------------------
@@ -499,9 +487,9 @@ def fit_decay_rate(history: ModeHistory, window: tuple[float, float]) -> DecayFi
 # ---------------------------------------------------------------------------
 # zero census and resolvent-root scan
 
-# The census rectangle -3 < Re xi < lam, |Im xi| < 12.  Growing modes lie at
-# Re xi <= 0; left of -3, Psi' loses relative accuracy to cancellation.
-_CENSUS_RE_MIN, _CENSUS_IM_MAX = -3.0, 12.0
+# The census rectangle -3 < Re xi < lam, |Im xi| < Y, Y >= 12 (`_census_height`).
+# Growing modes lie at Re xi <= 0; left of -3, Psi' loses accuracy to cancellation.
+_CENSUS_RE_MIN, _CENSUS_IM_MIN = -3.0, 12.0
 # contour panels start this wide and halve until the zero count is an
 # integer to 1e-6, at most _CENSUS_HALVINGS times
 _CENSUS_PANEL, _CENSUS_HALVINGS = 0.25, 4
@@ -512,8 +500,7 @@ _NEWTON_RTOL = 1e-13  # Newton's relative stopping tolerance: a zero's Re below 
 
 @functools.lru_cache(maxsize=16)
 def _outside_constants(profile: VelocityProfile) -> tuple[float, float, float, float]:
-    """(b_left, g_left, b_top, m) of `_outside_score`, integrals of ft(s); a real
-    profile has ft(-s) = conj ft(s), so they serve both signs of k."""
+    """(b_left, g_left, g_top, m) of `_outside_score` and `_census_height`, integrals of ft(s)."""
     r, wr = _majorant_nodes(profile)
     g2 = np.zeros(r.shape, dtype=complex)
     for w, u, theta in profile.components:
@@ -525,38 +512,46 @@ def _outside_constants(profile: VelocityProfile) -> tuple[float, float, float, f
     m = float(sum(w for w, _, _ in profile.components))
     return (4.0 * np.pi**2 * float(np.sum(wr * np.abs(profile.ft(r)) * left * r)),
             float(np.sum(wr * np.abs(g2) * left)),
-            (m + float(np.sum(wr * np.abs(g2)))) / _CENSUS_IM_MAX**2,
+            m + float(np.sum(wr * np.abs(g2))),
             m)
+
+
+def _census_height(profile: VelocityProfile, w: float) -> float:
+    """The census height Y, the least 12 2^j with |w| g_top <= Y^2 / 2: on Re xi <= 0
+    above and below the window |w Psi| <= |w| g_top / |xi|^2 <= 1/2 (`_outside_score`)."""
+    g_top, y = _outside_constants(profile)[2], _CENSUS_IM_MIN
+    while abs(w) * g_top > 0.5 * y * y:
+        y *= 2.0
+    return y
 
 
 def _outside_score(profile: VelocityProfile, w: float) -> float:
     """Below 1 when 1 - w Psi has no zero on Re xi <= 0 outside the census window.
 
     With g(s) = s ft(s), two integrations by parts give xi^2 Psi = -(m + R),
-    m = ft(0), R = int exp(2 pi xi s) g''(s) ds.
-    - Left of the window, Re xi <= -3: |w Psi| <= |w| b_left, with
+    m = ft(0), R = int exp(2 pi xi s) g''(s) ds, so |Psi| <= g_top / |xi|^2, g_top = m + int |g''|.
+    - Above and below the window, |Im xi| >= Y: |w Psi| <= 1/2 (`_census_height`).
+    - Left of it, Re xi <= -3: |w Psi| <= |w| b_left, with
       b_left = 4 pi^2 int |ft(s)| exp(-6 pi s) s ds.  For w > 0 a zero
       needs xi^2 = -w (m + R), |R| <= g_left = int |g''(s)| exp(-6 pi s) ds:
       the imaginary part gives |Im xi| <= w g_left / 6, the real part
       |Im xi|^2 >= 9 + w (m - g_left), so none lies there while
       (w g_left)^2 < 36 (9 + w (m - g_left)).
-    - Above and below it, |Im xi| >= 12: |w Psi| <= |w| b_top, with
-      b_top = (m + int |g''|) / 144.
     - On all of Re xi <= 0, |w Psi| is at most |w| times the small-gain bound.
     """
-    b_left, g_left, b_top, m = _outside_constants(profile)
+    b_left, g_left, _, m = _outside_constants(profile)
     left = abs(w) * b_left
     if w > 0.0 and 9.0 + w * (m - g_left) > 0.0:
         left = min(left, (w * g_left) ** 2 / (36.0 * (9.0 + w * (m - g_left))))
-    return min(abs(w) * 4.0 * np.pi**2 * _small_gain_integral(profile), max(left, abs(w) * b_top))
+    return min(abs(w) * 4.0 * np.pi**2 * _small_gain_integral(profile), left)
 
 
 @functools.lru_cache(maxsize=16)
-def _census_contour(profile: VelocityProfile, halvings: int) -> tuple[np.ndarray, ...]:
-    """Nodes xi and weights dxi / (2 pi i) of the census rectangle's boundary,
-    counterclockwise, on panels _CENSUS_PANEL / 2**halvings wide, with Psi and
-    Psi' of ft(s) there (read-only)."""
-    lo, hi, top = _CENSUS_RE_MIN, profile.lam, _CENSUS_IM_MAX
+def _census_contour(profile: VelocityProfile, top: float, halvings: int) -> tuple[np.ndarray, ...]:
+    """Nodes xi and weights dxi / (2 pi i) of the boundary of the census
+    rectangle of height ``top``, counterclockwise, on panels
+    _CENSUS_PANEL / 2**halvings wide, with Psi and Psi' there (read-only)."""
+    lo, hi = _CENSUS_RE_MIN, profile.lam
     corners = [complex(lo, -top), complex(hi, -top), complex(hi, top), complex(lo, top)]
     xi, dxi = [], []
     for a, b in zip(corners, corners[1:] + corners[:1]):
@@ -564,22 +559,22 @@ def _census_contour(profile: VelocityProfile, halvings: int) -> tuple[np.ndarray
         xi.append(a + (b - a) / abs(b - a) * s)
         dxi.append((b - a) / abs(b - a) / (2j * np.pi) * ws)
     xi = np.concatenate(xi)
-    return tuple(map(_read_only, (xi, np.concatenate(dxi), *_psi(profile, xi, 1))))
+    return tuple(map(_read_only, (xi, np.concatenate(dxi), *_psi(profile, xi))))
 
 
 def _zeros(profile: VelocityProfile, w: float) -> np.ndarray:
-    """The zeros of 1 - w Psi, Psi of ft(s), in the census rectangle.
+    """The zeros of 1 - w Psi in the census rectangle of height `_census_height`.
 
     Argument principle (Delves & Lyness 1967): the moments
     s_p = (1/2 pi i) contour-int z^p D'/D dxi of D = 1 - w Psi, with
     z = (xi - c) / r scaled to the unit disc, give the count s_0 and, by
     Newton's identities, the monic polynomial whose roots are the zeros.
-    Psi_-(xi) = conj Psi_+(conj xi): for k < 0 the zeros are the conjugates.
     `NumericError` when the count is no integer after the last halving, or
     above _CENSUS_MAX_ZEROS.
     """
+    top = _census_height(profile, w)
     for halvings in range(_CENSUS_HALVINGS + 1):
-        xi, dxi, psi, dpsi = _census_contour(profile, halvings)
+        xi, dxi, psi, dpsi = _census_contour(profile, top, halvings)
         f = dxi * (-w * dpsi) / (1.0 - w * psi)
         count = np.sum(f)
         if abs(count - np.rint(count.real)) < 1e-6:
@@ -590,7 +585,7 @@ def _zeros(profile: VelocityProfile, w: float) -> np.ndarray:
     if n > _CENSUS_MAX_ZEROS:
         raise NumericError(f"{n} zeros of 1 - L in the census window; at most {_CENSUS_MAX_ZEROS} are resolved")
     c = 0.5 * (_CENSUS_RE_MIN + profile.lam)
-    r = float(np.hypot(profile.lam - c, _CENSUS_IM_MAX))
+    r = float(np.hypot(profile.lam - c, top))
     z = (xi - c) / r
     p = [np.sum(f * z**j) for j in range(1, n + 1)]
     a = [1.0]
@@ -616,13 +611,11 @@ class RootScanResult:
     root: complex | None
 
 
-def _root_newton(profile, interaction, k, seed: complex) -> complex:
-    """Newton iteration for J(zeta) = what(k) Psi(zeta) = 1, with J' = what(k) Psi'(zeta)."""
-    w = float(interaction.what(np.array(k)))
-    sign = int(np.sign(k))
+def _root_newton(profile, w: float, seed: complex) -> complex:
+    """Newton iteration for J(zeta) = w Psi(zeta) = 1, with J' = w Psi'(zeta)."""
     zeta = complex(seed)
     for _ in range(60):
-        psi, dpsi = _psi(profile, zeta, sign)
+        psi, dpsi = _psi(profile, zeta)
         jp = w * complex(dpsi)
         if abs(jp) == 0.0:
             raise NumericError("resolvent-root refinement hit a critical point")
@@ -635,16 +628,17 @@ def _root_newton(profile, interaction, k, seed: complex) -> complex:
 
 def _least_damped_zero(profile, interaction, k: int, band: float = np.inf) -> tuple[complex | None, str]:
     """The zero of 1 - L of mode k with the smallest Re in the census window
-    (`_zeros`; on a tie the one with Im >= 0) or None, refined by Newton's
-    method if its |Re| is below ``band`` max(1, |xi|), and a message if |Re| is
-    within Newton's tolerance of 0: a sign both scans refuse.  Re < 0 grows."""
-    zeros = _zeros(profile, float(interaction.what(np.array(k))))
-    zeros = np.conj(zeros) if k < 0 else zeros
+    (on a tie the one with Im >= 0) or None, refined by Newton's method if its
+    |Re| is below ``band`` max(1, |xi|), and a message if |Re| is within Newton's
+    tolerance of 0: a sign both scans refuse.  Re < 0 grows.  Census and Newton
+    run on 1 - what(k) Psi (`_zeros`); for k < 0 the result is conjugated."""
+    zeros = _zeros(profile, w := float(interaction.what(np.array(k))))
     if not len(zeros):
         return None, ""
-    root = zeros[np.argmin(zeros.real - 1e-9 * (zeros.imag >= 0))]
+    root = zeros[np.argmin(zeros.real - 1e-9 * (k * zeros.imag >= 0))]
     if abs(root.real) < band * max(1.0, abs(root)):
-        root = _root_newton(profile, interaction, k, root)
+        root = _root_newton(profile, w, root)
+    root = root.conjugate() if k < 0 else root
     if abs(root.real) >= _NEWTON_RTOL * max(1.0, abs(root)):
         return root, ""
     return root, (f"1 - L has a zero at zeta = {root.real:.3g}{root.imag:+.4f}i, Re within Newton's "

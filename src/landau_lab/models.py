@@ -311,24 +311,24 @@ def verify_analyticity(profile: VelocityProfile) -> AnalyticityReport:
     return AnalyticityReport(passed=worst <= 1.0, worst_ratio=worst, series_ratio=series / profile.c0)
 
 
+_DECAY_K_MAX = 32  # `verify_decay` checks the modes 1 <= |k| <= 32
+
+
 @dataclass(frozen=True)
 class DecayReport:
-    """Result of checking |what(k)| <= cw / |k|**(1+gamma) for 1 <= |k| <= k_max."""
+    """Result of checking |what(k)| <= cw / |k|**(1+gamma) for 1 <= |k| <= 32."""
 
     passed: bool
     worst_k: int
-    worst_ratio: float
 
 
-def verify_decay(interaction: Interaction, k_max: int = 32) -> DecayReport:
-    """Check the interaction's stored decay constants on 1 <= |k| <= k_max."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    k = np.arange(1, k_max + 1)
+def verify_decay(interaction: Interaction) -> DecayReport:
+    """Check the interaction's stored decay constants on 1 <= |k| <= 32."""
+    k = np.arange(1, _DECAY_K_MAX + 1)
     bound = interaction.cw / k.astype(float) ** (1.0 + interaction.gamma)
     vals = np.abs(interaction.what(k))
     # ratio with guard against cw = 0 (zero interaction: 0 <= 0 passes)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(bound > 0, vals / bound, np.where(vals > 0, np.inf, 0.0))
     i = int(np.argmax(ratio))
-    return DecayReport(passed=bool(ratio[i] <= 1.0 + 1e-12), worst_k=int(k[i]), worst_ratio=float(ratio[i]))
+    return DecayReport(passed=bool(ratio[i] <= 1.0 + 1e-12), worst_k=int(k[i]))

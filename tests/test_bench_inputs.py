@@ -12,8 +12,10 @@ import math
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from landau_lab import linear
 from landau_lab.config import load_config
 from landau_lab.sim import PerturbationMode
 
@@ -63,3 +65,22 @@ def test_every_benchmark_override_applies_to_its_config(bench_run, seed):
                 assert repr(cfg.get("interaction", "strength")) == op["overrides"][0][2]
                 assert cfg.get("interaction", "strength") in ref["certify_strengths"]
     assert all(applied.values()), applied
+
+
+def test_every_benchmark_census_keeps_the_base_window(bench_run):
+    # the census window grows with |what(k)| (`linear._census_height`); every
+    # mode that the benchmark's Laplace-side operations scan keeps height 12,
+    # so its zeros, reports and times are those of the fixed window
+    run, ref = bench_run
+    heights = []
+    for op in run.build_ops("stability", 0, ref):
+        cfg = load_config(BENCH / "configs" / op["config"])
+        for section, key, raw in op["overrides"]:
+            cfg = cfg.replace(section, key, raw)
+        if cfg.experiment == "linear_damping":
+            ks = cfg.get("linear", "k_list")
+        else:
+            ks = range(1, cfg.get("certify", "k_max") + 1)
+        what = cfg.build_interaction().what
+        heights += [linear._census_height(cfg.build_profile(), float(what(np.array(k)))) for k in ks]
+    assert len(heights) == 2 + 6 * 4 and set(heights) == {12.0}

@@ -42,10 +42,19 @@ STRONG = builtin_interaction("coulomb", 16.0 * np.pi**2)  # classic weak-damping
 NEWTON_THRESHOLD = 20.7494514853421
 
 
+def psi_of_sign(profile, xi, sign):
+    """(Psi, Psi') of ft(sign s): `_psi` itself for sign 1, and for sign -1
+    conj Psi(conj xi) and conj Psi'(conj xi), the identity by which the
+    package reads every mode k < 0; the quadrature cases below check it."""
+    if sign > 0:
+        return _psi(profile, xi)
+    return tuple(np.conj(a) for a in _psi(profile, np.conj(xi)))
+
+
 def per_point_kernel_transform(profile, interaction, k, zetas):
     """L(k, zeta) = what(k) Psi(zeta) of ft(sgn(k) s) on the points zetas: the grid-search
     reference of the scans, one mode and one sign at a time."""
-    return float(interaction.what(np.array(k))) * _psi(profile, zetas, int(np.sign(k)))[0]
+    return float(interaction.what(np.array(k))) * psi_of_sign(profile, zetas, int(np.sign(k)))[0]
 
 
 def long_double_kernel_transform(profile, res, ims, *, sign):
@@ -99,7 +108,7 @@ def per_width_root_scan(profile, interaction, k):
         if g[j] < best[0]:
             best = (g[j], complex(w, ims[j]))
     if best[0] < 0.5:
-        root = _root_newton(profile, interaction, k, best[1])
+        root = _root_newton(profile, float(interaction.what(np.array(k))), best[1])
         return root, float(min(root.real, profile.lam))
     return None, float(profile.lam)
 
@@ -212,7 +221,7 @@ def test_faddeeva_matches_wofz_in_both_half_planes():
 def test_psi_and_its_derivative_match_quadrature(profile):
     xis = np.array([0.0, 0.3 + 1.7j, 0.45 - 2.5j, -0.4 + 0.8j, -0.2 - 2.5j, -3.0 + 4.0j])
     for sign in (1, -1):
-        psi, dpsi = _psi(profile, xis, sign)
+        psi, dpsi = psi_of_sign(profile, xis, sign)
         for x, p, dp in zip(xis, psi, dpsi):
             want, dwant = psi_oracle(profile, x, sign)
             assert complex(p) == pytest.approx(want, rel=1e-12)
@@ -227,9 +236,9 @@ def test_psi_and_its_derivative_are_exact_on_the_census_left_edge(profile):
     # Psi' = -8 pi^3 sum w (M0 + b I1) / 2a cancels as Re xi falls: for
     # bump_on_tail() it is 5.8e-12 off at -12 + 1i.  The census's left edge
     # is where its contour needs Psi' most to the left, so both hold 1e-11 there
-    xis = linear._CENSUS_RE_MIN + 1j * np.linspace(-linear._CENSUS_IM_MAX, linear._CENSUS_IM_MAX, 9)
+    xis = linear._CENSUS_RE_MIN + 1j * np.linspace(-linear._CENSUS_IM_MIN, linear._CENSUS_IM_MIN, 9)
     for sign in (1, -1):
-        psi, dpsi = _psi(profile, xis, sign)
+        psi, dpsi = psi_of_sign(profile, xis, sign)
         for x, p, dp in zip(xis, psi, dpsi):
             want, dwant = psi_oracle(profile, x, sign)
             assert complex(p) == pytest.approx(want, rel=1e-11)
@@ -244,7 +253,7 @@ def test_strip_transform_matches_per_point_sum(profile, left_half_plane):
     res = np.linspace(-0.45, 0.0, 6) if left_half_plane else np.linspace(0.0, 0.45, 6)
     ims = np.linspace(-6.0, 6.0, 49)  # negative Im values included
     for sign in (1, -1):
-        got = _psi(profile, res[:, None] + 1j * ims, sign)[0]
+        got = psi_of_sign(profile, res[:, None] + 1j * ims, sign)[0]
         ref = long_double_kernel_transform(profile, res, ims, sign=sign)
         assert got.shape == (len(res), len(ims))
         np.testing.assert_allclose(got, ref.astype(complex), rtol=1e-13, atol=0)
@@ -253,10 +262,10 @@ def test_strip_transform_matches_per_point_sum(profile, left_half_plane):
 def test_psi_is_elementwise_on_any_grid():
     # no grid rule: an irregular grid gives each point's own value
     xis = np.array([[0.0, 0.3 - 2.0j, 0.1 + 5.0j], [-0.7 + 0.2j, 0.45 + 0.0j, 2.0 - 1.0j]])
-    bump = bump_on_tail(weight=0.2, drift=2.0)
-    psi, dpsi = _psi(bump, xis, -1)
+    bump = bump_on_tail(weight=0.2, drift=-2.0)
+    psi, dpsi = _psi(bump, xis)
     for idx in np.ndindex(xis.shape):
-        p, dp = _psi(bump, xis[idx], -1)
+        p, dp = _psi(bump, xis[idx])
         assert (p.shape, dp.shape) == ((), ())
         assert (psi[idx], dpsi[idx]) == pytest.approx((complex(p), complex(dp)), rel=1e-15)
 
@@ -281,7 +290,7 @@ def test_laplace_exponent_overflow_is_a_numeric_error():
     # is no longer the cap 30: the census refuses to resolve them
     with pytest.raises(NumericError, match="46 zeros of 1 - L"):
         root_scan(replace(maxwellian(), lam=30.0), COULOMB, 1)
-    assert _root_newton(replace(maxwellian(), lam=30.0), COULOMB, 1, 2.25 + 1.18j) == pytest.approx(
+    assert _root_newton(replace(maxwellian(), lam=30.0), float(COULOMB.what(1)), 2.25 + 1.18j) == pytest.approx(
         2.2474 + 1.1816j, abs=1e-4)
     assert np.isfinite(scan_stability_margin(replace(maxwellian(), lam=40.0), COULOMB, 30.0, 0.05).kappa_est)
     assert np.isfinite(strip_functional(replace(maxwellian(), lam=40.0), COULOMB, 1, 30.0 + 1.0j))
@@ -355,7 +364,7 @@ def test_margin_counts_a_two_stream_unstable_mode_under_coulomb():
     profile = bi_maxwellian(drift=2.0)
     v = np.linspace(-14.0, 14.0, 28000)  # an even count: no sample at v = 0
     penrose = float(np.sum(profile.dpdf(v) / v) * (v[1] - v[0]))
-    psi0 = float(_psi(profile, 0.0, 1)[0].real)
+    psi0 = float(_psi(profile, 0.0)[0].real)
     assert psi0 == pytest.approx(penrose, rel=1e-6)
     for strength, unstable in ((100.0, 0), (200.0, 1)):
         interaction = builtin_interaction("coulomb", strength)
@@ -421,55 +430,63 @@ def clear_profile_memos():
 
 
 def counting_psi(monkeypatch):
-    """Record the sign of every `_psi` evaluation."""
-    signs = []
+    """Record the points of every `_psi` evaluation."""
+    points = []
 
-    def psi(profile, xi, sign):
-        signs.append(sign)
-        return _psi(profile, xi, sign)
+    def psi(profile, xi):
+        points.append(np.array(xi))
+        return _psi(profile, xi)
 
     monkeypatch.setattr(linear, "_psi", psi)
-    return signs
+    return points
 
 
-def test_scans_evaluate_psi_once_per_grid_and_sign(monkeypatch):
-    # every mode scales one Psi per sign: two closed-form grids, whatever
-    # k_max, one when the profile is even (ft(-s) = ft(s)), and no ft call
-    # besides the small-gain integral's and the outside bound's, which have
-    # memos of their own.  Under Newton 20 every mode's small-gain bound is
-    # below 1, so no census runs; under Coulomb 16 pi^2 modes 1 and 2 share
-    # one census contour
-    signs = counting_psi(monkeypatch)
-    for base, interaction, want in ((MAX, builtin_interaction("newton", 20.0), [1]),
-                                    (bi_maxwellian(drift=2.0), builtin_interaction("newton", 20.0), [1]),
-                                    (bump_on_tail(), builtin_interaction("newton", 20.0), [1, -1]),
-                                    (MAX, STRONG, [1, 1])):
+def test_scans_evaluate_psi_once_per_table_and_newton_in_one_frame(monkeypatch):
+    # every mode of either sign scales one Psi: one closed-form call per margin
+    # table, on the grid and its conjugate, whatever k_max and whether or not
+    # the profile is even, and no ft call besides the small-gain integral's
+    # and the outside bound's, which have memos of their own.  Under Newton 20
+    # every mode's small-gain bound is below 1, so no census runs; under
+    # Coulomb 16 pi^2 modes 1 and 2 share one census contour
+    points = counting_psi(monkeypatch)
+    res = np.linspace(0.0, 0.25, linear._STRIP_RE_POINTS, endpoint=False)
+    grid = res[:, None] + 1j * np.linspace(0.0, linear._STRIP_IM_MAX, linear._STRIP_IM_POINTS)
+    newton = builtin_interaction("newton", 20.0)
+    for base, interaction, census in ((MAX, newton, 0), (bi_maxwellian(drift=2.0), newton, 0),
+                                      (bi_maxwellian(2.0, 1.0, 0.5, 0.3), newton, 0),
+                                      (bump_on_tail(), newton, 0), (MAX, STRONG, 1)):
         for k_max in (4, 8):
             clear_profile_memos()
             profile, sizes = counting_ft(base)
             linear._small_gain_integral(profile)
             linear._outside_constants(profile)
-            signs.clear()
+            points.clear()
             sizes.clear()
             scan_stability_margin(profile, interaction, 0.25, 0.05, k_max=k_max)
-            assert signs == want and sizes == []
-    # root_scan: one census contour of the sign k > 0 (Psi_-(xi) = conj Psi_+(conj xi))
-    # before Newton starts, then one point of its own sign per iterate
+            assert len(points) == 1 + census and sizes == []
+            assert np.array_equal(points[0], np.stack([grid, grid.conj()]))
+            assert all(np.ndim(xi) == 1 for xi in points[1:])
+    # root_scan of mode -2: one census contour before Newton starts, then
+    # Newton in the frame of Psi itself, from the mirror (Im < 0) of the
+    # mode's own zero, one point per iterate, and one conjugation at the end
     clear_profile_memos()
-    signs.clear()
+    points.clear()
     profile, sizes = counting_ft(MAX)
     linear._small_gain_integral(profile)
     linear._outside_constants(profile)
     sizes.clear()
-    calls_before_newton = []
+    calls = []
 
-    def recording_newton(*args):
-        calls_before_newton.append(list(signs))
-        return _root_newton(*args)
+    def recording_newton(profile, w, seed):
+        calls.append((len(points), seed, root := _root_newton(profile, w, seed)))
+        return root
 
     monkeypatch.setattr(linear, "_root_newton", recording_newton)
-    assert root_scan(profile, STRONG, -2).root is not None
-    assert calls_before_newton == [[1]] and len(signs) > 1 and set(signs[1:]) == {-1} and sizes == []
+    scan = root_scan(profile, STRONG, -2)
+    ((before, seed, root),) = calls
+    assert before == 1 and np.ndim(points[0]) == 1 and len(points) > 1 and sizes == []
+    assert seed.imag < 0 and all(np.ndim(xi) == 0 and xi.imag < 0 for xi in points[1:])
+    assert scan.root == root.conjugate() and scan.root.imag > 0
 
 
 def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
@@ -483,19 +500,19 @@ def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
                 root_scan(profile, COULOMB, 1))
 
     first = scans(MAX)
-    signs = counting_psi(monkeypatch)
+    points = counting_psi(monkeypatch)
     profile, sizes = counting_ft(MAX)
     assert scans(profile) == first
-    assert signs == [] and sizes == []
-    # the other sign of k reads the same contour: Psi_-(xi) = conj Psi_+(conj xi)
+    assert points == [] and sizes == []
+    # the other sign of k reads the same contour, conjugated
     assert root_scan(profile, COULOMB, -1) == replace(first[2], k=-1)
-    assert signs == [] and sizes == []
+    assert points == [] and sizes == []
 
 
 def test_cached_transforms_are_read_only():
-    with pytest.raises(ValueError, match="read-only"):
-        linear._margin_psi(MAX, 0.25)[0, 0] = 0.0
-    for a in linear._census_contour(MAX, 0):
+    # the margin grid and table, and the census contour of the base window and a taller one
+    for a in (*linear._margin_psi(MAX, 0.25), *linear._census_contour(MAX, 12.0, 0),
+              *linear._census_contour(MAX, 24.0, 0)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
 
@@ -784,7 +801,9 @@ def test_margin_scan_does_not_count_a_roundoff_real_part_as_growth():
     # the same zero is unrefined at Re -2.1e-12 in the census; the margin scan
     # refines it as root_scan does and fails the mode with a warning that names
     # the unresolved sign instead of counting it as growing
-    rep = scan_stability_margin(MAX, builtin_interaction("coulomb", 5000.0), 0.5, 0.05, k_max=1)
+    coulomb = builtin_interaction("coulomb", 5000.0)
+    assert linear._census_height(MAX, float(coulomb.what(1))) == 48.0
+    rep = scan_stability_margin(MAX, coulomb, 0.5, 0.05, k_max=1)
     assert rep.unstable_modes == 0 and not rep.passed
     assert any(re.search(r"zeta = .*\+11\.3886i.*mode k=1 is below double precision", w) for w in rep.warnings)
 
@@ -806,7 +825,7 @@ def wofz_winding_number(profile, w, n=60000):
     change of D once round the rectangle, divided by 2 pi: the argument
     principle read apart from the census's moments, with Psi summed from
     scipy's wofz on n boundary points."""
-    lo, hi, top = linear._CENSUS_RE_MIN, profile.lam, linear._CENSUS_IM_MAX
+    lo, hi, top = linear._CENSUS_RE_MIN, profile.lam, linear._census_height(profile, w)
     corners = [complex(lo, -top), complex(hi, -top), complex(hi, top), complex(lo, top), complex(lo, -top)]
     perimeter = float(np.sum(np.abs(np.diff(corners))))
     xi = np.concatenate([a + (b - a) * np.linspace(0.0, 1.0, int(n * abs(b - a) / perimeter), endpoint=False)
@@ -828,12 +847,14 @@ CENSUS_TABLE = [
     (bump_on_tail(), STRONG, [-0.0822 + 2.2427j, 0.2554 + 4.1989j, 0.3385 - 2.7614j]),
     # a zero just outside the window: the census needs one halving of its panels
     (bi_maxwellian(2.0, 1.0, 0.5, 0.3), STRONG, [-0.2209 - 0.1163j, 0.1312 + 4.2212j]),
+    # the dense plasma's zeros lie above |Im xi| = 12, in a window of height 24
+    (MAX, builtin_interaction("coulomb", 2500.0), [-8.1503j, 8.1503j]),
 ]
 
 
 @pytest.mark.parametrize("profile, interaction, want", CENSUS_TABLE,
                          ids=["maxwellian-coulomb", "newton-20", "newton-41", "newton-42", "bump-coulomb",
-                              "asymmetric-bi-maxwellian-coulomb"])
+                              "asymmetric-bi-maxwellian-coulomb", "maxwellian-coulomb-2500"])
 def test_census_zeros_solve_the_transform_and_match_the_winding_number(profile, interaction, want):
     w = float(interaction.what(1))
     zeros = np.sort_complex(linear._zeros(profile, w))
@@ -851,7 +872,7 @@ def test_census_halves_its_panels_when_the_count_is_no_integer():
     w = float(STRONG.what(1))
     counts = []
     for halvings in (0, 1):
-        xi, dxi, psi, dpsi = linear._census_contour(bi_maxwellian(2.0, 1.0, 0.5, 0.3), halvings)
+        xi, dxi, psi, dpsi = linear._census_contour(bi_maxwellian(2.0, 1.0, 0.5, 0.3), 12.0, halvings)
         counts.append(complex(np.sum(dxi * (-w * dpsi) / (1.0 - w * psi))))
     assert abs(counts[0] - 2.0) > 1e-6 > abs(counts[1] - 2.0)
     # a zero on the contour never gives an integer count
@@ -869,19 +890,31 @@ OUTSIDE_PROFILES = [MAX, bump_on_tail(), bi_maxwellian(2.0, 1.0, 0.5, 0.3), bump
 def test_outside_constants_hold_on_sampled_psi_beyond_the_census_window(profile):
     # |Psi| and the remainder |xi^2 Psi + m| of both signs on Re xi <= 0
     # outside the window, on a grid that reaches 4 widths left of it and 40
-    # above and below, against the closed form
-    b_left, g_left, b_top, m = linear._outside_constants(profile)
+    # above and below, against the closed form, for windows of height 12 and 24
+    b_left, g_left, g_top, m = linear._outside_constants(profile)
     re = np.concatenate([np.linspace(-12.0, -3.0, 37), np.linspace(-3.0, 0.0, 13)])
     xi = (re[:, None] + 1j * np.linspace(-40.0, 40.0, 321)).ravel()
-    for region, bound, remainder in ((xi.real <= linear._CENSUS_RE_MIN, b_left, g_left),
-                                     (np.abs(xi.imag) >= linear._CENSUS_IM_MAX, b_top, linear._CENSUS_IM_MAX**2 * b_top - m)):
+    regions = [(xi.real <= linear._CENSUS_RE_MIN, b_left, g_left)]
+    regions += [(np.abs(xi.imag) >= y, g_top / y**2, g_top - m) for y in (12.0, 24.0)]
+    for region, bound, remainder in regions:
         for sign in (1, -1):
-            psi = _psi(profile, xi[region], sign)[0]
+            psi = psi_of_sign(profile, xi[region], sign)[0]
             assert np.max(np.abs(psi)) <= bound
             assert np.max(np.abs(xi[region] ** 2 * psi + m)) <= remainder
     # for the Maxwellian ft > 0, so the left bound is attained at xi = -3
     if profile == MAX:
-        assert b_left == pytest.approx(abs(complex(_psi(MAX, -3.0, 1)[0])), rel=1e-10)
+        assert b_left == pytest.approx(abs(complex(_psi(MAX, -3.0)[0])), rel=1e-10)
+
+
+def test_the_census_window_grows_until_the_top_bound_is_one_half():
+    # Y = 12 2^j, the least with |w| g_top <= Y^2 / 2: g_top is 2.893 for the
+    # Maxwellian, so Y is 12 up to |w| = 24.9, 24 up to 99.6, then 48
+    g_top = linear._outside_constants(MAX)[2]
+    assert g_top == pytest.approx(2.8928, abs=1e-4)
+    for w, y in ((0.0, 12.0), (-24.0, 12.0), (72.0 / g_top, 12.0), (np.nextafter(72.0 / g_top, 99.0), 24.0),
+                 (63.3, 24.0), (-126.7, 48.0)):
+        assert linear._census_height(MAX, w) == y
+        assert abs(w) * g_top <= y**2 / 2 and (y == 12.0 or abs(w) * g_top > y**2 / 8)
 
 
 def test_a_growing_zero_beyond_the_census_window_is_not_passed_over():
@@ -897,18 +930,21 @@ def test_a_growing_zero_beyond_the_census_window_is_not_passed_over():
         rep = scan_stability_margin(MAX, newton, 0.5, 0.05, k_max=1)
         assert rep.unstable_modes == 0 and not rep.passed
         assert any(w.startswith("mode 1 growth outside the census window not excluded") for w in rep.warnings)
-    # a far bump under Coulomb (28 pi)^2 grows through the zero -3.547 + 10.784i
-    with pytest.raises(NumericError, match="not excluded"):
-        root_scan(bump_on_tail(0.1, 14.0, 0.25), builtin_interaction("coulomb", (28.0 * np.pi) ** 2), 1)
+    # a far bump under Coulomb (28 pi)^2 grows through the zero -3.547 + 10.784i,
+    # which the left bound cannot rule out; its window, of height 192, first
+    # meets a zero whose sign is roundoff
+    far, coulomb = bump_on_tail(0.1, 14.0, 0.25), builtin_interaction("coulomb", (28.0 * np.pi) ** 2)
+    assert linear._outside_score(far, float(coulomb.what(1))) >= 1
+    with pytest.raises(NumericError, match=r"zeta = .*\+20\.0024i.*below double precision"):
+        root_scan(far, coulomb, 1)
     # under Coulomb the left bound |w| b_left (4.15 at 1900) is too weak, but
-    # w > 0 keeps a zero near the imaginary axis there: the dense Maxwellian's
-    # plasma zero, inside the window, is kept up to the top bound's reach
-    coulomb = builtin_interaction("coulomb", 1900.0)
-    w = float(coulomb.what(1))
-    assert w * linear._outside_constants(MAX)[0] > 4 and linear._outside_score(MAX, w) < 1
-    assert root_scan(MAX, coulomb, 1).root == pytest.approx(1.0677e-08 + 7.159937050942j, abs=1e-11)
-    with pytest.raises(NumericError, match="not excluded"):
-        root_scan(MAX, builtin_interaction("coulomb", 2500.0), 1)
+    # w > 0 keeps a zero near the imaginary axis there, and the window grows
+    # with w: the dense Maxwellian's plasma zero lies in a window of height 24
+    for strength, root in ((1900.0, 1.0677e-08 + 7.159937050942j), (2500.0, 9.398e-12 + 8.150296300772j)):
+        w = float(builtin_interaction("coulomb", strength).what(1))
+        assert w * linear._outside_constants(MAX)[0] > 4 and linear._outside_score(MAX, w) < 1
+        assert linear._census_height(MAX, w) == 24.0
+        assert root_scan(MAX, builtin_interaction("coulomb", strength), 1).root == pytest.approx(root, abs=1e-11)
 
 
 @pytest.mark.parametrize("profile", [bump_on_tail(), bi_maxwellian(2.0, 1.0, 0.5, 0.3)],

@@ -268,26 +268,29 @@ def test_derivative_series_value_maxwellian():
 
 
 def test_decay_coulomb_equality():
-    rep = verify_decay(builtin_interaction("coulomb", strength=1.0), k_max=32)
-    assert rep.passed
-    assert rep.worst_ratio == pytest.approx(1.0, rel=1e-12)
+    # the Coulomb bound is attained: it passes, and one part in 1e9 less cw fails
+    base = builtin_interaction("coulomb", strength=1.0)
+    assert verify_decay(base).passed
+    assert not verify_decay(dataclasses.replace(base, cw=base.cw * (1.0 - 1e-9))).passed
 
 
 def test_decay_wrong_gamma_fails():
     base = builtin_interaction("coulomb", strength=1.0)
     # direct-comparison oracle: 1/(4 pi^2 k^2) > cw/k^2.5 for every k > 1
     tampered = Interaction(kind="custom", what=base.what, gamma=1.5, cw=1.0 / FOUR_PI2)
-    rep = verify_decay(tampered, k_max=16)
+    rep = verify_decay(tampered)
     assert not rep.passed
-    assert rep.worst_k == 16  # ratio k^0.5 grows with k
+    assert rep.worst_k == 32  # ratio k^0.5 grows with k, up to the last mode checked
 
 
 def test_decay_screened_passes():
-    rep = verify_decay(builtin_interaction("screened", strength=1.0, screening=0.5), k_max=16)
+    rep = verify_decay(builtin_interaction("screened", strength=1.0, screening=0.5))
     assert rep.passed
 
 
 def test_decay_zero_interaction():
-    rep = verify_decay(zero_interaction(), k_max=8)
+    # 0 <= cw = 0 passes; a nonzero what(k) under cw = 0 fails
+    rep = verify_decay(zero_interaction())
     assert rep.passed
-    assert rep.worst_ratio == 0.0
+    assert rep.worst_k == 1
+    assert not verify_decay(dataclasses.replace(zero_interaction(), what=builtin_interaction("coulomb").what)).passed

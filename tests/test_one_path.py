@@ -5,7 +5,7 @@ built in `sim` (`run`, the echo experiment and the norms experiment step along
 Laplace transform Psi has one closed form, `linear._psi`: the one quadrature
 builder, `linear._gl_panels`, serves only the majorant integrals of |ft|
 (`linear._majorant_nodes`) and the zero census's contour, never Psi itself, and no function takes a ``modulus``
-switch between transforms."""
+switch between transforms, or a ``sign`` of k that picks one: mode k < 0 reads conj Psi(conj xi)."""
 
 import ast
 from pathlib import Path
@@ -37,11 +37,11 @@ def _callers(tree: ast.Module, name: str) -> list[str]:
                                                or isinstance(node.func, ast.Attribute) and node.func.attr == name)]
 
 
-def _modulus_params(tree: ast.Module) -> list[int]:
-    """Lines of each function or lambda with a parameter named ``modulus``."""
+def _params_named(tree: ast.Module, name: str) -> list[int]:
+    """Lines of each function or lambda with a parameter named ``name``."""
     return [node.lineno for node in ast.walk(tree)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
-            and any(a.arg == "modulus" for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs))]
+            and any(a.arg == name for a in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs))]
 
 
 def _trees() -> dict[str, ast.Module]:
@@ -73,15 +73,22 @@ def test_gl_panels_serves_only_the_small_gain_integral():
 
 
 def test_no_function_takes_a_modulus_switch():
-    bad = [f"{mod}:{line}" for mod, tree in _trees().items() for line in _modulus_params(tree)]
+    bad = [f"{mod}:{line}" for mod, tree in _trees().items() for line in _params_named(tree, "modulus")]
     assert bad == [], f"a modulus parameter (Psi has one closed form, linear._psi): {bad}"
+
+
+def test_no_function_takes_a_sign_of_k():
+    bad = [f"{mod}:{line}" for mod, tree in _trees().items() for line in _params_named(tree, "sign")]
+    assert bad == [], f"a sign parameter (mode k < 0 reads conj Psi(conj xi) of linear._psi): {bad}"
 
 
 def test_the_laplace_checks_flag_each_form():
     src = ("def f():\n    _gl_panels(1, 2)\n"
            "class C:\n    def g(self):\n        return linear._gl_panels(1, 2)\n"
            "x = _gl_panels(3, 4)\ny = _gl_panels\n"
-           "def h(a, modulus=True): pass\ndef k(a, *, modulus): pass\nm = lambda modulus: 0\ndef n(mod): pass\n")
+           "def h(a, modulus=True): pass\ndef k(a, *, modulus): pass\nm = lambda modulus: 0\ndef n(mod): pass\n"
+           "def p(xi, sign): pass\ndef q(xi, /, sign=1): pass\ndef r(signs): pass\n")
     tree = ast.parse(src)
     assert _callers(tree, "_gl_panels") == ["f", "C", "<module>"]
-    assert _modulus_params(tree) == [8, 9, 10]
+    assert _params_named(tree, "modulus") == [8, 9, 10]
+    assert _params_named(tree, "sign") == [12, 13]
