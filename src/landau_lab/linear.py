@@ -17,18 +17,18 @@ Faddeeva function (`_faddeeva`, Weideman's rational approximation).  1 - L
 is entire, so one census (`_zeros`, the argument principle) finds its zeros
 in -3 < Re xi < lam, |Im xi| < Y, Y such that |L| <= 1/2 on Re xi <= 0 above
 and below (`_census_height`); a zero at Re xi <= 0 is a growing mode.  Left of that
-window bounds on |Psi| (`_outside_score`) rule growth out, or the scans say
-that they cannot.
-The margin scan `scan_stability_margin` samples the distance from 1 of L,
-the functional of Mouhot and Villani's condition (L), and counts the modes
-with a growing zero; `root_scan` refines the least-damped zero (both by
-`_least_damped_zero`), which sets the decay rate.  |ft| serves only where
-it is a true majorant: the tail bound for modes above k_max and the
-small-gain integral of `smallness_criterion`.  That integral and the
-census's contour integral use 20-node Gauss-Legendre panels (`_gl_panels`).
+window bounds on |Psi| (`_outside_score`) rule growth out, or say that they
+cannot.  `_growth` gives each mode's verdict, in one order, to both scans:
+`scan_stability_margin`, which samples the distance from 1 of L, the
+functional of Mouhot and Villani's condition (L), and `root_scan`, whose
+least-damped zero sets the decay rate.  |ft| serves only where it is a true
+majorant: the tail bound for modes above k_max and the integrals of
+`_majorants` (the small-gain integral of `smallness_criterion`, the outside
+bounds), which, like the census's contour integral, use 20-node
+Gauss-Legendre panels (`_gl_panels`).
 
-Psi on the margin grid and on the census contour, and the small-gain
-integral, depend on the profile alone, so each is kept, read-only, in a
+Psi on the margin grid and on the census contour, and the majorant
+integrals, depend on the profile alone, so each is kept, read-only, in a
 bounded memo keyed by the profile (profiles compare by their mixture, see
 `models`).  A sweep over the interaction, or a second mode of `root_scan`,
 reuses them; a single CLI call in a fresh process does not.
@@ -184,7 +184,7 @@ def _psi(profile: VelocityProfile, xi) -> tuple[np.ndarray, np.ndarray]:
 # Sampling of the stability strip: Re in [0, strip), Im in [0, im_max], for
 # both signs of k, which together cover Im in [-im_max, im_max].  The Im
 # window is finite; the report checks the functional's size on the window
-# edge and flags the grid as too coarse instead of silently passing.
+# edge and flags the unsampled strip beyond it instead of silently passing.
 _STRIP_RE_POINTS = 8
 _STRIP_IM_MAX = 6.0
 _STRIP_IM_POINTS = 161
@@ -198,8 +198,7 @@ class StabilityReport:
     ``worst_k`` is the mode of the smallest gap, negative when it lies on the
     sign k < 0; on a tie the positive sign wins.
 
-    ``unstable_modes`` counts the modes 1 <= k <= k_max whose least-damped
-    zero of 1 - L has a resolved Re xi < 0 (`_least_damped_zero`), each growing.
+    ``unstable_modes`` counts the modes 1 <= k <= k_max that grow (`_growth`).
     """
 
     kappa_est: float
@@ -261,12 +260,11 @@ def scan_stability_margin(
     what(k) conj Psi(conj xi).  Modes above ``k_max`` are certified by the
     closed-over bound |L(k, xi)| <= cw * c0 / (|k|**(1+gamma) * (lam - lambda_strip)**2)
     of the majorant |ft|, provided it stays below 1 - kappa at k_max + 1.
-    A mode whose least-damped zero of 1 - L grows (`_least_damped_zero`)
-    fails the scan; one whose sign is unresolved, or with no growing zero in
-    the census window where `_outside_score` cannot rule one out beyond it,
-    fails it with a warning.  On Re xi <= 0, |L| is at most 4 pi^2 |what(k)|
-    times the small-gain integral, so a mode whose bound is below 1 skips
-    the census.  Psi is computed once per (profile, lambda_strip) per process.
+    A mode that grows (`_growth`) fails the scan; one whose growth is not
+    ruled out fails it with a warning.  On Re xi <= 0, |L| is at most
+    4 pi^2 |what(k)| times the small-gain integral, so a mode whose bound is
+    below 1 skips the census.  Psi is computed once per (profile,
+    lambda_strip) per process.
     """
     if not 0.0 < lambda_strip < profile.lam:
         raise ValueError(f"lambda_strip must lie in (0, {profile.lam:g}), got {lambda_strip:g}")
@@ -288,22 +286,19 @@ def scan_stability_margin(
     if not tail_bound < 1.0 - kappa:
         warnings.append(f"modes beyond k_max uncertified (tail bound {tail_bound:.3g} >= 1 - kappa)")
     if not edge_max < 1.0 - kappa:
-        warnings.append(f"functional still {edge_max:.3g} at the Im window edge; enlarge im_max")
-    gain = 4.0 * np.pi**2 * _small_gain_integral(profile)
+        warnings.append(f"functional still {edge_max:.3g} at the Im window edge |Im xi| = {_STRIP_IM_MAX:g}; "
+                        "the strip beyond it is not sampled")
+    gain = 4.0 * np.pi**2 * _majorants(profile)[0]
     unstable_modes = 0
     for k, w in enumerate(what, start=1):
         if gain * abs(w) < 1.0:
             continue
         # a census zero lay within 2.2e-6 max(1, |xi|) of its refinement in a
         # survey of 411 (five mixtures, Coulomb 20-5000, Newton 5-460)
-        root, unresolved = _least_damped_zero(profile, interaction, k, band=1e-3)
-        if unresolved:
-            warnings.append(unresolved)
-        elif root is not None and root.real < 0.0:
-            unstable_modes += 1
-        elif (score := _outside_score(profile, w)) >= 1.0:
-            warnings.append(f"mode {k} growth outside the census window not excluded "
-                            f"(outside score {score:.3g} >= 1)")
+        _, grows, problem = _growth(profile, interaction, k, band=1e-3)
+        unstable_modes += grows
+        if problem:
+            warnings.append(problem)
     passed = bool(kappa_est >= kappa and not warnings and not unstable_modes)
     return StabilityReport(
         kappa_est=kappa_est,
@@ -345,7 +340,7 @@ def smallness_criterion(profile: VelocityProfile, interaction: Interaction) -> f
 
     The integral is computed once per profile per process."""
     w_max = float(np.max(np.abs(interaction.what(np.arange(1, _SMALLNESS_K_MAX + 1)))))
-    return 4.0 * np.pi**2 * w_max * _small_gain_integral(profile)
+    return 4.0 * np.pi**2 * w_max * _majorants(profile)[0]
 
 
 # 20-node Gauss-Legendre rule on [-1, 1], used panel by panel
@@ -364,21 +359,30 @@ def _gl_panels(t_max: float, n_panels: int) -> tuple[np.ndarray, np.ndarray]:
     return (mid[:, None] + half[:, None] * _GL_X).ravel(), (half[:, None] * _GL_W).ravel()
 
 
-def _majorant_nodes(profile: VelocityProfile) -> tuple[np.ndarray, np.ndarray]:
-    """`_gl_panels` nodes and weights on [0, t_max] for the majorant integrals of |ft|.
-
-    The horizon t_max: the narrowest mixture component's Gaussian envelope
-    exp(-a s^2) of |ft| is exp(-_DECADES) / c0 there.
-    """
-    a = 2.0 * np.pi**2 * min(th for _, _, th in profile.components)
-    t_max = max(1.0, np.sqrt(4.0 * a * (_DECADES + max(0.0, np.log(profile.c0)))) / (2.0 * a))
-    return _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
-
-
 @functools.lru_cache(maxsize=16)
-def _small_gain_integral(profile: VelocityProfile) -> float:
-    r, wr = _majorant_nodes(profile)
-    return float(np.sum(wr * np.abs(profile.ft(r)) * r))
+def _majorants(profile: VelocityProfile) -> tuple[float, float, float, float, float]:
+    """The small-gain integral int_0^inf |ft(s)| s ds and (b_left, g_left, g_top, m)
+    of `_outside_score` and `_census_height`: integrals of ft(s) on one set of
+    `_gl_panels` nodes over [0, t_max], where the narrowest mixture component's
+    Gaussian envelope exp(-a s^2) of |ft| is exp(-_DECADES) / c0.
+    """
+    a_min = 2.0 * np.pi**2 * min(th for _, _, th in profile.components)
+    t_max = max(1.0, np.sqrt(4.0 * a_min * (_DECADES + max(0.0, np.log(profile.c0)))) / (2.0 * a_min))
+    r, wr = _gl_panels(t_max, max(8, int(np.ceil(t_max / 0.25))))
+    ft = np.abs(profile.ft(r))
+    g2 = np.zeros(r.shape, dtype=complex)
+    for w, u, theta in profile.components:
+        # g'' of w s exp(h0 s - a s^2) is w (2h - 2as + s h^2) exp(...), h = h0 - 2as
+        a = 2.0 * np.pi**2 * theta
+        h = -2j * np.pi * u - 2.0 * a * r
+        g2 += w * (2.0 * h - 2.0 * a * r + r * h**2) * np.exp(-2j * np.pi * u * r - a * r**2)
+    left = np.exp(TWO_PI * _CENSUS_RE_MIN * r)
+    m = float(sum(w for w, _, _ in profile.components))
+    return (float(np.sum(wr * ft * r)),
+            4.0 * np.pi**2 * float(np.sum(wr * ft * left * r)),
+            float(np.sum(wr * np.abs(g2) * left)),
+            m + float(np.sum(wr * np.abs(g2))),
+            m)
 
 
 # ---------------------------------------------------------------------------
@@ -498,28 +502,10 @@ _CENSUS_MAX_ZEROS = 8
 _NEWTON_RTOL = 1e-13  # Newton's relative stopping tolerance: a zero's Re below it has no resolved sign
 
 
-@functools.lru_cache(maxsize=16)
-def _outside_constants(profile: VelocityProfile) -> tuple[float, float, float, float]:
-    """(b_left, g_left, g_top, m) of `_outside_score` and `_census_height`, integrals of ft(s)."""
-    r, wr = _majorant_nodes(profile)
-    g2 = np.zeros(r.shape, dtype=complex)
-    for w, u, theta in profile.components:
-        # g'' of w s exp(h0 s - a s^2) is w (2h - 2as + s h^2) exp(...), h = h0 - 2as
-        a = 2.0 * np.pi**2 * theta
-        h = -2j * np.pi * u - 2.0 * a * r
-        g2 += w * (2.0 * h - 2.0 * a * r + r * h**2) * np.exp(-2j * np.pi * u * r - a * r**2)
-    left = np.exp(TWO_PI * _CENSUS_RE_MIN * r)
-    m = float(sum(w for w, _, _ in profile.components))
-    return (4.0 * np.pi**2 * float(np.sum(wr * np.abs(profile.ft(r)) * left * r)),
-            float(np.sum(wr * np.abs(g2) * left)),
-            m + float(np.sum(wr * np.abs(g2))),
-            m)
-
-
 def _census_height(profile: VelocityProfile, w: float) -> float:
     """The census height Y, the least 12 2^j with |w| g_top <= Y^2 / 2: on Re xi <= 0
     above and below the window |w Psi| <= |w| g_top / |xi|^2 <= 1/2 (`_outside_score`)."""
-    g_top, y = _outside_constants(profile)[2], _CENSUS_IM_MIN
+    g_top, y = _majorants(profile)[3], _CENSUS_IM_MIN
     while abs(w) * g_top > 0.5 * y * y:
         y *= 2.0
     return y
@@ -539,11 +525,11 @@ def _outside_score(profile: VelocityProfile, w: float) -> float:
       (w g_left)^2 < 36 (9 + w (m - g_left)).
     - On all of Re xi <= 0, |w Psi| is at most |w| times the small-gain bound.
     """
-    b_left, g_left, _, m = _outside_constants(profile)
+    gain, b_left, g_left, _, m = _majorants(profile)
     left = abs(w) * b_left
     if w > 0.0 and 9.0 + w * (m - g_left) > 0.0:
         left = min(left, (w * g_left) ** 2 / (36.0 * (9.0 + w * (m - g_left))))
-    return min(abs(w) * 4.0 * np.pi**2 * _small_gain_integral(profile), left)
+    return min(abs(w) * 4.0 * np.pi**2 * gain, left)
 
 
 @functools.lru_cache(maxsize=16)
@@ -626,23 +612,35 @@ def _root_newton(profile, w: float, seed: complex) -> complex:
     raise NumericError("resolvent-root refinement did not converge")
 
 
-def _least_damped_zero(profile, interaction, k: int, band: float = np.inf) -> tuple[complex | None, str]:
-    """The zero of 1 - L of mode k with the smallest Re in the census window
+def _growth(profile, interaction, k: int, band: float = np.inf) -> tuple[complex | None, bool, str]:
+    """The growth verdict of mode k: (root, grows, problem), the one rule of both scans.
+
+    ``root`` is the zero of 1 - L with the smallest Re in the census window
     (on a tie the one with Im >= 0) or None, refined by Newton's method if its
-    |Re| is below ``band`` max(1, |xi|), and a message if |Re| is within Newton's
-    tolerance of 0: a sign both scans refuse.  Re < 0 grows.  Census and Newton
-    run on 1 - what(k) Psi (`_zeros`); for k < 0 the result is conjugated."""
+    |Re| is below ``band`` max(1, |xi|).  Census and Newton run on
+    1 - what(k) Psi (`_zeros`); for k < 0 the root is conjugated.  In order:
+    1. a root with Re < 0 beyond Newton's tolerance grows;
+    2. else, if `_outside_score` >= 1, growth outside the window is not excluded;
+    3. else, a root with |Re| within Newton's tolerance of 0 has no resolved sign.
+    ``problem`` names case 2 or 3 and is empty otherwise.
+    """
     zeros = _zeros(profile, w := float(interaction.what(np.array(k))))
-    if not len(zeros):
-        return None, ""
-    root = zeros[np.argmin(zeros.real - 1e-9 * (k * zeros.imag >= 0))]
-    if abs(root.real) < band * max(1.0, abs(root)):
-        root = _root_newton(profile, w, root)
-    root = root.conjugate() if k < 0 else root
-    if abs(root.real) >= _NEWTON_RTOL * max(1.0, abs(root)):
-        return root, ""
-    return root, (f"1 - L has a zero at zeta = {root.real:.3g}{root.imag:+.4f}i, Re within Newton's "
-                  f"tolerance of 0: the damping rate of mode k={k} is below double precision")
+    root, unresolved = None, False
+    if len(zeros):
+        root = zeros[np.argmin(zeros.real - 1e-9 * (k * zeros.imag >= 0))]
+        if abs(root.real) < band * max(1.0, abs(root)):
+            root = _root_newton(profile, w, root)
+        root = root.conjugate() if k < 0 else root
+        unresolved = abs(root.real) < _NEWTON_RTOL * max(1.0, abs(root))
+        if root.real < 0.0 and not unresolved:
+            return root, True, ""
+    if (score := _outside_score(profile, w)) >= 1.0:
+        return root, False, (f"1 - L may have a zero at Re zeta <= 0 outside the census window (outside score "
+                             f"{score:.3g} >= 1): growth of mode k={k} is not excluded")
+    if unresolved:
+        return root, False, (f"1 - L has a zero at zeta = {root.real:.3g}{root.imag:+.4f}i, Re within Newton's "
+                             f"tolerance of 0: the damping rate of mode k={k} is below double precision")
+    return root, False, ""
 
 
 def root_scan(
@@ -650,35 +648,27 @@ def root_scan(
     interaction: Interaction,
     k: int,
 ) -> RootScanResult:
-    """The least-damped resolvent root of mode k (`_least_damped_zero`).
+    """The least-damped resolvent root of mode k and its decay rate.
 
     With no zero in the window the cap lam is returned (the mode decay is
-    then limited only by the source).  A root at Re zeta <= 0 is a growing
-    mode: there is no decay gap, and `StabilityGapError` names the root and
-    its growth rate; one with |Re| under Newton's tolerance has no resolved
-    sign (`NumericError`).  When the window holds no growing zero and
-    `_outside_score` cannot rule one out beyond it, `NumericError` says so.
+    then limited only by the source).  A growing mode (`_growth`) has no
+    decay gap: `StabilityGapError` names the root and its growth rate.  A
+    mode whose growth is not ruled out raises `NumericError` saying why.
     The census contour's Psi is computed once per profile per process.
     """
     if k == 0:
         raise ValueError("k must be nonzero")
     if profile.lam <= 0:
         raise ValueError("width cap must be positive")
-    root, unresolved = _least_damped_zero(profile, interaction, k)
-    if unresolved:
-        raise NumericError(unresolved)
-    if root is not None and root.real < 0.0:
+    root, grows, problem = _growth(profile, interaction, k)
+    if grows:
         raise StabilityGapError(
             f"1 - L has a zero at zeta = {root.real:.4f}{root.imag:+.4f}i, Re <= 0: mode k={k} grows at "
             f"rate {-TWO_PI * abs(k) * root.real:.4g}, no decay gap"
         )
+    if problem:
+        raise NumericError(problem)
     lambda_star = float(profile.lam if root is None else min(root.real, profile.lam))
-    score = _outside_score(profile, float(interaction.what(np.array(k))))
-    if score >= 1.0:
-        raise NumericError(
-            f"1 - L may have a zero at Re zeta <= 0 outside the census window (outside score {score:.3g} >= 1): "
-            f"growth of mode k={k} is not excluded"
-        )
     return RootScanResult(
         k=k,
         lambda_star=lambda_star,

@@ -340,7 +340,8 @@ def test_a_jeans_zero_left_of_the_census_window_fails_loudly(tmp_path):
     assert main(["certify", str(write_cfg(tmp_path, text))]) == 4
     report = (out / "stability_report.txt").read_text()
     assert "certified = false\n" in report and "unstable_modes = 0\n" in report
-    assert "mode 1 growth outside the census window not excluded (outside score 1.31 >= 1)" in report
+    assert ("1 - L may have a zero at Re zeta <= 0 outside the census window (outside score 1.31 >= 1): "
+            "growth of mode k=1 is not excluded") in report
 
 
 CERTIFY_TWO_STREAM = """\

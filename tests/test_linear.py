@@ -424,8 +424,7 @@ def counting_ft(profile):
 
 
 def clear_profile_memos():
-    for memo in (linear._margin_psi, linear._census_contour, linear._small_gain_integral,
-                 linear._outside_constants):
+    for memo in (linear._margin_psi, linear._census_contour, linear._majorants):
         memo.cache_clear()
 
 
@@ -444,10 +443,10 @@ def counting_psi(monkeypatch):
 def test_scans_evaluate_psi_once_per_table_and_newton_in_one_frame(monkeypatch):
     # every mode of either sign scales one Psi: one closed-form call per margin
     # table, on the grid and its conjugate, whatever k_max and whether or not
-    # the profile is even, and no ft call besides the small-gain integral's
-    # and the outside bound's, which have memos of their own.  Under Newton 20
-    # every mode's small-gain bound is below 1, so no census runs; under
-    # Coulomb 16 pi^2 modes 1 and 2 share one census contour
+    # the profile is even, and no ft call besides the majorant integrals',
+    # which have a memo of their own.  Under Newton 20 every mode's small-gain
+    # bound is below 1, so no census runs; under Coulomb 16 pi^2 modes 1 and
+    # 2 share one census contour
     points = counting_psi(monkeypatch)
     res = np.linspace(0.0, 0.25, linear._STRIP_RE_POINTS, endpoint=False)
     grid = res[:, None] + 1j * np.linspace(0.0, linear._STRIP_IM_MAX, linear._STRIP_IM_POINTS)
@@ -458,8 +457,7 @@ def test_scans_evaluate_psi_once_per_table_and_newton_in_one_frame(monkeypatch):
         for k_max in (4, 8):
             clear_profile_memos()
             profile, sizes = counting_ft(base)
-            linear._small_gain_integral(profile)
-            linear._outside_constants(profile)
+            linear._majorants(profile)
             points.clear()
             sizes.clear()
             scan_stability_margin(profile, interaction, 0.25, 0.05, k_max=k_max)
@@ -472,8 +470,7 @@ def test_scans_evaluate_psi_once_per_table_and_newton_in_one_frame(monkeypatch):
     clear_profile_memos()
     points.clear()
     profile, sizes = counting_ft(MAX)
-    linear._small_gain_integral(profile)
-    linear._outside_constants(profile)
+    linear._majorants(profile)
     sizes.clear()
     calls = []
 
@@ -509,12 +506,34 @@ def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
     assert points == [] and sizes == []
 
 
+def test_a_cold_profile_calls_ft_once_for_every_scan():
+    # the small-gain integral and the outside bounds share one memo: one node
+    # build and one ft call on its 160 nodes serve the margin scan, the
+    # small-gain criterion and root_scan
+    clear_profile_memos()
+    profile, sizes = counting_ft(MAX)
+    newton = builtin_interaction("newton", 20.0)
+    scan_stability_margin(profile, newton, 0.5, 0.05)
+    smallness_criterion(profile, newton)
+    root_scan(profile, COULOMB, 1)
+    assert sizes == [160]
+
+
 def test_cached_transforms_are_read_only():
     # the margin grid and table, and the census contour of the base window and a taller one
     for a in (*linear._margin_psi(MAX, 0.25), *linear._census_contour(MAX, 12.0, 0),
               *linear._census_contour(MAX, 24.0, 0)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0.0
+
+
+def test_the_im_edge_warning_names_the_unsampled_strip():
+    # the Im window ends at |Im xi| = 6, a module constant that no key or
+    # parameter sets: the warning says what is not sampled and asks for nothing
+    rep = scan_stability_margin(MAX, builtin_interaction("coulomb", 2500.0), 0.5, 0.05)
+    assert "functional still 1.93 at the Im window edge |Im xi| = 6; the strip beyond it is not sampled" \
+        in rep.warnings
+    assert not any("enlarge" in w for w in rep.warnings)
 
 
 def test_margin_validates_strip():
@@ -891,7 +910,7 @@ def test_outside_constants_hold_on_sampled_psi_beyond_the_census_window(profile)
     # |Psi| and the remainder |xi^2 Psi + m| of both signs on Re xi <= 0
     # outside the window, on a grid that reaches 4 widths left of it and 40
     # above and below, against the closed form, for windows of height 12 and 24
-    b_left, g_left, g_top, m = linear._outside_constants(profile)
+    _, b_left, g_left, g_top, m = linear._majorants(profile)
     re = np.concatenate([np.linspace(-12.0, -3.0, 37), np.linspace(-3.0, 0.0, 13)])
     xi = (re[:, None] + 1j * np.linspace(-40.0, 40.0, 321)).ravel()
     regions = [(xi.real <= linear._CENSUS_RE_MIN, b_left, g_left)]
@@ -909,7 +928,7 @@ def test_outside_constants_hold_on_sampled_psi_beyond_the_census_window(profile)
 def test_the_census_window_grows_until_the_top_bound_is_one_half():
     # Y = 12 2^j, the least with |w| g_top <= Y^2 / 2: g_top is 2.893 for the
     # Maxwellian, so Y is 12 up to |w| = 24.9, 24 up to 99.6, then 48
-    g_top = linear._outside_constants(MAX)[2]
+    g_top = linear._majorants(MAX)[3]
     assert g_top == pytest.approx(2.8928, abs=1e-4)
     for w, y in ((0.0, 12.0), (-24.0, 12.0), (72.0 / g_top, 12.0), (np.nextafter(72.0 / g_top, 99.0), 24.0),
                  (63.3, 24.0), (-126.7, 48.0)):
@@ -929,22 +948,33 @@ def test_a_growing_zero_beyond_the_census_window_is_not_passed_over():
             root_scan(MAX, newton, 1)
         rep = scan_stability_margin(MAX, newton, 0.5, 0.05, k_max=1)
         assert rep.unstable_modes == 0 and not rep.passed
-        assert any(w.startswith("mode 1 growth outside the census window not excluded") for w in rep.warnings)
+        assert any(w.endswith("growth of mode k=1 is not excluded") for w in rep.warnings)
     # a far bump under Coulomb (28 pi)^2 grows through the zero -3.547 + 10.784i,
     # which the left bound cannot rule out; its window, of height 192, first
-    # meets a zero whose sign is roundoff
+    # meets a zero whose sign is roundoff, and the outside check comes first
     far, coulomb = bump_on_tail(0.1, 14.0, 0.25), builtin_interaction("coulomb", (28.0 * np.pi) ** 2)
     assert linear._outside_score(far, float(coulomb.what(1))) >= 1
-    with pytest.raises(NumericError, match=r"zeta = .*\+20\.0024i.*below double precision"):
+    with pytest.raises(NumericError, match="growth of mode k=1 is not excluded"):
         root_scan(far, coulomb, 1)
     # under Coulomb the left bound |w| b_left (4.15 at 1900) is too weak, but
     # w > 0 keeps a zero near the imaginary axis there, and the window grows
     # with w: the dense Maxwellian's plasma zero lies in a window of height 24
     for strength, root in ((1900.0, 1.0677e-08 + 7.159937050942j), (2500.0, 9.398e-12 + 8.150296300772j)):
         w = float(builtin_interaction("coulomb", strength).what(1))
-        assert w * linear._outside_constants(MAX)[0] > 4 and linear._outside_score(MAX, w) < 1
+        assert w * linear._majorants(MAX)[1] > 4 and linear._outside_score(MAX, w) < 1
         assert linear._census_height(MAX, w) == 24.0
         assert root_scan(MAX, builtin_interaction("coulomb", strength), 1).root == pytest.approx(root, abs=1e-11)
+
+
+def test_the_margin_scan_of_a_far_bump_says_growth_is_not_excluded():
+    # the margin scan reads root_scan's verdict: under Coulomb (28 pi)^2 the
+    # outside check comes before the roundoff sign of the window's zero
+    far, coulomb = bump_on_tail(0.1, 14.0, 0.25), builtin_interaction("coulomb", (28.0 * np.pi) ** 2)
+    rep = scan_stability_margin(far, coulomb, 0.1, 0.05, k_max=1)
+    assert rep.unstable_modes == 0 and not rep.passed
+    assert ("1 - L may have a zero at Re zeta <= 0 outside the census window (outside score 15.2 >= 1): "
+            "growth of mode k=1 is not excluded") in rep.warnings
+    assert not any("below double precision" in w for w in rep.warnings)
 
 
 @pytest.mark.parametrize("profile", [bump_on_tail(), bi_maxwellian(2.0, 1.0, 0.5, 0.3)],

@@ -4,8 +4,10 @@ built in `sim` (`run`, the echo experiment and the norms experiment step along
 `sim._trajectory`, and `strang_step` along its cached stepper), and the
 Laplace transform Psi has one closed form, `linear._psi`: the one quadrature
 builder, `linear._gl_panels`, serves only the majorant integrals of |ft|
-(`linear._majorant_nodes`) and the zero census's contour, never Psi itself, and no function takes a ``modulus``
-switch between transforms, or a ``sign`` of k that picks one: mode k < 0 reads conj Psi(conj xi)."""
+(`linear._majorants`) and the zero census's contour, never Psi itself, and no function takes a ``modulus``
+switch between transforms, or a ``sign`` of k that picks one: mode k < 0 reads conj Psi(conj xi).  Each
+mode's growth verdict has one home, `linear._growth`, the only caller of the census, of Newton's refinement
+and of the outside bound."""
 
 import ast
 from pathlib import Path
@@ -66,10 +68,17 @@ def test_the_checks_flag_each_form():
     assert _stepper_calls(tree) == [6, 7]
 
 
-def test_gl_panels_serves_only_the_small_gain_integral():
+def test_gl_panels_serves_only_the_majorant_integrals_and_the_census_contour():
     calls = [f"{mod}.{caller}" for mod, tree in _trees().items() for caller in _callers(tree, "_gl_panels")]
-    assert calls == ["linear._majorant_nodes", "linear._census_contour"], \
+    assert calls == ["linear._majorants", "linear._census_contour"], \
         f"Gauss-Legendre panels outside the majorant integrals of |ft| and the census contour: {calls}"
+
+
+def test_the_growth_rule_has_one_home():
+    trees = _trees()
+    for name in ("_outside_score", "_zeros", "_root_newton"):
+        calls = [f"{mod}.{caller}" for mod, tree in trees.items() for caller in _callers(tree, name)]
+        assert calls == ["linear._growth"], f"{name} called outside the growth verdict linear._growth: {calls}"
 
 
 def test_no_function_takes_a_modulus_switch():
