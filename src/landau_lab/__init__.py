@@ -26,7 +26,6 @@ from .models import (
     bump_on_tail,
     maxwellian,
     verify_analyticity,
-    verify_decay,
     zero_interaction,
 )
 

@@ -28,7 +28,7 @@ from .config import _SCHEMA, EXPERIMENTS, ExperimentConfig, load_config
 from .errors import ConfigError, LandauLabError
 from .linear import (fit_decay_rate, monotone_criterion, root_scan, scan_stability_margin, smallness_criterion,
                      solve_volterra, write_columns_csv, write_modes_csv)
-from .models import verify_analyticity, verify_decay
+from .models import verify_analyticity
 from .norms import AnalyticNormSpec, GlidingNormSpec, analytic_norm, gliding_norm, spatial_norm
 from .echoes import EchoReport, run_echo_experiment
 from .sim import PhaseSpaceField, _rho_hat, _trajectory, recurrence_time, run
@@ -148,7 +148,6 @@ def _experiment_nonlinear(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[
 def _experiment_certify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[str], int]:
     profile, interaction = cfg.build_profile(), cfg.build_interaction()
     analyticity = verify_analyticity(profile)
-    decay = verify_decay(interaction)
     margin = scan_stability_margin(
         profile, interaction,
         lambda_strip=cfg.get("certify", "lambda_strip"),
@@ -157,7 +156,7 @@ def _experiment_certify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[st
     )
     mono = monotone_criterion(profile, interaction)
     small = smallness_criterion(profile, interaction)
-    ok = analyticity.passed and decay.passed and margin.passed
+    ok = analyticity.passed and margin.passed
     report = [
         f"certified = {str(ok).lower()}",
         f"profile = {profile.name}",
@@ -165,8 +164,6 @@ def _experiment_certify(cfg: ExperimentConfig, out: Path) -> tuple[dict, list[st
         f"analyticity_passed = {str(analyticity.passed).lower()}",
         f"analyticity_worst_ratio = {analyticity.worst_ratio:.12g}",
         f"analyticity_series_ratio = {analyticity.series_ratio:.12g}",
-        f"decay_passed = {str(decay.passed).lower()}",
-        f"decay_worst_k = {decay.worst_k}",
         f"monotone_criterion = {str(mono).lower()}",
         f"smallness_criterion = {small:.12g}",
         f"smallness_passed = {str(small < 1.0).lower()}",

@@ -314,21 +314,18 @@ def scan_stability_margin(
     )
 
 
-# what(k) >= 0 is checked on 1 <= k <= 8 (each built-in interaction has one
-# sign for all k != 0), z f0'(z) <= 0 on [-8, 8] (the default velocity box)
-_MONOTONE_K_MAX, _MONOTONE_Z_MAX, _MONOTONE_SAMPLES = 8, 8.0, 1601
-# every built-in |what(k)| is largest at k = 1, inside 1 <= k <= 64
-_SMALLNESS_K_MAX = 64
+# z f0'(z) <= 0 is checked on [-8, 8] (the default velocity box)
+_MONOTONE_Z_MAX, _MONOTONE_SAMPLES = 8.0, 1601
 
 
 def monotone_criterion(profile: VelocityProfile, interaction: Interaction) -> bool:
     """Sufficient stability condition: what(k) >= 0 and z * phi'(z) <= 0.
 
+    An interaction's multiplier has one sign for all k != 0, read at k = 1.
     phi is the profile's marginal along the mode direction; in 1d checking
     z * pdf'(z) <= 0 on a symmetric z range covers both directions.
     """
-    k = np.arange(1, _MONOTONE_K_MAX + 1)
-    if np.any(np.asarray(interaction.what(k)) < 0):
+    if float(interaction.what(1)) < 0:
         return False
     z = np.linspace(-_MONOTONE_Z_MAX, _MONOTONE_Z_MAX, _MONOTONE_SAMPLES)
     return bool(np.all(z * profile.dpdf(z) <= 1e-14))
@@ -338,9 +335,9 @@ def smallness_criterion(profile: VelocityProfile, interaction: Interaction) -> f
     """Left side of the small-gain condition
     4 pi^2 (max_k |what(k)|) (sup_dir int_0^inf |ft(r dir)| r dr); stable when < 1.
 
-    The integral is computed once per profile per process."""
-    w_max = float(np.max(np.abs(interaction.what(np.arange(1, _SMALLNESS_K_MAX + 1)))))
-    return 4.0 * np.pi**2 * w_max * _majorants(profile)[0]
+    max_k |what(k)| = |what(1)| for every interaction.  The integral is
+    computed once per profile per process."""
+    return 4.0 * np.pi**2 * abs(float(interaction.what(1))) * _majorants(profile)[0]
 
 
 # 20-node Gauss-Legendre rule on [-1, 1], used panel by panel
@@ -616,9 +613,10 @@ def _growth(profile, interaction, k: int, band: float = np.inf) -> tuple[complex
     """The growth verdict of mode k: (root, grows, problem), the one rule of both scans.
 
     ``root`` is the zero of 1 - L with the smallest Re in the census window
-    (on a tie the one with Im >= 0) or None, refined by Newton's method if its
-    |Re| is below ``band`` max(1, |xi|).  Census and Newton run on
-    1 - what(k) Psi (`_zeros`); for k < 0 the root is conjugated.  In order:
+    (on a tie the one with Im >= 0 in the census frame) or None, refined by
+    Newton's method if its |Re| is below ``band`` max(1, |xi|).  Census, tie
+    rule and Newton run on 1 - what(k) Psi (`_zeros`); for k < 0 the root is
+    conjugated, so modes -k and k name conjugate roots.  In order:
     1. a root with Re < 0 beyond Newton's tolerance grows;
     2. else, if `_outside_score` >= 1, growth outside the window is not excluded;
     3. else, a root with |Re| within Newton's tolerance of 0 has no resolved sign.
@@ -627,7 +625,7 @@ def _growth(profile, interaction, k: int, band: float = np.inf) -> tuple[complex
     zeros = _zeros(profile, w := float(interaction.what(np.array(k))))
     root, unresolved = None, False
     if len(zeros):
-        root = zeros[np.argmin(zeros.real - 1e-9 * (k * zeros.imag >= 0))]
+        root = zeros[np.argmin(zeros.real - 1e-9 * (zeros.imag >= 0))]
         if abs(root.real) < band * max(1.0, abs(root)):
             root = _root_newton(profile, w, root)
         root = root.conjugate() if k < 0 else root

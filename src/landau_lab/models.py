@@ -11,6 +11,9 @@ derivatives are available in closed form.  A profile therefore is its
 mixture: profiles compare and hash by name, stored constants and
 components, never by their callables.  `verify_analyticity` bounds the
 analyticity sums from the components alone, reading no transform sample.
+Likewise an interaction is its parameters (kind, strength, screening), and
+its multiplier and decay constants are computed from them, so the decay
+bound holds at every k by algebra and needs no check.
 Whatever else depends on the profile alone (in `linear` the transforms Psi
 and the small-gain integral) is computed once per profile per process and
 then read from a bounded memo.
@@ -21,7 +24,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -29,7 +32,6 @@ __all__ = [
     "VelocityProfile",
     "Interaction",
     "AnalyticityReport",
-    "DecayReport",
     "maxwellian",
     "bi_maxwellian",
     "bump_on_tail",
@@ -37,7 +39,6 @@ __all__ = [
     "builtin_interaction",
     "zero_interaction",
     "verify_analyticity",
-    "verify_decay",
 ]
 
 # (weight, mean, variance) triples of a Gaussian mixture
@@ -53,8 +54,9 @@ class VelocityProfile:
     ``dpdf`` (f0'(v)) and ``ft`` (the velocity Fourier transform) are their
     closed forms, so they take no part in comparison or hashing.  ``lam``
     and ``c0`` are the stored analyticity width and constant:
-    |ft(eta)| * exp(2*pi*lam*|eta|) is expected to stay below ``c0``
-    (bounded in closed form by `verify_analyticity`).
+    |ft(eta)| * exp(2*pi*lam*|eta|) and sum_n lam^n/n! ||d^n f0/dv^n||_L1 are
+    expected to stay below ``c0`` (bounded in closed form by
+    `verify_analyticity`).
     """
 
     name: str
@@ -74,24 +76,49 @@ class VelocityProfile:
 
 @dataclass(frozen=True)
 class Interaction:
-    """Interaction potential represented by its spatial Fourier multiplier.
+    """Interaction potential: its kind, strength and screening, nothing else.
 
-    ``what(k)`` must accept integer arrays, be even in k, real valued, and
-    return 0 at k = 0.  ``gamma`` and ``cw`` are the decay constants of the
-    bound |what(k)| <= cw / |k|**(1+gamma), re-checked by `verify_decay`.
+    The spatial Fourier multiplier, even in k, real and 0 at k = 0, is
+
+    coulomb:  what(k) =  strength / (4 pi^2 k^2)   (repulsive; with the
+              ``exp(-2i pi k x)`` coefficient convention this makes
+              F = -grad W * rho the standard periodic Poisson force)
+    newton:   the negative of coulomb (attractive)
+    screened: what(k) = strength / (4 pi^2 (k^2 + screening^2))
+    none:     what(k) = 0, the free-transport limit (strength and screening 0)
+
+    so every kind has one sign for all k != 0 and |what(k)| is largest at
+    |k| = 1, and |what(k)| <= cw / |k|**(1+gamma) with ``cw`` =
+    strength / (4 pi^2) and ``gamma`` = 1 (equality for coulomb and newton).
+    Screening is 0 for every kind but screened, so interactions with the
+    same multiplier compare and hash equal.
     """
 
     kind: str
-    what: Callable[[np.ndarray], np.ndarray]
-    gamma: float
-    cw: float
+    strength: float = 0.0
+    screening: float = 0.0
+    gamma: ClassVar[float] = 1.0
 
     def __post_init__(self):
-        if self.gamma < 1:
-            raise ValueError(f"decay exponent gamma must be >= 1, got {self.gamma}")
-        # cw == 0 is allowed so the zero interaction is representable
-        if self.cw < 0:
-            raise ValueError(f"decay constant cw must be >= 0, got {self.cw}")
+        if self.kind not in ("coulomb", "newton", "screened", "none"):
+            raise ValueError(f"unknown interaction kind {self.kind!r}; known: coulomb, newton, screened, none")
+        if self.kind == "none" and self.strength:
+            raise ValueError(f"the zero interaction takes no strength, got {self.strength}")
+        if self.kind != "none" and self.strength <= 0:
+            raise ValueError(f"strength must be positive, got {self.strength}")
+        if self.kind == "screened" and (self.screening is None or self.screening <= 0):
+            raise ValueError("screened interaction requires screening > 0")
+        if self.kind != "screened" and self.screening:
+            raise ValueError(f"{self.kind} interaction takes no screening, got {self.screening}")
+
+    @property
+    def cw(self) -> float:
+        return self.strength / (4.0 * np.pi**2)
+
+    def what(self, k) -> np.ndarray:
+        k = np.asarray(k, dtype=float)
+        signed = -self.strength if self.kind == "newton" else self.strength
+        return np.where(k == 0, 0.0, signed / (4.0 * np.pi**2 * (np.where(k == 0, 1.0, k) ** 2 + self.screening**2)))
 
 
 # ---------------------------------------------------------------------------
@@ -222,45 +249,14 @@ def builtin_profile(name: str, params: Sequence[float] = ()) -> VelocityProfile:
 
 
 def builtin_interaction(kind: str, strength: float = 1.0, screening: float | None = None) -> Interaction:
-    """Coulomb / Newton / screened interactions via their Fourier multipliers.
-
-    coulomb:  what(k) =  strength / (4 pi^2 k^2)   (repulsive; with the
-              ``exp(-2i pi k x)`` coefficient convention this makes
-              F = -grad W * rho the standard periodic Poisson force)
-    newton:   the negative of coulomb (attractive)
-    screened: what(k) = strength / (4 pi^2 (k^2 + screening^2))
-    """
-    if strength <= 0:
-        raise ValueError(f"strength must be positive, got {strength}")
-    if kind not in ("coulomb", "newton", "screened"):
-        raise ValueError(f"unknown interaction kind {kind!r}; known: coulomb, newton, screened")
-    if kind == "screened" and (screening is None or screening <= 0):
-        raise ValueError("screened interaction requires screening > 0")
-    four_pi2 = 4.0 * np.pi**2
-    signed = -strength if kind == "newton" else strength
-    s2 = screening**2 if kind == "screened" else 0.0
-
-    def what(k):
-        k = np.asarray(k, dtype=float)
-        return np.where(k == 0, 0.0, signed / (four_pi2 * (np.where(k == 0, 1.0, k) ** 2 + s2)))
-
-    return Interaction(kind=kind, what=what, gamma=1.0, cw=strength / four_pi2)
-
-
-def _zero_what(k):
-    return np.zeros(np.shape(np.asarray(k, dtype=float)))
-
-
-_ZERO_INTERACTION = Interaction(kind="custom", what=_zero_what, gamma=1.0, cw=0.0)
+    """The coulomb, newton or screened `Interaction`; ``screening`` is read
+    for the screened kind only."""
+    return Interaction(kind, strength, screening if kind == "screened" else 0.0)
 
 
 def zero_interaction() -> Interaction:
-    """Interaction with what(k) = 0: the free-transport limit.
-
-    Every call returns the same instance, so caches keyed by the interaction
-    (such as `strang_step`'s steppers) see one key.
-    """
-    return _ZERO_INTERACTION
+    """Interaction with what(k) = 0: the free-transport limit."""
+    return Interaction("none")
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +266,10 @@ def zero_interaction() -> Interaction:
 @dataclass(frozen=True)
 class AnalyticityReport:
     """Closed-form bounds, over c0, on sup_eta |ft(eta)| exp(2 pi lam |eta|)
-    (``worst_ratio``, exact for one component; ``passed`` iff it is <= 1) and
-    on sum_n lam^n/n! ||d^n f0/dv^n||_L1 (``series_ratio``, which gates
-    nothing).  Both are inf once a component's exp(x^2/2) overflows."""
+    (``worst_ratio``, exact for one component) and on
+    sum_n lam^n/n! ||d^n f0/dv^n||_L1 (``series_ratio``).  The theorem assumes
+    both bounds with the one constant c0, so ``passed`` iff both are <= 1.
+    Both are inf once a component's exp(x^2/2) overflows."""
 
     passed: bool
     worst_ratio: float
@@ -307,28 +304,5 @@ def verify_analyticity(profile: VelocityProfile) -> AnalyticityReport:
             break
         sup += w * math.exp(0.5 * x * x)
         series += w * _sqrt_factorial_series(x)
-    worst = sup / profile.c0
-    return AnalyticityReport(passed=worst <= 1.0, worst_ratio=worst, series_ratio=series / profile.c0)
-
-
-_DECAY_K_MAX = 32  # `verify_decay` checks the modes 1 <= |k| <= 32
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Result of checking |what(k)| <= cw / |k|**(1+gamma) for 1 <= |k| <= 32."""
-
-    passed: bool
-    worst_k: int
-
-
-def verify_decay(interaction: Interaction) -> DecayReport:
-    """Check the interaction's stored decay constants on 1 <= |k| <= 32."""
-    k = np.arange(1, _DECAY_K_MAX + 1)
-    bound = interaction.cw / k.astype(float) ** (1.0 + interaction.gamma)
-    vals = np.abs(interaction.what(k))
-    # ratio with guard against cw = 0 (zero interaction: 0 <= 0 passes)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(bound > 0, vals / bound, np.where(vals > 0, np.inf, 0.0))
-    i = int(np.argmax(ratio))
-    return DecayReport(passed=bool(ratio[i] <= 1.0 + 1e-12), worst_k=int(k[i]))
+    worst, series = sup / profile.c0, series / profile.c0
+    return AnalyticityReport(passed=worst <= 1.0 and series <= 1.0, worst_ratio=worst, series_ratio=series)

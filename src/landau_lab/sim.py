@@ -354,10 +354,7 @@ def strang_step(
     from the new spectrum (read-only), so a chain of calls costs one x-FFT
     pair per step and no inverse x-FFT until a result's ``data`` is read.
     The `Stepper` for each (grid, dt, interaction) is cached and reused, so
-    concurrent calls from several threads must not share one.  The cache is
-    keyed by the `Interaction` object, and `models.builtin_interaction`
-    returns a new one per call: a loop that rebuilds it builds a `Stepper`
-    per step.
+    concurrent calls from several threads must not share one.
     """
     if dt == 0.0:
         raise ValueError("dt must be nonzero")

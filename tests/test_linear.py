@@ -465,8 +465,8 @@ def test_scans_evaluate_psi_once_per_table_and_newton_in_one_frame(monkeypatch):
             assert np.array_equal(points[0], np.stack([grid, grid.conj()]))
             assert all(np.ndim(xi) == 1 for xi in points[1:])
     # root_scan of mode -2: one census contour before Newton starts, then
-    # Newton in the frame of Psi itself, from the mirror (Im < 0) of the
-    # mode's own zero, one point per iterate, and one conjugation at the end
+    # Newton in the frame of Psi itself, from the census zero that mode 2
+    # picks (Im > 0), one point per iterate, and one conjugation at the end
     clear_profile_memos()
     points.clear()
     profile, sizes = counting_ft(MAX)
@@ -482,8 +482,8 @@ def test_scans_evaluate_psi_once_per_table_and_newton_in_one_frame(monkeypatch):
     scan = root_scan(profile, STRONG, -2)
     ((before, seed, root),) = calls
     assert before == 1 and np.ndim(points[0]) == 1 and len(points) > 1 and sizes == []
-    assert seed.imag < 0 and all(np.ndim(xi) == 0 and xi.imag < 0 for xi in points[1:])
-    assert scan.root == root.conjugate() and scan.root.imag > 0
+    assert seed.imag > 0 and all(np.ndim(xi) == 0 and xi.imag > 0 for xi in points[1:])
+    assert scan.root == root.conjugate() and scan.root.imag < 0
 
 
 def test_repeated_scans_of_an_equal_profile_call_ft_zero_times(monkeypatch):
@@ -770,6 +770,20 @@ def test_root_scan_matches_per_width_reference(profile, interaction, k):
     res = root_scan(profile, interaction, k)
     assert res.root == (None if root is None or root.real >= profile.lam else pytest.approx(root, rel=1e-12))
     assert res.lambda_star == pytest.approx(lambda_star, rel=1e-12)
+
+
+def test_modes_of_opposite_sign_name_conjugate_roots():
+    # a real perturbation's modes k and -k share one spectrum up to
+    # conjugation; a tie between a census zero and its mirror is broken in
+    # the census frame, so both modes refine the same zero
+    for profile, interaction in ((MAX, STRONG), (maxwellian(0.25), STRONG),
+                                 (bi_maxwellian(drift=2.0), builtin_interaction("newton", 20.0)),
+                                 (bi_maxwellian(2.0, 1.0, 0.5, 0.3), builtin_interaction("coulomb", 100.0)),
+                                 (bump_on_tail(weight=0.2, drift=2.0), STRONG)):
+        for k in (1, 2, 3):
+            plus, minus = root_scan(profile, interaction, k), root_scan(profile, interaction, -k)
+            assert minus.root == (None if plus.root is None else plus.root.conjugate()), (profile.name, k)
+            assert (minus.lambda_star, minus.rate) == (plus.lambda_star, plus.rate), (profile.name, k)
 
 
 def test_root_scan_super_jeans_raises():

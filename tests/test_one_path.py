@@ -7,12 +7,15 @@ builder, `linear._gl_panels`, serves only the majorant integrals of |ft|
 (`linear._majorants`) and the zero census's contour, never Psi itself, and no function takes a ``modulus``
 switch between transforms, or a ``sign`` of k that picks one: mode k < 0 reads conj Psi(conj xi).  Each
 mode's growth verdict has one home, `linear._growth`, the only caller of the census, of Newton's refinement
-and of the outside bound."""
+and of the outside bound.  An interaction is its parameters: `models.Interaction` holds its kind, strength
+and screening and no callable, so its multiplier and decay constants have one home, its methods."""
 
 import ast
+import dataclasses
 from pathlib import Path
 
 import landau_lab
+from landau_lab.models import Interaction, builtin_interaction, zero_interaction
 
 SRC = Path(landau_lab.__file__).parent
 
@@ -89,6 +92,13 @@ def test_no_function_takes_a_modulus_switch():
 def test_no_function_takes_a_sign_of_k():
     bad = [f"{mod}:{line}" for mod, tree in _trees().items() for line in _params_named(tree, "sign")]
     assert bad == [], f"a sign parameter (mode k < 0 reads conj Psi(conj xi) of linear._psi): {bad}"
+
+
+def test_an_interaction_is_its_parameters():
+    fields = dataclasses.fields(Interaction)
+    assert [f.name for f in fields] == ["kind", "strength", "screening"]
+    for interaction in (builtin_interaction("coulomb"), builtin_interaction("screened", 2.0, 0.5), zero_interaction()):
+        assert not any(callable(getattr(interaction, f.name)) for f in fields)
 
 
 def test_the_laplace_checks_flag_each_form():

@@ -200,7 +200,7 @@ def test_field_takes_exactly_one_form_of_the_right_shape():
 
 
 def test_free_strang_steps_share_one_cached_stepper():
-    assert zero_interaction() is zero_interaction()
+    assert zero_interaction() == zero_interaction()
     before = _cached_stepper.cache_info()
     cur = small_state()
     for _ in range(10):
@@ -333,7 +333,8 @@ def test_evolve_detects_nonfinite_without_an_x_state_request(stops):
 
 def test_strang_step_reuses_cached_steppers():
     st = small_state()
-    interaction = builtin_interaction("coulomb", 16.0 * np.pi**2)  # fresh cache keys
+    interaction = builtin_interaction("coulomb", 16.0 * np.pi**2)
+    _cached_stepper.cache_clear()  # an equal interaction at dt 1/64 is cached by other tests
     before = _cached_stepper.cache_info()
     cur = st
     for dt in (1 / 64, -1 / 64):
@@ -348,6 +349,16 @@ def test_strang_step_reuses_cached_steppers():
     kept = one.data.copy()
     strang_step(one, interaction, 1 / 64)
     np.testing.assert_array_equal(one.data, kept)
+
+
+def test_rebuilt_interactions_share_one_cached_stepper():
+    # an interaction is its parameters, so rebuilding it per call hits the cache
+    st = small_state()
+    _cached_stepper.cache_clear()
+    for _ in range(5):
+        strang_step(st, builtin_interaction("coulomb", 1.0), 1 / 16)
+    info = _cached_stepper.cache_info()
+    assert (info.misses, info.hits) == (1, 4)
 
 
 # ---------------------------------------------------------------------------
