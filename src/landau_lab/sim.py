@@ -109,12 +109,11 @@ class PhaseSpaceField:
         """f~(k, eta) / dv for k = 0 .. nx/2 on the eta comb: ``fft`` along v of the x-spectrum / nx."""
         return _read_only(np.fft.fft(self.spectrum / self.nx, axis=1))
 
-    def _spectrum_into(self, out: np.ndarray) -> None:
-        """Write the x-spectrum into ``out`` without keeping a computed one."""
+    def _spectrum_or_into(self, out: np.ndarray) -> np.ndarray:
+        """The held x-spectrum, or else the one computed into ``out`` and not kept."""
         if self._spectrum is None:
-            np.fft.rfft(self._data, axis=0, out=out)
-        else:
-            np.copyto(out, self._spectrum)
+            return np.fft.rfft(self._data, axis=0, out=out)
+        return self._spectrum
 
     @property
     def v(self) -> np.ndarray:
@@ -244,8 +243,9 @@ class Stepper:
     an impulse is the identity (shift 0, phase exactly 1), and the step skips
     it: a free step is one transport product, with no FFT.
 
-    The phase tables and scratch buffers belong to the stepper: it runs one
-    `evolve` at a time.
+    Every step, of `evolve` and of `strang_step`, is one `_step`.  The phase
+    tables and scratch buffers belong to the stepper: it runs one `evolve`
+    or `strang_step` at a time.
     """
 
     def __init__(self, nx: int, nv: int, vmax: float, dt: float, interaction: Interaction):
@@ -260,15 +260,16 @@ class Stepper:
         self._free = not np.any(self.force_mul)
         # The kick multiplies the v-spectrum by exp(i a j) for eta index
         # j = 0..nv/2 with a = -2 pi shift / (nv dv).  Writing j = m p + q,
-        # that is exp(i a m p) exp(i a q): cos/sin of two narrow tables and
+        # that is exp(i a m p) exp(i a q): cos/sin of one narrow table, the
+        # frequencies a q (q < m) then a m p (p < n_blocks) side by side, and
         # one complex product instead of cos/sin of the full table.
         nh = nv // 2 + 1
         m, n_blocks = _block_split(nh)
         a = -2.0 * np.pi / (nv * self.dv)
-        self._phase_factors = [
-            (freq, np.empty((nx, *freq.shape)), np.empty((nx, *freq.shape), dtype=complex))
-            for freq in (a * np.arange(m)[None, :], a * m * np.arange(n_blocks)[:, None])
-        ]
+        self._freq = np.concatenate((a * np.arange(m), a * m * np.arange(n_blocks)))
+        self._arg = np.empty((nx, m + n_blocks))
+        factors = np.empty((nx, m + n_blocks), dtype=complex)
+        self._factors, self._q_factor, self._p_factor = factors, factors[:, None, :m], factors[:, m:, None]
         self._phase_blocks = np.empty((nx, n_blocks, m), dtype=complex)
         self._phase = self._phase_blocks.reshape(nx, n_blocks * m)[:, :nh]
         self._fk = np.empty((nx // 2 + 1, nv), dtype=complex)
@@ -276,20 +277,26 @@ class Stepper:
         self._f = np.empty((nx, nv))
         self._fv = np.empty((nx, nh), dtype=complex)
 
-    def _kick(self, impulse: np.ndarray | None) -> None:
-        f, fv = self._f, self._fv
+    def _step(self, src: np.ndarray, table: np.ndarray, impulse: np.ndarray | None) -> None:
+        """One step: the carried spectrum becomes ``src`` times the transport
+        ``table``, then kicked, with ``impulse`` (x grid) added to the shift."""
+        fk, f, fv = self._fk, self._f, self._fv
+        np.multiply(src, table, out=fk)
+        if impulse is None and self._free:
+            return
+        np.fft.irfft(fk, n=self.nx, axis=0, out=f)
         shift = _force(f.sum(axis=1) * self.dv, self.force_mul) * self.dt
         if impulse is not None:
             shift = shift + impulse
         np.fft.rfft(f, axis=1, out=fv)
-        for freq, arg, phase in self._phase_factors:
-            np.multiply.outer(shift, freq, out=arg)
-            np.cos(arg, out=phase.real)
-            np.sin(arg, out=phase.imag)
-        np.multiply(self._phase_factors[0][2], self._phase_factors[1][2], out=self._phase_blocks)
+        np.multiply.outer(shift, self._freq, out=self._arg)
+        np.cos(self._arg, out=self._factors.real)
+        np.sin(self._arg, out=self._factors.imag)
+        np.multiply(self._q_factor, self._p_factor, out=self._phase_blocks)
         self._phase[:, -1] = 1.0
         fv *= self._phase
         np.fft.irfft(fv, n=self.nv, axis=1, out=f)
+        np.fft.rfft(f, axis=0, out=fk)
 
     def evolve(
         self,
@@ -308,29 +315,29 @@ class Stepper:
         into the stepper's buffer, and keeps no spectrum.
         """
         impulses = impulses or {}
-        fk, obs_fk, f = self._fk, self._obs_fk, self._f
-        state._spectrum_into(fk)
+        fk, obs_fk = self._fk, self._obs_fk
+        start = state._spectrum_or_into(fk)
         n = 0
         for stop in stops:
             if stop < n:
                 raise ValueError(f"stops must be ascending from 0, got {stop} after {n}")
             while n < stop:
-                fk *= self.transport_half if n == 0 else self.transport_full
-                impulse = impulses.get(n)
-                if impulse is not None or not self._free:
-                    np.fft.irfft(fk, n=self.nx, axis=0, out=f)
-                    self._kick(impulse)
-                    np.fft.rfft(f, axis=0, out=fk)
+                src, table = (fk, self.transport_full) if n else (start, self.transport_half)
+                self._step(src, table, impulses.get(n))
                 n += 1
             if n == 0:
-                np.copyto(obs_fk, fk)
+                np.copyto(obs_fk, start)
             else:
                 np.multiply(fk, self.transport_half, out=obs_fk)
-            # row 0 holds the column sums over x, and a NaN or inf anywhere in
-            # a column reaches its sum: this sees every non-finite state
-            if not np.isfinite(obs_fk[0]).all():
-                raise NumericError(f"non-finite values detected at t = {state.time + n * self.dt:g}")
+            _require_finite(obs_fk, state.time + n * self.dt)
             yield n, obs_fk
+
+
+def _require_finite(fk: np.ndarray, t: float) -> None:
+    # row 0 holds the column sums over x, and a NaN or inf anywhere in a
+    # column reaches its sum: this sees every non-finite state
+    if not np.isfinite(fk[0]).all():
+        raise NumericError(f"non-finite values detected at t = {t:g}")
 
 
 @functools.lru_cache(maxsize=8)
@@ -359,10 +366,10 @@ def strang_step(
     if dt == 0.0:
         raise ValueError("dt must be nonzero")
     stepper = _cached_stepper(state.nx, state.nv, state.vmax, dt, interaction)
-    impulses = None if impulse is None else {0: impulse}
-    _, fk = next(stepper.evolve(state, (1,), impulses))
-    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, spectrum=_read_only(fk.copy()),
-                           time=state.time + dt)
+    stepper._step(state._spectrum_or_into(stepper._fk), stepper.transport_half, impulse)
+    fk = np.multiply(stepper._fk, stepper.transport_half)
+    _require_finite(fk, state.time + dt)
+    return PhaseSpaceField(nx=state.nx, nv=state.nv, vmax=state.vmax, spectrum=_read_only(fk), time=state.time + dt)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """One path per job in the package: every CSV table goes through
 `linear.write_columns_csv`, so no module imports ``csv``, every stepper is
 built in `sim` (`run`, the echo experiment and the norms experiment step along
-`sim._trajectory`, and `strang_step` along its cached stepper), and the
+`sim._trajectory`, and `strang_step` along its cached stepper), every step of
+`Stepper.evolve` and of `strang_step` is one `Stepper._step`, and the
 Laplace transform Psi has one closed form, `linear._psi`: the one quadrature
 builder, `linear._gl_panels`, serves only the majorant integrals of |ft|
 (`linear._majorants`) and the zero census's contour, never Psi itself, and no function takes a ``modulus``
@@ -61,6 +62,11 @@ def test_no_module_imports_csv():
 def test_only_sim_builds_a_stepper():
     bad = [f"{mod}:{line}" for mod, tree in _trees().items() if mod != "sim" for line in _stepper_calls(tree)]
     assert bad == [], f"Stepper built outside sim (step along sim._trajectory): {bad}"
+
+
+def test_every_step_is_one_stepper_step():
+    calls = [f"{mod}.{caller}" for mod, tree in _trees().items() for caller in _callers(tree, "_step")]
+    assert calls == ["sim.Stepper", "sim.strang_step"], f"a step taken outside Stepper._step: {calls}"
 
 
 def test_the_checks_flag_each_form():

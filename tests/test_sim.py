@@ -226,6 +226,36 @@ def test_step_detects_nonfinite():
         strang_step(st, STRONG, 1 / 32)
 
 
+@pytest.mark.parametrize("impulse", [None, 0.05], ids=["plain", "impulse"])
+def test_strang_step_is_the_first_stop_of_evolve_bit_for_bit(impulse):
+    # strang_step and evolve take the stepper's one step path, from a field
+    # built from values and from one built from its spectrum
+    stepper = _cached_stepper(32, 256, 8.0, 1 / 32, STRONG)
+    if impulse is not None:
+        impulse = impulse * np.cos(2 * np.pi * 2 * np.arange(32) / 32 + 0.3)
+    for fresh in (small_state, lambda: PhaseSpaceField(32, 256, 8.0, spectrum=np.fft.rfft(small_state().data, axis=0))):
+        one = strang_step(fresh(), STRONG, 1 / 32, impulse)
+        (_, fk), = stepper.evolve(fresh(), [1], None if impulse is None else {0: impulse})
+        assert one.spectrum.tobytes() == fk.tobytes()
+        assert one.time == 1 / 32
+
+
+@pytest.mark.parametrize("nx, nv", [(32, 256), (64, 1024)])
+def test_the_kick_phase_is_exp_i_a_j_shift(nx, nv):
+    # without a force the shift is the impulse itself, and the kick's phase
+    # table is exp(i a j s_x) with a = -2 pi / (nv dv), built from blocks
+    # j = m p + q; the v-Nyquist column carries no odd derivative
+    st = small_state(nx=nx, nv=nv)
+    shift = 0.3 * np.cos(2 * np.pi * np.arange(nx) / nx + 0.2) + 0.1
+    stepper = Stepper(nx, nv, st.vmax, 1 / 32, zero_interaction())
+    next(stepper.evolve(st, [1], {0: shift}))
+    j = np.arange(nv // 2)
+    want = np.exp(1j * np.outer(shift, -2 * np.pi / (nv * st.dv) * j))
+    err = np.abs(stepper._phase[:, :-1] - want)
+    assert np.all(err <= 4 * np.finfo(float).eps * np.maximum(j, 1))
+    assert np.all(stepper._phase[:, -1] == 1.0)
+
+
 def test_dt_halving_reduces_terminal_error():
     def terminal(dt):
         return np.fft.irfft(last_spectrum(small_state(), STRONG, dt, int(round(2.0 / dt))), n=32, axis=0)
